@@ -391,6 +391,8 @@ class _Scanner:
 
 
 def parse_id(text: str) -> ElementId:
+    if _ATOM_RE.fullmatch(text):  # no structured id is a single atom run
+        return Atom(text)
     s = _Scanner(text)
     result = s.id_()
     if s.pos != len(text):

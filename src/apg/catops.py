@@ -87,37 +87,44 @@ def _pair_label(l1: str, l2: str) -> str:
     return f"({l1},{l2})"
 
 
+def _labels_used(g: Graph) -> set[str]:
+    """Declared labels plus any label an (unvalidated) element carries."""
+    return set(g.schema.labels).union(el.label for el in g.elements.values())
+
+
 def product(g1: Graph, g2: Graph) -> ConstructionResult:
     """Labels and elements are pairs; declared types and stored values are
     transported so that each reference pairs up with the fixed other half."""
     _require_same_registry(g1, g2)
+    # The label maps depend on one label of the other side only.
+    left_f = {l2: {m: Lbl(_pair_label(m, l2)) for m in g1.schema.labels}
+              for l2 in _labels_used(g2)}
+    right_f = {l1: {m: Lbl(_pair_label(l1, m)) for m in g2.schema.labels}
+               for l1 in _labels_used(g1)}
     labels: dict[str, object] = {}
     proj1_labels: dict[str, str] = {}
     proj2_labels: dict[str, str] = {}
     for l1 in g1.schema.sorted_labels():
         for l2 in g2.schema.sorted_labels():
             name = _pair_label(l1, l2)
-            left_f = {m: Lbl(_pair_label(m, l2)) for m in g1.schema.labels}
-            right_f = {m: Lbl(_pair_label(l1, m)) for m in g2.schema.labels}
             labels[name] = Prod(
-                transport_type(left_f, g1.schema.labels[l1]),
-                transport_type(right_f, g2.schema.labels[l2]),
+                transport_type(left_f[l2], g1.schema.labels[l1]),
+                transport_type(right_f[l1], g2.schema.labels[l2]),
             )
             proj1_labels[name] = l1
             proj2_labels[name] = l2
     elements: dict[ElementId, Element] = {}
     proj1_elements: dict[ElementId, ElementId] = {}
     proj2_elements: dict[ElementId, ElementId] = {}
+    ids2 = g2.sorted_ids()
     for e1 in g1.sorted_ids():
         el1 = g1.elements[e1]
-        for e2 in g2.sorted_ids():
+        for e2 in ids2:
             el2 = g2.elements[e2]
             eid = PairId(e1, e2)
-            left_f = {m: Lbl(_pair_label(m, el2.label)) for m in g1.schema.labels}
-            right_f = {m: Lbl(_pair_label(el1.label, m)) for m in g2.schema.labels}
             value = Pair(
-                transport_value(left_f, lambda e: Ref(PairId(e, e2)), el1.value),
-                transport_value(right_f, lambda e: Ref(PairId(e1, e)), el2.value),
+                transport_value(left_f[el2.label], lambda e: Ref(PairId(e, e2)), el1.value),
+                transport_value(right_f[el1.label], lambda e: Ref(PairId(e1, e)), el2.value),
             )
             elements[eid] = Element(_pair_label(el1.label, el2.label), value)
             proj1_elements[eid] = e1

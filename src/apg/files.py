@@ -60,8 +60,14 @@ def _expect_object(doc, where: str) -> dict:
     return doc
 
 
+def _encode(doc, newline: str = "\n") -> str:
+    """Canonical JSON text of doc, nested at the depth newline indents to."""
+    text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+    return text.replace("\n", newline)
+
+
 def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return _encode(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +229,59 @@ def graph_from_json(doc: dict, where: str = "") -> Graph:
     return Graph(schema, elements)
 
 
+# write_graph emits the text _dump(graph_to_json(graph)) would, in one pass
+# over the graph: json.dumps with an indent runs the pure-Python encoder.
+
+_escape = json.encoder.encode_basestring  # the escaper behind ensure_ascii=False
+
+
+def _emit_value(v: Value, nl: str, out: list):
+    """Append the text of value_to_json(v), nested at the indent nl ends in."""
+    inner = nl + "  "
+    kind = type(v)
+    if kind is PrimVal:
+        deeper = inner + "  "
+        literal = v.literal
+        if isinstance(literal, str):
+            text = _escape(literal)
+        elif isinstance(literal, (dict, list, tuple)):  # only without validation
+            text = _encode(literal, deeper)
+        else:
+            text = json.dumps(literal)
+        out.append(f'{{{inner}"prim": {{{deeper}"type": {_escape(v.prim)},'
+                   f'{deeper}"value": {text}{inner}}}{nl}}}')
+    elif kind is Pair:
+        deeper = inner + "  "
+        out.append(f'{{{inner}"pair": [{deeper}')
+        _emit_value(v.first, deeper, out)
+        out.append("," + deeper)
+        _emit_value(v.second, deeper, out)
+        out.append(f"{inner}]{nl}}}")
+    elif kind is Inl or kind is Inr:
+        out.append(f'{{{inner}"{"inl" if kind is Inl else "inr"}": ')
+        _emit_value(v.inner, inner, out)
+        out.append(nl + "}")
+    elif kind is Unit:
+        out.append(f'{{{inner}"unit": {{}}{nl}}}')
+    else:
+        out.append(f'{{{inner}"ref": {_escape(render_id(v.element))}{nl}}}')
+
+
 def write_graph(graph: Graph) -> str:
-    return _dump(graph_to_json(graph))
+    entries = {render_id(e): el for e, el in graph.elements.items()}
+    out = ['{\n  "elements": {']
+    sep = "\n    "
+    for id_text, el in sorted(entries.items()):
+        out.append(f'{sep}{_escape(id_text)}: {{\n      "label": {_escape(el.label)},'
+                   f'\n      "value": ')
+        _emit_value(el.value, "\n      ", out)
+        out.append("\n    }")
+        sep = ",\n    "
+    out.append("\n  }," if entries else "},")
+    head = schema_to_json(graph.schema)
+    out.append('\n  "primitives": ' + _encode(head["primitives"], "\n  ")
+               + ',\n  "schema": ' + _encode(head["schema"], "\n  ") + "\n}\n")
+    return "".join(out)
 
 
 def read_graph(text: str, validate: bool = True) -> Graph:

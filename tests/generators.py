@@ -159,6 +159,17 @@ def random_graph(rng: random.Random, max_labels: int = 4, max_elements: int = 8)
     return graph
 
 
+def label_free_graph(rng: random.Random) -> Graph:
+    """A graph whose declared types mention no labels, as key matching needs."""
+    types = {f"l{i}": random_type(rng, [], depth=2, allow_zero=False)
+             for i in range(rng.randrange(1, 4))}
+    graph = Graph(Schema(types), {})
+    for label, t in sorted(types.items()):
+        for _ in range(rng.randrange(1, 4)):
+            graph.elements[Atom(f"e{len(graph.elements)}")] = Element(label, random_value(rng, t, graph))
+    return graph
+
+
 # ---------------------------------------------------------------------------
 # Morphisms
 

@@ -2,17 +2,26 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from apg.adt import (
     Atom,
     DEFAULT_REGISTRY,
+    Enc,
     Inl,
+    Inr,
+    Lbl,
+    One,
     Pair,
+    Prim,
     PrimRegistry,
     PrimVal,
+    Prod,
     Ref,
+    Sum,
     Unit,
 )
+from apg.catops import coproduct, product
 from apg.errors import ParseError, ValidationFailure
 from apg.fixtures import load
 from apg.files import (
@@ -28,7 +37,10 @@ from apg.files import (
     write_mapping,
     write_morphism,
 )
-from .generators import permutation_morphism, random_graph
+from apg.graph import Element, Graph, Schema
+from apg.integrate import merge_by_key
+from apg.migrate import SchemaMapping, delta_migrate, parse_term
+from .generators import label_free_graph, permutation_morphism, random_graph
 
 FIXTURES = [
     "vertices.apg", "edges.apg", "names.apg", "plates1.apg",
@@ -215,3 +227,89 @@ def test_writing_keeps_unicode_literal():
     assert "\\u2744" not in text
     doc = graph_to_json(read_graph(load("names.apg")))
     assert doc["elements"]["n1"]["value"]["pair"][1]["prim"]["value"] == "Arthur Dent"
+
+
+# ---------------------------------------------------------------------------
+# write_graph against the generic encoder
+
+def generic_text(g: Graph) -> str:
+    return json.dumps(graph_to_json(g), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def witness_migration(g: Graph) -> Graph:
+    """Mint one element per (l, 1 + l) pair: ids like E:Wl:(@e,inr(@f))."""
+    labels = g.schema.labels
+    mapping = SchemaMapping(
+        Schema({"W" + l: One() for l in labels}),
+        g.schema,
+        {"W" + l: Prod(Lbl(l), Sum(One(), Lbl(l))) for l in labels},
+        {"W" + l: parse_term("()") for l in labels},
+    )
+    return delta_migrate(mapping, g)
+
+
+@given(st.integers(0, 2 ** 32))
+def test_write_graph_equals_the_generic_encoder(seed):
+    rng = random.Random(seed)
+    g1, g2 = random_graph(rng), random_graph(rng)
+    flat = label_free_graph(rng)
+    for g in (g1, product(g1, g2).graph, coproduct(g1, g2).graph,
+              merge_by_key(flat, flat), witness_migration(g1)):
+        assert write_graph(g) == generic_text(g)
+
+
+@given(st.text(), st.text(), st.text())
+def test_write_graph_escapes_any_text(label, literal, prim):
+    g = Graph(Schema({label: Prim("String")}),
+              {Atom("e"): Element(label, PrimVal("String", literal)),
+               Enc(label, PrimVal(prim, literal)): Element(label, Unit())})
+    assert write_graph(g) == generic_text(g)
+
+
+def test_write_graph_edge_cases():
+    odd = 'say "hi"\\ \t\n\x00\x1f\x7f é ❄ 𝄞 \u2028'
+    nested = PrimVal("Boolean", False)
+    for depth in range(150):
+        nested = Inl(nested) if depth % 2 else Inr(nested)
+    graphs = [
+        read_graph("{}"),
+        read_graph('{"primitives": []}'),
+        read_graph(json.dumps({
+            "primitives": ["String", {"name": "Celsius", "kind": "double"}],
+            "schema": {"t": "Celsius * String"},
+            "elements": {"t1": {"label": "t", "value": {"pair": [
+                {"prim": {"type": "Celsius", "value": 21.5}},
+                {"prim": {"type": "String", "value": "x"}}]}}},
+        })),
+        Graph(Schema({odd: Prim("String")}),
+              {Atom("s"): Element(odd, PrimVal("String", odd))}),
+        Graph(Schema({"d": Prim("Double")}), {
+            Atom(f"d{i}"): Element("d", PrimVal("Double", x))
+            for i, x in enumerate([-0.0, 1e300, 0.1, 5e-324, -2.5])}),
+        Graph(Schema({"n": Prim("Nat"), "b": Prim("Boolean")}), {
+            Atom("n1"): Element("n", PrimVal("Nat", 2 ** 80 + 1)),
+            Atom("n2"): Element("n", PrimVal("Nat", 0)),
+            Atom("b1"): Element("b", PrimVal("Boolean", True)),
+            Atom("b2"): Element("b", PrimVal("Boolean", False))}),
+        Graph(Schema({"deep": Prim("Boolean")}), {Atom("x"): Element("deep", nested)}),
+    ]
+    for g in graphs:
+        assert write_graph(g) == generic_text(g)
+    assert write_graph(graphs[0]) == (
+        '{\n  "elements": {},\n  "primitives": [\n    "Boolean",\n    "Double",\n'
+        '    "Integer",\n    "Nat",\n    "String"\n  ],\n  "schema": {}\n}\n')
+    assert '"primitives": [],' in write_graph(graphs[1])
+
+
+def test_write_graph_keeps_literals_read_without_validation():
+    doc = {"schema": {"m": "Double"}, "elements": {
+        "nan": {"label": "m", "value": {"prim": {"type": "Double", "value": float("nan")}}},
+        "inf": {"label": "m", "value": {"prim": {"type": "Double", "value": float("-inf")}}},
+        "nil": {"label": "m", "value": {"prim": {"type": "Double", "value": None}}},
+        "box": {"label": "m", "value": {"prim": {"type": "Double",
+                                                 "value": {"z": [1, {"y": "é"}], "a": []}}}},
+    }}
+    g = read_graph(json.dumps(doc), validate=False)
+    text = write_graph(g)
+    assert text == generic_text(g)
+    assert '"value": NaN' in text and '"value": -Infinity' in text

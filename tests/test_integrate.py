@@ -6,11 +6,11 @@ from apg.adt import Atom, Class, Left, PairId, Pair, PrimVal, Right
 from apg.errors import PreconditionError
 from apg.fixtures import load
 from apg.files import read_graph
-from apg.graph import Element, Graph, Schema, validate_graph
+from apg.graph import Graph, validate_graph
 from apg.integrate import match_by_key, merge_by_key
 from apg.morphism import check_morphism
 
-from .generators import graph_of, random_type, random_value
+from .generators import graph_of, label_free_graph
 
 PLATE_TYPES = {"PlateNumber": "String * String * String"}
 
@@ -116,14 +116,7 @@ def test_merge_is_symmetric_in_content():
 def test_merge_with_itself_collapses_equal_values():
     rng = random.Random(31)
     for _ in range(10):
-        types = {f"l{i}": random_type(rng, [], depth=2, allow_zero=False)
-                 for i in range(rng.randrange(1, 4))}
-        g = Graph(Schema(types), {})
-        counter = 0
-        for label, t in sorted(types.items()):
-            for _ in range(rng.randrange(1, 4)):
-                g.elements[Atom(f"e{counter}")] = Element(label, random_value(rng, t, g))
-                counter += 1
+        g = label_free_graph(rng)
         assert validate_graph(g).ok
         merged = merge_by_key(g, g)
         distinct = {(el.label, el.value) for el in g.elements.values()}
