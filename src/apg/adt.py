@@ -400,6 +400,19 @@ def parse_id(text: str) -> ElementId:
     return result
 
 
+class IdTable(dict):
+    """Id text -> parsed ElementId, filled on first lookup.
+
+    A reader keeps one table per document, so each distinct text is parsed
+    once and every occurrence of it maps to one shared object.  A bad text
+    raises the ParseError of parse_id and is not stored.
+    """
+
+    def __missing__(self, text: str) -> ElementId:
+        e = self[text] = parse_id(text)
+        return e
+
+
 # ---------------------------------------------------------------------------
 # Type expression syntax
 #
@@ -572,43 +585,40 @@ def transport_type(f: Mapping[str, TypeExpr], t: TypeExpr) -> TypeExpr:
 
 
 def transport_value(
-    f: Mapping[str, TypeExpr],
     g: Union[Mapping[ElementId, Value], Callable[[ElementId], Value]],
     v: Value,
-    at: TypeExpr | None = None,
 ) -> Value:
-    """Rewrite every reference in v through g.
+    """Rewrite every reference in v through g, a callable or a mapping.
 
-    f and at document the typing side: if v checks against at, the result
-    checks against transport_type(f, at) whenever g sends each element to a
-    value of the transported label type.  The recursion itself is directed
-    by the value alone.
+    Typing is the caller's side: if v checks against a type t and g sends
+    each element of label l to a value of type f[l], the result checks
+    against transport_type(f, t).  The recursion is directed by the value
+    alone.
     """
-    if isinstance(g, Mapping):
-        mapping = g
+    if callable(g):
+        return _transport(v, g)
 
-        def g_fn(e: ElementId) -> Value:
-            try:
-                return mapping[e]
-            except KeyError:
-                raise PreconditionError(
-                    f"element {render_id(e)} outside the transport domain"
-                ) from None
-    else:
-        g_fn = g
+    def look(e: ElementId) -> Value:
+        try:
+            return g[e]
+        except KeyError:
+            raise PreconditionError(
+                f"element {render_id(e)} outside the transport domain"
+            ) from None
 
-    def go(v: Value) -> Value:
-        if isinstance(v, (Unit, PrimVal)):
-            return v
-        if isinstance(v, Ref):
-            return g_fn(v.element)
-        if isinstance(v, Inl):
-            return Inl(go(v.inner))
-        if isinstance(v, Inr):
-            return Inr(go(v.inner))
-        return Pair(go(v.first), go(v.second))
+    return _transport(v, look)
 
-    return go(v)
+
+def _transport(v: Value, g: Callable[[ElementId], Value]) -> Value:
+    if isinstance(v, Ref):
+        return g(v.element)
+    if isinstance(v, (Unit, PrimVal)):
+        return v
+    if isinstance(v, Inl):
+        return Inl(_transport(v.inner, g))
+    if isinstance(v, Inr):
+        return Inr(_transport(v.inner, g))
+    return Pair(_transport(v.first, g), _transport(v.second, g))
 
 
 # ---------------------------------------------------------------------------
@@ -650,51 +660,52 @@ def check_value(value: Value, expected: TypeExpr, schema, label_of) -> Mismatch 
     label names (a mapping or a callable) and is consulted at reference
     positions.  Returns None when the value inhabits the type.
     """
-    if callable(label_of):
-        look = label_of
-    else:
-        look = label_of.get
-    registry = schema.registry
+    look = label_of if callable(label_of) else label_of.get
+    return _check(value, expected, schema.registry, look)
 
-    def go(v: Value, t: TypeExpr, path: tuple[str, ...]) -> Mismatch | None:
-        if isinstance(t, Zero):
-            return Mismatch(path, "no value inhabits the empty type 0")
-        if isinstance(t, One):
-            if isinstance(v, Unit):
-                return None
-            return Mismatch(path, f"expected (), found {_describe(v)}")
-        if isinstance(t, Sum):
-            if isinstance(v, Inl):
-                return go(v.inner, t.left, path + ("inl",))
-            if isinstance(v, Inr):
-                return go(v.inner, t.right, path + ("inr",))
-            return Mismatch(path, f"expected {render_type(t)}, found {_describe(v)}")
-        if isinstance(t, Prod):
-            if isinstance(v, Pair):
-                return go(v.first, t.left, path + ("fst",)) or go(
-                    v.second, t.right, path + ("snd",)
-                )
-            return Mismatch(path, f"expected {render_type(t)}, found {_describe(v)}")
-        if isinstance(t, Prim):
-            if not isinstance(v, PrimVal):
-                return Mismatch(path, f"expected a {t.name} literal, found {_describe(v)}")
-            if v.prim != t.name:
-                return Mismatch(path, f"expected a {t.name} literal, found a {v.prim} literal")
-            if not registry.check_literal(v.prim, v.literal):
-                return Mismatch(path, f"literal {v.literal!r} is outside the {v.prim} domain")
-            return None
-        # t is a label reference
+
+def _under(step: str, miss: Mismatch | None) -> Mismatch | None:
+    """The mismatch one step further from the root; paths grow only here."""
+    return None if miss is None else Mismatch((step,) + miss.path, miss.message)
+
+
+def _check(v: Value, t: TypeExpr, registry: PrimRegistry, look) -> Mismatch | None:
+    if isinstance(t, Lbl):
         if not isinstance(v, Ref):
-            return Mismatch(path, f"expected a reference to {t.name}, found {_describe(v)}")
+            return Mismatch((), f"expected a reference to {t.name}, found {_describe(v)}")
         target_label = look(v.element)
+        if target_label == t.name:
+            return None
         if target_label is None:
-            return Mismatch(path, f"reference to missing element {render_id(v.element)}")
-        if target_label != t.name:
-            return Mismatch(
-                path,
-                f"expected a reference to {t.name}, found one to "
-                f"{render_id(v.element)} labeled {target_label}",
-            )
+            return Mismatch((), f"reference to missing element {render_id(v.element)}")
+        return Mismatch(
+            (),
+            f"expected a reference to {t.name}, found one to "
+            f"{render_id(v.element)} labeled {target_label}",
+        )
+    if isinstance(t, Prod):
+        if isinstance(v, Pair):
+            miss = _check(v.first, t.left, registry, look)
+            if miss is not None:
+                return _under("fst", miss)
+            return _under("snd", _check(v.second, t.right, registry, look))
+        return Mismatch((), f"expected {render_type(t)}, found {_describe(v)}")
+    if isinstance(t, Prim):
+        if not isinstance(v, PrimVal):
+            return Mismatch((), f"expected a {t.name} literal, found {_describe(v)}")
+        if v.prim != t.name:
+            return Mismatch((), f"expected a {t.name} literal, found a {v.prim} literal")
+        if not registry.check_literal(v.prim, v.literal):
+            return Mismatch((), f"literal {v.literal!r} is outside the {v.prim} domain")
         return None
-
-    return go(value, expected, ())
+    if isinstance(t, One):
+        if isinstance(v, Unit):
+            return None
+        return Mismatch((), f"expected (), found {_describe(v)}")
+    if isinstance(t, Sum):
+        if isinstance(v, Inl):
+            return _under("inl", _check(v.inner, t.left, registry, look))
+        if isinstance(v, Inr):
+            return _under("inr", _check(v.inner, t.right, registry, look))
+        return Mismatch((), f"expected {render_type(t)}, found {_describe(v)}")
+    return Mismatch((), "no value inhabits the empty type 0")

@@ -23,6 +23,7 @@ from typing import Optional
 
 from .adt import (
     ElementId,
+    IdTable,
     Inl,
     Inr,
     Lbl,
@@ -341,6 +342,7 @@ def read_tableset(directory) -> TableSet:
         except ValueError as err:
             raise ParseError(f"bad manifest: {err}") from None
     tables = {}
+    ids = IdTable()  # foreign keys name ids of other tables
     for label, spec in manifest.items():
         columns = [
             Column(c["name"], c["kind"], c.get("target")) for c in spec["columns"]
@@ -358,11 +360,11 @@ def read_tableset(directory) -> TableSet:
                 cells: dict[str, object] = {}
                 for cell, column in zip(row, columns):
                     if column.kind == "id":
-                        eid = parse_id(cell)
+                        eid = ids[cell]
                     elif cell == "":
                         continue
                     elif column.kind == "fk":
-                        cells[column.name] = parse_id(cell)
+                        cells[column.name] = ids[cell]
                     elif column.kind == "disc":
                         cells[column.name] = cell
                     else:

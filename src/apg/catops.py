@@ -87,20 +87,15 @@ def _pair_label(l1: str, l2: str) -> str:
     return f"({l1},{l2})"
 
 
-def _labels_used(g: Graph) -> set[str]:
-    """Declared labels plus any label an (unvalidated) element carries."""
-    return set(g.schema.labels).union(el.label for el in g.elements.values())
-
-
 def product(g1: Graph, g2: Graph) -> ConstructionResult:
     """Labels and elements are pairs; declared types and stored values are
     transported so that each reference pairs up with the fixed other half."""
     _require_same_registry(g1, g2)
     # The label maps depend on one label of the other side only.
     left_f = {l2: {m: Lbl(_pair_label(m, l2)) for m in g1.schema.labels}
-              for l2 in _labels_used(g2)}
+              for l2 in g2.schema.labels}
     right_f = {l1: {m: Lbl(_pair_label(l1, m)) for m in g2.schema.labels}
-               for l1 in _labels_used(g1)}
+               for l1 in g1.schema.labels}
     labels: dict[str, object] = {}
     proj1_labels: dict[str, str] = {}
     proj2_labels: dict[str, str] = {}
@@ -123,8 +118,8 @@ def product(g1: Graph, g2: Graph) -> ConstructionResult:
             el2 = g2.elements[e2]
             eid = PairId(e1, e2)
             value = Pair(
-                transport_value(left_f[el2.label], lambda e: Ref(PairId(e, e2)), el1.value),
-                transport_value(right_f[el1.label], lambda e: Ref(PairId(e1, e)), el2.value),
+                transport_value(lambda e: Ref(PairId(e, e2)), el1.value),
+                transport_value(lambda e: Ref(PairId(e1, e)), el2.value),
             )
             elements[eid] = Element(_pair_label(el1.label, el2.label), value)
             proj1_elements[eid] = e1
@@ -170,12 +165,12 @@ def coproduct(g1: Graph, g2: Graph) -> ConstructionResult:
     inj2_elements: dict[ElementId, ElementId] = {}
     for e in g1.sorted_ids():
         el = g1.elements[e]
-        value = transport_value(left_f, lambda x: Ref(Left(x)), el.value)
+        value = transport_value(lambda x: Ref(Left(x)), el.value)
         elements[Left(e)] = Element("L:" + el.label, value)
         inj1_elements[e] = Left(e)
     for e in g2.sorted_ids():
         el = g2.elements[e]
-        value = transport_value(right_f, lambda x: Ref(Right(x)), el.value)
+        value = transport_value(lambda x: Ref(Right(x)), el.value)
         elements[Right(e)] = Element("R:" + el.label, value)
         inj2_elements[e] = Right(e)
     graph = Graph(Schema(labels, g1.schema.registry), elements)
@@ -235,7 +230,7 @@ def equalizer(h: Morphism, j: Morphism) -> ConstructionResult:
     for e in g.sorted_ids():
         el = g.elements[e]
         if el.label in surviving and h.on_elements.get(e) == j.on_elements.get(e):
-            elements[e] = Element(el.label, transport_value(f, move, el.value))
+            elements[e] = Element(el.label, transport_value(move, el.value))
     graph = Graph(Schema(labels, g.schema.registry), elements)
     leg = Morphism(graph, g, {l: l for l in labels}, {e: e for e in elements})
     return ConstructionResult(graph, {"eq": leg})
@@ -252,20 +247,19 @@ def disjoint_union(g1: Graph, g2: Graph) -> ConstructionResult:
     """
     if g1.schema != g2.schema:
         raise PreconditionError("disjoint union needs a shared schema")
-    idf = {l: Lbl(l) for l in g1.schema.labels}
     elements: dict[ElementId, Element] = {}
     inj1_elements: dict[ElementId, ElementId] = {}
     inj2_elements: dict[ElementId, ElementId] = {}
     for e in g1.sorted_ids():
         el = g1.elements[e]
         elements[Left(e)] = Element(
-            el.label, transport_value(idf, lambda x: Ref(Left(x)), el.value)
+            el.label, transport_value(lambda x: Ref(Left(x)), el.value)
         )
         inj1_elements[e] = Left(e)
     for e in g2.sorted_ids():
         el = g2.elements[e]
         elements[Right(e)] = Element(
-            el.label, transport_value(idf, lambda x: Ref(Right(x)), el.value)
+            el.label, transport_value(lambda x: Ref(Right(x)), el.value)
         )
         inj2_elements[e] = Right(e)
     graph = Graph(g1.schema, elements)
@@ -320,15 +314,13 @@ def _quotient(graph: Graph, pairs: Iterable[tuple[ElementId, ElementId]]):
         for e in group:
             rep_of[e] = rep
 
-    idf = {l: Lbl(l) for l in graph.schema.labels}
-
     def move(e: ElementId):
         return Ref(Class(rep_of[e]))
 
     elements = {}
     for rep in sorted(set(rep_of.values()), key=id_sort_key):
         el = graph.elements[rep]
-        elements[Class(rep)] = Element(el.label, transport_value(idf, move, el.value))
+        elements[Class(rep)] = Element(el.label, transport_value(move, el.value))
     quotient = Graph(graph.schema, elements)
     leg = Morphism(
         graph,

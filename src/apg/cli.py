@@ -3,8 +3,9 @@
 One verb per capability: validate, classify, op (the categorical
 constructions), merge, migrate, export, import, fmt.  File arguments accept
 "-" for standard input or output.  Exit status is 0 on success, 1 when data
-fails validation, 2 for usage or parse problems; diagnostics go to stderr and
-data to stdout.
+fails validation, 2 for usage or parse problems (input nested deeper than the
+interpreter's recursion limit among them); diagnostics go to stderr and data
+to stdout.
 """
 
 from __future__ import annotations
@@ -246,6 +247,9 @@ def main(argv=None) -> int:
     except ApgError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input is nested too deeply to process", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,12 @@ Missing top-level keys mean empty (and the default primitive registry), so
 "{}" is the empty graph.  Writing is canonical: sorted keys, two-space
 indent, UTF-8 without escapes, trailing newline.
 
+Reading a graph parses each distinct id text once: element keys and ref
+bodies share one table per document, so every reference to an element is
+the very object that keys it, and dict lookups succeed on identity.  Error
+locations ("elements.e1.value.snd.inl") are assembled only when a value is
+malformed, as the error unwinds.
+
 Morphism documents carry {"onLabels", "onElements"} and are interpreted
 against explicitly supplied source and target graphs.  Mapping documents
 carry two schemas plus {"onLabels", "onTerms"} with type expressions and
@@ -25,6 +31,7 @@ import json
 from .adt import (
     DEFAULT_KINDS,
     DEFAULT_REGISTRY,
+    IdTable,
     Inl,
     Inr,
     Pair,
@@ -127,41 +134,72 @@ def value_to_json(v: Value):
     return {"ref": render_id(v.element)}
 
 
+class _Malformed(Exception):
+    """A malformed value node.  steps names the path back to the value's
+    root, innermost first; each enclosing node appends its step as the
+    error passes through it."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.message = message
+        self.steps: list[str] = []
+
+    def at(self, where: str) -> ParseError:
+        path = "".join("." + step for step in reversed(self.steps))
+        return ParseError(f"{where}{path}: {self.message}")
+
+
 def value_from_json(raw, registry: PrimRegistry, where: str) -> Value:
+    try:
+        return _value(raw, registry, IdTable())
+    except _Malformed as bad:
+        raise bad.at(where) from None
+
+
+def _value(raw, registry: PrimRegistry, ids: IdTable) -> Value:
     if not isinstance(raw, dict) or len(raw) != 1:
-        raise ParseError(f"{where}: a value is an object with exactly one of "
-                         f"unit/pair/inl/inr/prim/ref")
+        raise _Malformed("a value is an object with exactly one of unit/pair/inl/inr/prim/ref")
     (form, body), = raw.items()
-    if form == "unit":
-        if body != {}:
-            raise ParseError(f"{where}: unit carries an empty object")
-        return Unit()
-    if form == "pair":
-        if not isinstance(body, list) or len(body) != 2:
-            raise ParseError(f"{where}: pair carries a two-element list")
-        return Pair(
-            value_from_json(body[0], registry, where + ".fst"),
-            value_from_json(body[1], registry, where + ".snd"),
-        )
-    if form == "inl":
-        return Inl(value_from_json(body, registry, where + ".inl"))
-    if form == "inr":
-        return Inr(value_from_json(body, registry, where + ".inr"))
-    if form == "prim":
-        if not isinstance(body, dict) or set(body) != {"type", "value"}:
-            raise ParseError(f"{where}: prim carries {{\"type\", \"value\"}}")
-        name = body["type"]
-        if not isinstance(name, str):
-            raise ParseError(f"{where}: primitive type name must be a string")
-        return PrimVal(name, registry.coerce(name, body["value"]))
     if form == "ref":
         if not isinstance(body, str):
-            raise ParseError(f"{where}: ref carries an id string")
+            raise _Malformed("ref carries an id string")
         try:
-            return Ref(parse_id(body))
+            return Ref(ids[body])
         except ParseError as err:
-            raise ParseError(f"{where}: {err}") from None
-    raise ParseError(f"{where}: unknown value form {form!r}")
+            raise _Malformed(str(err)) from None
+    if form == "pair":
+        if not isinstance(body, list) or len(body) != 2:
+            raise _Malformed("pair carries a two-element list")
+        try:
+            first = _value(body[0], registry, ids)
+        except _Malformed as bad:
+            bad.steps.append("fst")
+            raise
+        try:
+            second = _value(body[1], registry, ids)
+        except _Malformed as bad:
+            bad.steps.append("snd")
+            raise
+        return Pair(first, second)
+    if form == "prim":
+        if not isinstance(body, dict) or len(body) != 2 or "type" not in body or "value" not in body:
+            raise _Malformed('prim carries {"type", "value"}')
+        name = body["type"]
+        if not isinstance(name, str):
+            raise _Malformed("primitive type name must be a string")
+        return PrimVal(name, registry.coerce(name, body["value"]))
+    if form == "unit":
+        if body != {}:
+            raise _Malformed("unit carries an empty object")
+        return Unit()
+    if form == "inl" or form == "inr":
+        try:
+            inner = _value(body, registry, ids)
+        except _Malformed as bad:
+            bad.steps.append(form)
+            raise
+        return Inl(inner) if form == "inl" else Inr(inner)
+    raise _Malformed(f"unknown value form {form!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +250,31 @@ def graph_from_json(doc: dict, where: str = "") -> Graph:
     raw = doc.get("elements", {})
     if not isinstance(raw, dict):
         raise ParseError(f"{prefix}elements must be an object")
+    registry = schema.registry
+    ids = IdTable()
     elements = {}
     for id_text in sorted(raw):
-        spot = f"{prefix}elements.{id_text}"
         try:
-            e = parse_id(id_text)
+            e = ids[id_text]
         except ParseError as err:
-            raise ParseError(f"{spot}: {err}") from None
-        entry = _expect_object(raw[id_text], spot)
-        if set(entry) != {"label", "value"}:
-            raise ParseError(f"{spot}: entries carry exactly label and value")
-        if not isinstance(entry["label"], str):
-            raise ParseError(f"{spot}: label must be a string")
-        value = value_from_json(entry["value"], schema.registry, spot + ".value")
+            raise ParseError(f"{prefix}elements.{id_text}: {err}") from None
+        entry = raw[id_text]
+        if not (isinstance(entry, dict) and len(entry) == 2 and "label" in entry
+                and "value" in entry and isinstance(entry["label"], str)):
+            _reject_entry(entry, f"{prefix}elements.{id_text}")
+        try:
+            value = _value(entry["value"], registry, ids)
+        except _Malformed as bad:
+            raise bad.at(f"{prefix}elements.{id_text}.value") from None
         elements[e] = Element(entry["label"], value)
     return Graph(schema, elements)
+
+
+def _reject_entry(entry, spot: str):
+    _expect_object(entry, spot)
+    if set(entry) != {"label", "value"}:
+        raise ParseError(f"{spot}: entries carry exactly label and value")
+    raise ParseError(f"{spot}: label must be a string")
 
 
 # write_graph emits the text _dump(graph_to_json(graph)) would, in one pass

@@ -70,7 +70,8 @@ class Graph:
         return sorted(self.elements, key=id_sort_key)
 
     def ids_of(self, label: str) -> list[ElementId]:
-        return [e for e in self.sorted_ids() if self.elements[e].label == label]
+        return sorted((e for e, el in self.elements.items() if el.label == label),
+                      key=id_sort_key)
 
 
 @dataclass(frozen=True)
@@ -144,17 +145,20 @@ def validate_graph(graph: Graph) -> ValidationReport:
     an element of the referenced label, and every primitive literal lies in
     its registered domain.
     """
-    report = ValidationReport()
-    report.findings.extend(validate_schema(graph.schema))
-    for e in graph.sorted_ids():
-        el = graph.elements[e]
-        if el.label not in graph.schema.labels:
-            report.add(render_id(e), "", f"element has undeclared label {el.label!r}")
+    report = validate_schema(graph.schema)
+    labels = graph.schema.labels
+    label_of = {e: el.label for e, el in graph.elements.items()}
+    found = []
+    for e, el in graph.elements.items():
+        expected = labels.get(el.label)
+        if expected is None:
+            found.append(Finding(render_id(e), "", f"element has undeclared label {el.label!r}"))
             continue
-        expected = graph.schema.labels[el.label]
-        mismatch = check_value(el.value, expected, graph.schema, graph.label_of)
+        mismatch = check_value(el.value, expected, graph.schema, label_of)
         if mismatch is not None:
-            report.add(render_id(e), mismatch.path_text(), mismatch.message)
+            found.append(Finding(render_id(e), mismatch.path_text(), mismatch.message))
+    found.sort(key=lambda finding: finding.subject)
+    report.findings.extend(found)
     return report
 
 

@@ -95,7 +95,6 @@ def check_upsilon_natural(h: Morphism) -> bool:
     value stored at the image?  Requires a type-preserving morphism."""
     if not check_sigma_preserving(h):
         raise PreconditionError("morphism does not preserve declared types")
-    f = {l: Lbl(image) for l, image in h.on_labels.items()}
 
     def g(e: ElementId):
         try:
@@ -104,7 +103,7 @@ def check_upsilon_natural(h: Morphism) -> bool:
             raise PreconditionError(f"morphism is not total on elements ({render_id(e)})") from None
 
     for e, el in h.source.elements.items():
-        moved = transport_value(f, g, el.value, h.source.schema.labels[el.label])
+        moved = transport_value(g, el.value)
         if moved != h.target.elements[h.on_elements[e]].value:
             return False
     return True

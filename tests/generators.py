@@ -220,9 +220,7 @@ def renamed_copy(graph: Graph, prefix: str) -> tuple[Graph, Morphism]:
     mapping = {e: Atom(prefix + render_id(e)) for e in graph.elements}
     elements = {}
     for e, el in graph.elements.items():
-        value = transport_value({l: Lbl(l) for l in graph.schema.labels},
-                                lambda x: Ref(mapping[x]), el.value,
-                                graph.schema.labels[el.label])
+        value = transport_value(lambda x: Ref(mapping[x]), el.value)
         elements[mapping[e]] = Element(el.label, value)
     copy = Graph(graph.schema, elements)
     iso = Morphism(graph, copy, {l: l for l in graph.schema.labels}, mapping)

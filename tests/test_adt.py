@@ -219,18 +219,18 @@ def test_transport_type_outside_domain():
 def test_transport_value_relabels_refs():
     v = Pair(Ref(Atom("t1")), Ref(Atom("u1")))
     g = {Atom("t1"): Ref(Left(Atom("t1"))), Atom("u1"): Ref(Left(Atom("u1")))}
-    moved = transport_value({}, g, v)
+    moved = transport_value(g, v)
     assert moved == Pair(Ref(Left(Atom("t1"))), Ref(Left(Atom("u1"))))
 
 
 def test_transport_value_keeps_prims():
     v = PrimVal("Double", 37.78)
-    assert transport_value({}, {}, v) == v
+    assert transport_value({}, v) == v
 
 
 def test_transport_value_missing_ref():
     with pytest.raises(PreconditionError):
-        transport_value({}, {}, Ref(Atom("t1")))
+        transport_value({}, Ref(Atom("t1")))
 
 
 def test_transport_identity_on_random_graphs():
@@ -241,7 +241,7 @@ def test_transport_identity_on_random_graphs():
         for e, el in g.elements.items():
             ty = g.schema.labels[el.label]
             assert transport_type(ident_l, ty) == ty
-            moved = transport_value(ident_l, lambda x: Ref(x), el.value, ty)
+            moved = transport_value(lambda x: Ref(x), el.value)
             assert moved == el.value
 
 
@@ -314,7 +314,7 @@ def test_check_after_transport_random():
         )
         for e, el in g.elements.items():
             ty = g.schema.labels[el.label]
-            out = transport_value(f, move, el.value, ty)
+            out = transport_value(move, el.value)
             miss = check_value(out, transport_type(f, ty), wrapped_schema, g.label_of)
             assert miss is None, miss
 

@@ -193,6 +193,27 @@ def test_csv_handles_the_unlabeled_label(tmp_path):
     assert import_relational(read_tableset(tmp_path), g.schema) == g
 
 
+def _refs(v: Value):
+    if isinstance(v, Ref):
+        yield v.element
+    elif isinstance(v, Pair):
+        yield from _refs(v.first)
+        yield from _refs(v.second)
+    elif isinstance(v, (Inl, Inr)):
+        yield from _refs(v.inner)
+
+
+def test_csv_reading_shares_one_object_per_id(tmp_path):
+    # foreign keys name rows of other tables; each must be the row's own id object
+    g = coproduct(fixture("edges.apg"), fixture("trips.apg")).graph
+    write_tableset(export_relational(g), tmp_path)
+    back = import_relational(read_tableset(tmp_path), g.schema)
+    assert back == g
+    keys = {e: e for e in back.elements}
+    refs = [e for el in back.elements.values() for e in _refs(el.value)]
+    assert refs and all(keys[e] is e for e in refs)
+
+
 def test_import_requires_declared_tables():
     g = fixture("vertices.apg")
     tables = export_relational(g)

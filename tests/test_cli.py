@@ -1,13 +1,26 @@
 import io
 import json
+import random
 import subprocess
 import sys
 
+import pytest
+
 from apg.adt import Atom
+from apg.bridges import (
+    export_rdf,
+    export_relational,
+    import_relational,
+    read_tableset,
+    write_tableset,
+)
+from apg.catops import coproduct, product
 from apg.cli import main
 from apg.files import read_graph, write_graph, write_morphism
 from apg.fixtures import load, path
 from apg.morphism import identity, Morphism
+
+from .generators import random_graph
 
 
 def fixture_path(name):
@@ -250,6 +263,49 @@ def test_fmt_validates_unless_told_not_to(tmp_path, capsys):
     code, out, err = run(capsys, "fmt", str(wobbly), "--no-validate")
     assert code == 0
     assert "ghost" in out
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the library
+
+def test_cli_outputs_equal_the_library_outputs(tmp_path, capsys):
+    rng = random.Random(5)
+    for seed in range(6):
+        a, b = random_graph(rng), random_graph(rng)
+        g = coproduct(product(a, b).graph, a).graph  # ids such as L:(x,y) and R:x
+        text = write_graph(g)
+        work = tmp_path / str(seed)
+        work.mkdir()
+        source = work / "graph.apg"
+        source.write_text(text, encoding="utf-8")
+        assert run(capsys, "fmt", str(source)) == (0, text, "")
+        assert run(capsys, "export", "rdf", str(source)) == (0, export_rdf(g), "")
+        assert run(capsys, "export", "relational", str(source), "-o", str(work / "cli"))[0] == 0
+        write_tableset(export_relational(g), work / "lib")
+        names = sorted(p.name for p in (work / "lib").iterdir())
+        assert sorted(p.name for p in (work / "cli").iterdir()) == names
+        for name in names:
+            assert (work / "cli" / name).read_bytes() == (work / "lib" / name).read_bytes()
+        imported = write_graph(import_relational(read_tableset(work / "lib"), g.schema))
+        assert imported == text
+        assert run(capsys, "import", "relational", str(work / "cli"),
+                   "--schema", str(source)) == (0, imported, "")
+
+
+# ---------------------------------------------------------------------------
+# inputs nested past the recursion limit
+
+@pytest.mark.parametrize("doc", [
+    {"schema": {"V": "1"}, "elements": {"L:" * 5000 + "a": {"label": "V", "value": {"unit": {}}}}},
+    {"schema": {"V": "1", "P": " * ".join(["V"] * 3000)}},
+], ids=["5000-deep id", "3000-factor product type"])
+def test_deep_input_ends_with_a_message(tmp_path, capsys, doc):
+    deep = tmp_path / "deep.apg"
+    deep.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(deep))
+    assert (code, out) == (2, "")
+    assert err == "error: input is nested too deeply to process\n"
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

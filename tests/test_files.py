@@ -20,6 +20,7 @@ from apg.adt import (
     Ref,
     Sum,
     Unit,
+    render_id,
 )
 from apg.catops import coproduct, product
 from apg.errors import ParseError, ValidationFailure
@@ -313,3 +314,83 @@ def test_write_graph_keeps_literals_read_without_validation():
     text = write_graph(g)
     assert text == generic_text(g)
     assert '"value": NaN' in text and '"value": -Infinity' in text
+
+
+# ---------------------------------------------------------------------------
+# Reader errors and shared ids
+
+_EDGE_SCHEMA = {"V": "1", "E": "V * (V + 1)"}
+
+
+def _doc(elements, **extra):
+    return json.dumps({"schema": _EDGE_SCHEMA, "elements": elements, **extra})
+
+
+@pytest.mark.parametrize("elements, message", [
+    ({"e1": {"label": "E", "value": {"pair": [{"ref": "v1"}, {"inl": {"maybe": {}}}]}}},
+     "elements.e1.value.snd.inl: unknown value form 'maybe'"),
+    ({"e1": {"label": "E", "value": {"pair": [
+        {"ref": "v1"}, {"inr": {"pair": [{"unit": {}}, {"inl": {"unit": 3}}]}}]}}},
+     "elements.e1.value.snd.inr.snd.inl: unit carries an empty object"),
+    ({"v1": {"label": "V", "value": {"pair": [{"prim": {"type": "Nat"}}, {"unit": {}}]}}},
+     'elements.v1.value.fst: prim carries {"type", "value"}'),
+    ({"v1": {"label": "V", "value": {"inr": {"prim": {"type": 1, "value": 2}}}}},
+     "elements.v1.value.inr: primitive type name must be a string"),
+    ({"v1": {"label": "V", "value": {"inl": {"pair": [{"unit": {}}]}}}},
+     "elements.v1.value.inl: pair carries a two-element list"),
+    ({"v1": {"label": "V", "value": {"pair": [{"unit": {}}, {"ref": 9}]}}},
+     "elements.v1.value.snd: ref carries an id string"),
+    ({"v1": {"label": "V", "value": {"unit": {}, "inl": {}}}},
+     "elements.v1.value: a value is an object with exactly one of unit/pair/inl/inr/prim/ref"),
+    ({"e1": {"label": "E", "value": {"pair": [{"ref": "(v1,"}, {"unit": {}}]}}},
+     "elements.e1.value.fst: expected a name (at 4)"),
+    ({"e1": {"label": "E", "value": {"inl": {"ref": "v 1"}}}},
+     "elements.e1.value.inl: trailing characters in element id (at 1)"),
+    ({"(a,b": {"label": "V", "value": {"unit": {}}}},
+     "elements.(a,b: expected ')' (at 4)"),
+    ({"a b": {"label": "V", "value": {"unit": {}}}},
+     "elements.a b: trailing characters in element id (at 1)"),
+    ({"v1": ["V", {"unit": {}}]}, "elements.v1 must be a JSON object"),
+    ({"v1": {"label": "V", "value": {"unit": {}}, "note": 1}},
+     "elements.v1: entries carry exactly label and value"),
+    ({"v1": {"label": 3, "value": {"unit": {}}}}, "elements.v1: label must be a string"),
+])
+def test_reader_errors_are_exact(elements, message):
+    with pytest.raises(ParseError) as caught:
+        read_graph(_doc(elements))
+    assert str(caught.value) == message
+
+
+def test_reader_reports_the_first_bad_element_in_id_order():
+    bad = {"label": "V", "value": {"maybe": {}}}
+    with pytest.raises(ParseError) as caught:
+        read_graph(_doc({"v9": bad, "(a,": bad, "v2": bad}))
+    assert str(caught.value) == "elements.(a,: expected a name (at 3)"
+
+
+def test_value_reader_errors_are_exact():
+    with pytest.raises(ParseError) as caught:
+        value_from_json({"pair": [{"unit": {}}, {"inr": {"ref": "(a,"}}]},
+                        DEFAULT_REGISTRY, "value")
+    assert str(caught.value) == "value.snd.inr: expected a name (at 3)"
+    with pytest.raises(ParseError) as caught:
+        value_from_json([], DEFAULT_REGISTRY, "here")
+    assert str(caught.value) == (
+        "here: a value is an object with exactly one of unit/pair/inl/inr/prim/ref")
+
+
+def test_reader_shares_one_object_per_id():
+    doc = _doc({
+        "v1": {"label": "V", "value": {"unit": {}}},
+        "v2": {"label": "V", "value": {"unit": {}}},
+        "(v1,v2)": {"label": "V", "value": {"unit": {}}},
+        "e1": {"label": "E", "value": {"pair": [{"ref": "v1"}, {"inl": {"ref": "v2"}}]}},
+        "e2": {"label": "E", "value": {"pair": [{"ref": "v1"}, {"inl": {"ref": "(v1,v2)"}}]}},
+    })
+    g = read_graph(doc)
+    keys = {render_id(e): e for e in g.elements}
+    e1, e2 = g.elements[keys["e1"]].value, g.elements[keys["e2"]].value
+    assert e1.first.element is keys["v1"]
+    assert e2.first.element is keys["v1"]
+    assert e1.second.inner.element is keys["v2"]
+    assert e2.second.inner.element is keys["(v1,v2)"]

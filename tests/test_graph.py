@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from apg.adt import Atom, One, Pair, PrimVal, Ref, Unit
+from apg.adt import Atom, Lbl, Left, One, Pair, PairId, PrimVal, Prod, Ref, Unit
 from apg.errors import PreconditionError
 from apg.fixtures import load
 from apg.files import read_graph
@@ -134,3 +134,25 @@ def test_random_graphs_validate():
     rng = random.Random(3)
     for _ in range(50):
         assert validate_graph(random_graph(rng)).ok
+
+
+def test_findings_are_listed_in_rendered_id_order():
+    schema = Schema({"V": One(), "E": Prod(Lbl("V"), Lbl("V")), "Nat": One()})
+    elements = {
+        Atom("v9"): Element("Ghost", Unit()),
+        Atom("v1"): Element("V", Unit()),
+        Atom("e2"): Element("E", Pair(Ref(Atom("v1")), Ref(Atom("v7")))),
+        Left(Atom("x")): Element("V", PrimVal("Nat", 1)),
+        Atom("e10"): Element("E", Pair(Ref(Atom("v1")), Ref(Atom("e2")))),
+        PairId(Atom("a"), Atom("b")): Element("E", Unit()),
+        Atom("e3"): Element("E", Pair(Ref(Atom("v1")), Ref(Atom("v1")))),
+    }
+    report = validate_graph(Graph(schema, elements))
+    assert [str(f) for f in report] == [
+        "error: Nat: label shadows a primitive type name",
+        "error: (a,b): expected V * V, found ()",
+        "error: L:x: expected (), found a Nat literal",
+        "error: e10.snd: expected a reference to V, found one to e2 labeled E",
+        "error: e2.snd: reference to missing element v7",
+        "error: v9: element has undeclared label 'Ghost'",
+    ]
