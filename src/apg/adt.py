@@ -138,21 +138,27 @@ class Lbl:
 TypeExpr: TypeAlias = Union[Zero, One, Sum, Prod, Prim, Lbl]
 
 
+def type_nodes(t: TypeExpr) -> Iterator[TypeExpr]:
+    """Every node of the type, parents first and left before right.
+
+    The walk keeps its own stack, so a type of any depth can be walked.
+    """
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Sum, Prod)):
+            stack.append(node.right)
+            stack.append(node.left)
+
+
 def label_free(t: TypeExpr) -> bool:
     """True when no label reference occurs anywhere in the type."""
-    if isinstance(t, Lbl):
-        return False
-    if isinstance(t, (Sum, Prod)):
-        return label_free(t.left) and label_free(t.right)
-    return True
+    return not any(isinstance(node, Lbl) for node in type_nodes(t))
 
 
 def labels_in(t: TypeExpr) -> set[str]:
-    if isinstance(t, Lbl):
-        return {t.name}
-    if isinstance(t, (Sum, Prod)):
-        return labels_in(t.left) | labels_in(t.right)
-    return set()
+    return {node.name for node in type_nodes(t) if isinstance(node, Lbl)}
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +292,6 @@ def render_value(v: Value) -> str:
     if isinstance(v, PrimVal):
         return f"{v.prim}={json.dumps(v.literal)}"
     return "@" + render_id(v.element)
-
-
-def id_sort_key(e: ElementId) -> str:
-    return render_id(e)
 
 
 class _Scanner:

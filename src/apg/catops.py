@@ -4,7 +4,9 @@ Products and coproducts exist for arbitrary pairs of graphs; equalizers for
 arbitrary parallel pairs.  Coequalizers (and pushouts built from them) are
 taken with both graphs on one shared schema and identity label maps, which is
 the setting data merging needs: the quotient then happens on elements alone
-and the schema survives untouched.
+and the schema survives untouched.  The pushout starts from the disjoint
+union on that shared schema, which tags elements exactly as the coproduct
+does but leaves labels as they are.
 
 Each construction returns the graph together with its legs (projections,
 injections, or the universal map onto the quotient).
@@ -31,7 +33,6 @@ from .adt import (
     Right,
     Sum,
     Unit,
-    id_sort_key,
     render_id,
     transport_type,
     transport_value,
@@ -150,37 +151,38 @@ def pair(f: Morphism, g: Morphism) -> Morphism:
 # ---------------------------------------------------------------------------
 # Coproduct
 
+def _tagged_union(g1: Graph, g2: Graph, schema: Schema, left_prefix: str,
+                  right_prefix: str) -> ConstructionResult:
+    """Elements of g1 tagged Left and of g2 tagged Right, over schema.
+
+    Each label l of g1 becomes left_prefix + l (right_prefix for g2), and
+    stored references follow their elements' tags.
+    """
+    elements: dict[ElementId, Element] = {}
+    sides = []
+    for g, tag, prefix in ((g1, Left, left_prefix), (g2, Right, right_prefix)):
+        on_elements: dict[ElementId, ElementId] = {}
+        for e in g.sorted_ids():
+            el = g.elements[e]
+            value = transport_value(lambda x: Ref(tag(x)), el.value)
+            elements[tag(e)] = Element(prefix + el.label, value)
+            on_elements[e] = tag(e)
+        sides.append((g, {l: prefix + l for l in g.schema.labels}, on_elements))
+    graph = Graph(schema, elements)
+    inj1, inj2 = (Morphism(g, graph, on_labels, on_elements)
+                  for g, on_labels, on_elements in sides)
+    return ConstructionResult(graph, {"inj1": inj1, "inj2": inj2})
+
+
 def coproduct(g1: Graph, g2: Graph) -> ConstructionResult:
     """The disjoint union with tagged labels and tagged elements."""
     _require_same_registry(g1, g2)
-    left_f = {m: Lbl("L:" + m) for m in g1.schema.labels}
-    right_f = {m: Lbl("R:" + m) for m in g2.schema.labels}
     labels: dict[str, object] = {}
-    for l in g1.schema.sorted_labels():
-        labels["L:" + l] = transport_type(left_f, g1.schema.labels[l])
-    for l in g2.schema.sorted_labels():
-        labels["R:" + l] = transport_type(right_f, g2.schema.labels[l])
-    elements: dict[ElementId, Element] = {}
-    inj1_elements: dict[ElementId, ElementId] = {}
-    inj2_elements: dict[ElementId, ElementId] = {}
-    for e in g1.sorted_ids():
-        el = g1.elements[e]
-        value = transport_value(lambda x: Ref(Left(x)), el.value)
-        elements[Left(e)] = Element("L:" + el.label, value)
-        inj1_elements[e] = Left(e)
-    for e in g2.sorted_ids():
-        el = g2.elements[e]
-        value = transport_value(lambda x: Ref(Right(x)), el.value)
-        elements[Right(e)] = Element("R:" + el.label, value)
-        inj2_elements[e] = Right(e)
-    graph = Graph(Schema(labels, g1.schema.registry), elements)
-    return ConstructionResult(
-        graph,
-        {
-            "inj1": Morphism(g1, graph, {l: "L:" + l for l in g1.schema.labels}, inj1_elements),
-            "inj2": Morphism(g2, graph, {l: "R:" + l for l in g2.schema.labels}, inj2_elements),
-        },
-    )
+    for g, prefix in ((g1, "L:"), (g2, "R:")):
+        tagged = {m: Lbl(prefix + m) for m in g.schema.labels}
+        for l in g.schema.sorted_labels():
+            labels[prefix + l] = transport_type(tagged, g.schema.labels[l])
+    return _tagged_union(g1, g2, Schema(labels, g1.schema.registry), "L:", "R:")
 
 
 def case_analysis(f: Morphism, g: Morphism) -> Morphism:
@@ -190,11 +192,8 @@ def case_analysis(f: Morphism, g: Morphism) -> Morphism:
     source = coproduct(f.source, g.source)
     on_labels = {"L:" + l: f.on_labels[l] for l in f.source.schema.labels}
     on_labels.update({"R:" + l: g.on_labels[l] for l in g.source.schema.labels})
-    on_elements: dict[ElementId, ElementId] = {}
-    for e in f.source.elements:
-        on_elements[Left(e)] = f.on_elements[e]
-    for e in g.source.elements:
-        on_elements[Right(e)] = g.on_elements[e]
+    on_elements = {Left(e): f.on_elements[e] for e in f.source.elements}
+    on_elements.update({Right(e): g.on_elements[e] for e in g.source.elements})
     return Morphism(source.graph, f.target, on_labels, on_elements)
 
 
@@ -247,30 +246,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> ConstructionResult:
     """
     if g1.schema != g2.schema:
         raise PreconditionError("disjoint union needs a shared schema")
-    elements: dict[ElementId, Element] = {}
-    inj1_elements: dict[ElementId, ElementId] = {}
-    inj2_elements: dict[ElementId, ElementId] = {}
-    for e in g1.sorted_ids():
-        el = g1.elements[e]
-        elements[Left(e)] = Element(
-            el.label, transport_value(lambda x: Ref(Left(x)), el.value)
-        )
-        inj1_elements[e] = Left(e)
-    for e in g2.sorted_ids():
-        el = g2.elements[e]
-        elements[Right(e)] = Element(
-            el.label, transport_value(lambda x: Ref(Right(x)), el.value)
-        )
-        inj2_elements[e] = Right(e)
-    graph = Graph(g1.schema, elements)
-    ids = {l: l for l in g1.schema.labels}
-    return ConstructionResult(
-        graph,
-        {
-            "inj1": Morphism(g1, graph, dict(ids), inj1_elements),
-            "inj2": Morphism(g2, graph, dict(ids), inj2_elements),
-        },
-    )
+    return _tagged_union(g1, g2, g1.schema, "", "")
 
 
 class _UnionFind:
@@ -306,10 +282,10 @@ def _quotient(graph: Graph, pairs: Iterable[tuple[ElementId, ElementId]]):
         members.setdefault(uf.find(e), []).append(e)
     rep_of: dict[ElementId, ElementId] = {}
     for group in members.values():
-        rep = min(group, key=id_sort_key)
+        rep = min(group, key=render_id)
         labels_seen = {graph.elements[e].label for e in group}
         if len(labels_seen) > 1:
-            names = ", ".join(render_id(e) for e in sorted(group, key=id_sort_key))
+            names = ", ".join(render_id(e) for e in sorted(group, key=render_id))
             raise PreconditionError(f"class {{{names}}} mixes labels {sorted(labels_seen)}")
         for e in group:
             rep_of[e] = rep
@@ -318,7 +294,7 @@ def _quotient(graph: Graph, pairs: Iterable[tuple[ElementId, ElementId]]):
         return Ref(Class(rep_of[e]))
 
     elements = {}
-    for rep in sorted(set(rep_of.values()), key=id_sort_key):
+    for rep in sorted(set(rep_of.values()), key=render_id):
         el = graph.elements[rep]
         elements[Class(rep)] = Element(el.label, transport_value(move, el.value))
     quotient = Graph(graph.schema, elements)

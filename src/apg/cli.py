@@ -54,7 +54,7 @@ def _emit_graph(graph: Graph, out: str):
 # Subcommand bodies
 
 def _cmd_validate(args) -> int:
-    graph = files.read_graph(_read_text(args.graph), validate=False)
+    graph = _read_graph(args.graph, validate=False)
     report = validate_graph(graph)
     if not report.ok:
         print(report, file=sys.stderr)
@@ -164,7 +164,7 @@ def _cmd_import(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
-    graph = files.read_graph(_read_text(args.graph), validate=not args.no_validate)
+    graph = _read_graph(args.graph, validate=not args.no_validate)
     _emit_graph(graph, args.out)
     return 0
 

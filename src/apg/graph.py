@@ -9,6 +9,7 @@ elements of exactly the referenced label.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .adt import (
@@ -16,15 +17,15 @@ from .adt import (
     ElementId,
     Lbl,
     One,
+    Pair,
     Prim,
     PrimRegistry,
     Prod,
-    Sum,
     TypeExpr,
     Value,
     check_value,
-    id_sort_key,
     render_id,
+    type_nodes,
 )
 from .errors import PreconditionError
 
@@ -40,9 +41,6 @@ class Schema:
 
     def __contains__(self, label: str) -> bool:
         return label in self.labels
-
-    def type_of(self, label: str) -> TypeExpr:
-        return self.labels[label]
 
     def sorted_labels(self) -> list[str]:
         return sorted(self.labels)
@@ -63,15 +61,12 @@ class Graph:
         el = self.elements.get(e)
         return el.label if el is not None else None
 
-    def value_of(self, e: ElementId) -> Value:
-        return self.elements[e].value
-
     def sorted_ids(self) -> list[ElementId]:
-        return sorted(self.elements, key=id_sort_key)
+        return sorted(self.elements, key=render_id)
 
     def ids_of(self, label: str) -> list[ElementId]:
         return sorted((e for e, el in self.elements.items() if el.label == label),
-                      key=id_sort_key)
+                      key=render_id)
 
 
 @dataclass(frozen=True)
@@ -81,11 +76,10 @@ class Finding:
     subject: str
     path: str
     message: str
-    severity: str = "error"
 
     def __str__(self) -> str:
         where = self.subject + self.path if self.path else self.subject
-        return f"{self.severity}: {where}: {self.message}"
+        return f"error: {where}: {self.message}"
 
 
 @dataclass
@@ -96,8 +90,8 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.findings
 
-    def add(self, subject: str, path: str, message: str, severity: str = "error"):
-        self.findings.append(Finding(subject, path, message, severity))
+    def add(self, subject: str, path: str, message: str):
+        self.findings.append(Finding(subject, path, message))
 
     def __iter__(self) -> Iterator[Finding]:
         return iter(self.findings)
@@ -106,13 +100,6 @@ class ValidationReport:
         if self.ok:
             return "ok"
         return "\n".join(str(f) for f in self.findings)
-
-
-def _walk_type(t: TypeExpr) -> Iterator[TypeExpr]:
-    yield t
-    if isinstance(t, (Sum, Prod)):
-        yield from _walk_type(t.left)
-        yield from _walk_type(t.right)
 
 
 def validate_schema(schema: Schema) -> ValidationReport:
@@ -126,7 +113,7 @@ def validate_schema(schema: Schema) -> ValidationReport:
             report.add(label, "", "label shadows a primitive type name")
         if label == UNLABELED and not isinstance(t, One):
             report.add(label, "", "the reserved unlabeled-vertex label must have type 1")
-        for node in _walk_type(t):
+        for node in type_nodes(t):
             if isinstance(node, Lbl):
                 if node.name == UNLABELED:
                     report.add(label, "", "the reserved unlabeled-vertex label cannot be referenced")
@@ -162,21 +149,27 @@ def validate_graph(graph: Graph) -> ValidationReport:
     return report
 
 
+def group_by_key(graph: Graph, label: str, key) -> dict[Value, list[ElementId]]:
+    """The label's elements grouped by key(value), each group in id order."""
+    groups: dict[Value, list[ElementId]] = {}
+    for e in graph.ids_of(label):
+        groups.setdefault(key(graph.elements[e].value), []).append(e)
+    return groups
+
+
+def _collisions(graph: Graph, label: str, key) -> list[tuple[ElementId, ElementId]]:
+    """Every pair of label-elements whose values agree on key, in id order."""
+    groups = group_by_key(graph, label, key).values()
+    violations = [pair for group in groups for pair in combinations(group, 2)]
+    violations.sort(key=lambda p: (render_id(p[0]), render_id(p[1])))
+    return violations
+
+
 def check_unique_property(graph: Graph, label: str) -> list[tuple[ElementId, ElementId]]:
     """Pairs of label-elements sharing a value; empty means values are unique."""
     if label not in graph.schema.labels:
         raise PreconditionError(f"unknown label {label!r}")
-    by_value: dict[Value, list[ElementId]] = {}
-    for e in graph.ids_of(label):
-        by_value.setdefault(graph.elements[e].value, []).append(e)
-    violations = []
-    for group in by_value.values():
-        group.sort(key=id_sort_key)
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                violations.append((group[i], group[j]))
-    violations.sort(key=lambda p: (id_sort_key(p[0]), id_sort_key(p[1])))
-    return violations
+    return _collisions(graph, label, lambda value: value)
 
 
 def check_primary_key(graph: Graph, label: str) -> list[tuple[ElementId, ElementId]]:
@@ -188,17 +181,9 @@ def check_primary_key(graph: Graph, label: str) -> list[tuple[ElementId, Element
         raise PreconditionError(f"unknown label {label!r}")
     if not isinstance(graph.schema.labels[label], Prod):
         raise PreconditionError(f"the type of {label!r} is not a product")
-    by_key: dict[Value, list[ElementId]] = {}
-    for e in graph.ids_of(label):
-        value = graph.elements[e].value
-        if not hasattr(value, "first"):
-            raise PreconditionError(f"element {render_id(e)} does not hold a pair")
-        by_key.setdefault(value.first, []).append(e)
-    violations = []
-    for group in by_key.values():
-        group.sort(key=id_sort_key)
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                violations.append((group[i], group[j]))
-    violations.sort(key=lambda p: (id_sort_key(p[0]), id_sort_key(p[1])))
-    return violations
+    not_pairs = [e for e, el in graph.elements.items()
+                 if el.label == label and not isinstance(el.value, Pair)]
+    if not_pairs:
+        first = min(not_pairs, key=render_id)
+        raise PreconditionError(f"element {render_id(first)} does not hold a pair")
+    return _collisions(graph, label, lambda value: value.first)

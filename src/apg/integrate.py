@@ -16,7 +16,7 @@ from __future__ import annotations
 from .adt import PairId, Prod, Value, label_free, render_type
 from .catops import pushout
 from .errors import PreconditionError
-from .graph import Graph
+from .graph import Graph, group_by_key
 from .morphism import Morphism
 
 
@@ -69,9 +69,7 @@ def match_by_key(g1: Graph, g2: Graph, key: str | None = None):
     m1_elements = {}
     m2_elements = {}
     for label in g1.schema.sorted_labels():
-        by_key: dict[Value, list] = {}
-        for e2 in g2.ids_of(label):
-            by_key.setdefault(_project_value(g2.elements[e2].value, steps), []).append(e2)
+        by_key = group_by_key(g2, label, lambda v: _project_value(v, steps))
         for e1 in g1.ids_of(label):
             el1 = g1.elements[e1]
             for e2 in by_key.get(_project_value(el1.value, steps), []):

@@ -42,6 +42,7 @@ from .adt import (
     render_type,
     render_value,
     transport_type,
+    type_nodes,
 )
 from .errors import ApgError, ParseError, PreconditionError
 from .graph import Element, Graph, Schema, ValidationReport, validate_graph
@@ -589,14 +590,6 @@ def eval_term(t: Term, binding: Value, graph: Graph) -> Value:
 # ---------------------------------------------------------------------------
 # Migration
 
-def _enumerable(t: TypeExpr) -> bool:
-    if isinstance(t, Prim):
-        return False
-    if isinstance(t, (Sum, Prod)):
-        return _enumerable(t.left) and _enumerable(t.right)
-    return True
-
-
 def delta_migrate(m: SchemaMapping, graph: Graph) -> Graph:
     """Pull a target graph back through a mapping, yielding a source graph.
 
@@ -614,7 +607,7 @@ def delta_migrate(m: SchemaMapping, graph: Graph) -> Graph:
     if not data_report.ok:
         raise PreconditionError(f"input graph is not valid:\n{data_report}")
     for label in m.source.sorted_labels():
-        if not _enumerable(m.on_labels[label]):
+        if any(isinstance(node, Prim) for node in type_nodes(m.on_labels[label])):
             raise PreconditionError(
                 f"mapped type of {label!r} is outside the enumerable fragment: "
                 + render_type(m.on_labels[label])
@@ -624,13 +617,11 @@ def delta_migrate(m: SchemaMapping, graph: Graph) -> Graph:
         label: enumerate_values(m.on_labels[label], graph)
         for label in m.source.sorted_labels()
     }
-    minted = {
-        label: {render_value(w) for w in values} for label, values in witnesses.items()
-    }
+    minted = {label: set(values) for label, values in witnesses.items()}
 
     def reindex(v: Value, t: TypeExpr, path: tuple[str, ...]) -> Value:
         if isinstance(t, Lbl):
-            if render_value(v) not in minted.get(t.name, set()):
+            if v not in minted.get(t.name, ()):
                 where = "".join("." + step for step in path) or "root"
                 raise PreconditionError(
                     f"no migrated element of {t.name!r} for witness {render_value(v)} (at {where})"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TypeAlias, Union
 
-from .adt import Lbl, One, Prim, Prod, Sum, TypeExpr, label_free, labels_in
+from .adt import Lbl, One, Prim, Prod, TypeExpr, label_free, labels_in, type_nodes
 from .errors import PreconditionError
 from .graph import Schema
 
@@ -104,16 +104,14 @@ def _data_after_deref(schema: Schema, t: TypeExpr, known: dict) -> bool:
     data, which keeps e.g. a pair of vertex references an edge rather than
     an alias.
     """
-    if isinstance(t, Lbl):
-        if t.name not in schema.labels:
-            return False
-        if t.name not in known:
-            raise _Deferred()
-        return isinstance(known[t.name], DataTypeAlias)
-    if isinstance(t, (Sum, Prod)):
-        return _data_after_deref(schema, t.left, known) and _data_after_deref(
-            schema, t.right, known
-        )
+    for node in type_nodes(t):
+        if isinstance(node, Lbl):
+            if node.name not in schema.labels:
+                return False
+            if node.name not in known:
+                raise _Deferred()
+            if not isinstance(known[node.name], DataTypeAlias):
+                return False
     return True
 
 
