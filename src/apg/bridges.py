@@ -7,7 +7,9 @@ Three one-way or round-trip bridges:
   the predicate.
 * Relational shredding: one table per label, one column per leaf position of
   the declared type, discriminator columns for sums.  Importing the tables
-  against the same schema reproduces the graph exactly, ids included.
+  against the same schema reproduces the graph exactly, ids included.  Each
+  label's layout (its columns, and how a row is shredded and read back) is
+  built once from the declared type, so no row re-walks the type for names.
 * Key-value view: (first, second) pairs of a product-typed label, once the
   first components are known to be unique.
 """
@@ -15,11 +17,10 @@ Three one-way or round-trip bridges:
 from __future__ import annotations
 
 import csv
-import io
 import json
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_args
 
 from .adt import (
     ElementId,
@@ -33,7 +34,6 @@ from .adt import (
     PrimVal,
     Prod,
     Ref,
-    Sum,
     TypeExpr,
     Unit,
     Value,
@@ -157,43 +157,83 @@ class TableSet:
     tables: dict[str, Table]
 
 
-def _path_name(path: tuple[str, ...]) -> str:
-    return ".".join(path)
+_ID_TYPES = get_args(ElementId)
 
 
-def _columns_for(t: TypeExpr, path: tuple[str, ...]) -> list[Column]:
+def _layout(t: TypeExpr, name: str, label: str, registry):
+    """(columns, shred, rebuild) for values of type t whose cells start at name.
+
+    shred(v, cells) stores the leaves of v; rebuild(cells, used) reads a value
+    back, adds each cell it reads to used, and raises ParseError on a row that
+    does not fit.  A column is named by its access path joined with dots, a
+    sum's discriminator by that path plus "#"; names and error locations are
+    fixed here, once per label, not per row.
+    """
+    spot = name or "root"
     if isinstance(t, (One, Zero)):
-        return []
-    if isinstance(t, Prim):
-        return [Column(_path_name(path), "prim", t.name)]
-    if isinstance(t, Lbl):
-        return [Column(_path_name(path), "fk", t.name)]
-    if isinstance(t, Prod):
-        return _columns_for(t.left, path + ("fst",)) + _columns_for(t.right, path + ("snd",))
-    return (
-        [Column(_path_name(path) + "#", "disc")]
-        + _columns_for(t.left, path + ("inl",))
-        + _columns_for(t.right, path + ("inr",))
+        def rebuild(cells, used):
+            if isinstance(t, Zero):
+                raise ParseError(f"{label!r} declares an uninhabited position at {spot}")
+            return Unit()
+        return [], lambda v, cells: None, rebuild
+    if isinstance(t, (Prim, Lbl)):
+        kind, leaf = ("fk", "element") if isinstance(t, Lbl) else ("prim", "literal")
+
+        def shred(v, cells):
+            cells[name] = getattr(v, leaf)
+
+        def rebuild(cells, used):
+            if name not in cells:
+                raise ParseError(f"missing {spot} cell in a {label!r} row")
+            used.add(name)
+            cell = cells[name]
+            if isinstance(t, Lbl):
+                if isinstance(cell, str):
+                    cell = parse_id(cell)
+                if not isinstance(cell, _ID_TYPES):
+                    raise ParseError(f"cell {spot} of {label!r} is not an element id")
+                return Ref(cell)
+            literal = registry.coerce(t.name, cell)
+            if not registry.check_literal(t.name, literal):
+                raise ParseError(f"cell {spot} of {label!r} is not a {t.name}")
+            return PrimVal(t.name, literal)
+        return [Column(name, kind, t.name)], shred, rebuild
+
+    steps = ("fst", "snd") if isinstance(t, Prod) else ("inl", "inr")
+    (left_columns, shred_left, rebuild_left), (right_columns, shred_right, rebuild_right) = (
+        _layout(part, f"{name}.{step}" if name else step, label, registry)
+        for part, step in zip((t.left, t.right), steps)
     )
+    if isinstance(t, Prod):
+        def shred(v, cells):
+            shred_left(v.first, cells)
+            shred_right(v.second, cells)
 
+        def rebuild(cells, used):
+            return Pair(rebuild_left(cells, used), rebuild_right(cells, used))
+        return left_columns + right_columns, shred, rebuild
 
-def _cells_for(v: Value, t: TypeExpr, path: tuple[str, ...], cells: dict[str, object]):
-    if isinstance(t, One):
-        return
-    if isinstance(t, Prim):
-        cells[_path_name(path)] = v.literal
-    elif isinstance(t, Lbl):
-        cells[_path_name(path)] = v.element
-    elif isinstance(t, Prod):
-        _cells_for(v.first, t.left, path + ("fst",), cells)
-        _cells_for(v.second, t.right, path + ("snd",), cells)
-    elif isinstance(t, Sum):
+    disc = name + "#"
+
+    def shred(v, cells):
         if isinstance(v, Inl):
-            cells[_path_name(path) + "#"] = "l"
-            _cells_for(v.inner, t.left, path + ("inl",), cells)
+            cells[disc] = "l"
+            shred_left(v.inner, cells)
         else:
-            cells[_path_name(path) + "#"] = "r"
-            _cells_for(v.inner, t.right, path + ("inr",), cells)
+            cells[disc] = "r"
+            shred_right(v.inner, cells)
+
+    def rebuild(cells, used):
+        if disc not in cells:
+            raise ParseError(f"missing discriminator {disc} in a {label!r} row")
+        used.add(disc)
+        side = cells[disc]
+        if side == "l":
+            return Inl(rebuild_left(cells, used))
+        if side == "r":
+            return Inr(rebuild_right(cells, used))
+        raise ParseError(f"discriminator {disc} of {label!r} must be 'l' or 'r', not {side!r}")
+    return [Column(disc, "disc")] + left_columns + right_columns, shred, rebuild
 
 
 def export_relational(graph: Graph) -> TableSet:
@@ -204,12 +244,13 @@ def export_relational(graph: Graph) -> TableSet:
     with the inactive branch left empty.
     """
     tables = {}
-    for label in graph.schema.sorted_labels():
-        t = graph.schema.labels[label]
-        table = Table(label, [Column("id", "id")] + _columns_for(t, ()))
+    schema = graph.schema
+    for label in schema.sorted_labels():
+        columns, shred, _ = _layout(schema.labels[label], "", label, schema.registry)
+        table = Table(label, [Column("id", "id")] + columns)
         for e in graph.ids_of(label):
             cells: dict[str, object] = {}
-            _cells_for(graph.elements[e].value, t, (), cells)
+            shred(graph.elements[e].value, cells)
             table.rows.append((e, cells))
         tables[label] = table
     return TableSet(tables)
@@ -226,11 +267,10 @@ def import_relational(tables: TableSet, schema: Schema) -> Graph:
     for label in sorted(tables.tables):
         if label not in schema.labels:
             raise ParseError(f"table {label!r} has no declared label")
-        t = schema.labels[label]
-        table = tables.tables[label]
-        for e, cells in table.rows:
+        _, _, rebuild = _layout(schema.labels[label], "", label, schema.registry)
+        for e, cells in tables.tables[label].rows:
             used: set[str] = set()
-            value = _rebuild(t, (), cells, used, schema, label)
+            value = rebuild(cells, used)
             extra = sorted(set(cells) - used)
             if extra:
                 raise ParseError(f"row {render_id(e)} of {label!r} has cells outside "
@@ -243,43 +283,6 @@ def import_relational(tables: TableSet, schema: Schema) -> Graph:
     if not report.ok:
         raise ValidationFailure(report)
     return graph
-
-
-def _rebuild(t, path, cells, used, schema, label) -> Value:
-    name = _path_name(path)
-    if isinstance(t, One):
-        return Unit()
-    if isinstance(t, Zero):
-        raise ParseError(f"{label!r} declares an uninhabited position at {name or 'root'}")
-    if isinstance(t, Prim):
-        if name not in cells:
-            raise ParseError(f"missing {name or 'root'} cell in a {label!r} row")
-        used.add(name)
-        literal = schema.registry.coerce(t.name, cells[name])
-        if not schema.registry.check_literal(t.name, literal):
-            raise ParseError(f"cell {name or 'root'} of {label!r} is not a {t.name}")
-        return PrimVal(t.name, literal)
-    if isinstance(t, Lbl):
-        if name not in cells:
-            raise ParseError(f"missing {name or 'root'} cell in a {label!r} row")
-        used.add(name)
-        cell = cells[name]
-        return Ref(parse_id(cell) if isinstance(cell, str) else cell)
-    if isinstance(t, Prod):
-        return Pair(
-            _rebuild(t.left, path + ("fst",), cells, used, schema, label),
-            _rebuild(t.right, path + ("snd",), cells, used, schema, label),
-        )
-    disc = name + "#"
-    if disc not in cells:
-        raise ParseError(f"missing discriminator {disc} in a {label!r} row")
-    used.add(disc)
-    side = cells[disc]
-    if side == "l":
-        return Inl(_rebuild(t.left, path + ("inl",), cells, used, schema, label))
-    if side == "r":
-        return Inr(_rebuild(t.right, path + ("inr",), cells, used, schema, label))
-    raise ParseError(f"discriminator {disc} of {label!r} must be 'l' or 'r', not {side!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +310,7 @@ def write_tableset(tables: TableSet, directory):
                 for c in table.columns
             ],
         }
-        with open(directory / filename, "w", newline="") as handle:
+        with open(directory / filename, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow([c.name for c in table.columns])
             for e, cells in table.rows:
@@ -324,61 +327,82 @@ def write_tableset(tables: TableSet, directory):
                     else:
                         row.append(json.dumps(cells[c.name]))
                 writer.writerow(row)
-    with open(directory / "manifest.json", "w") as handle:
+    with open(directory / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
 def read_tableset(directory) -> TableSet:
+    """The table set write_tableset wrote; a malformed or unreadable manifest
+    entry or table raises ParseError naming it."""
     from pathlib import Path
 
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ParseError(f"no manifest.json in {directory}")
-    with open(manifest_path) as handle:
-        try:
+    try:
+        with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
-        except ValueError as err:
-            raise ParseError(f"bad manifest: {err}") from None
+    except OSError as err:
+        raise ParseError(f"cannot read {manifest_path}: {err.strerror}") from None
+    except ValueError as err:
+        raise ParseError(f"bad manifest: {err}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError("bad manifest: it must be an object of table entries")
     tables = {}
     ids = IdTable()  # foreign keys name ids of other tables
     for label, spec in manifest.items():
+        if not (isinstance(spec, dict) and isinstance(spec.get("file"), str)
+                and isinstance(spec.get("columns"), list)):
+            raise ParseError(f"bad manifest: entry {label!r} needs a string file "
+                             f"and a list of columns")
+        if not all(isinstance(c, dict) and isinstance(c.get("name"), str)
+                   and isinstance(c.get("kind"), str) for c in spec["columns"]):
+            raise ParseError(f"bad manifest: each column of entry {label!r} needs "
+                             f"a string name and kind")
         columns = [
             Column(c["name"], c["kind"], c.get("target")) for c in spec["columns"]
         ]
         table = Table(label, columns)
-        with open(directory / spec["file"], newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != [c.name for c in columns]:
-                raise ParseError(f"header of {spec['file']} does not match the manifest")
-            for row in reader:
-                if len(row) != len(columns):
-                    raise ParseError(f"ragged row in {spec['file']}")
-                eid = None
-                cells: dict[str, object] = {}
-                for cell, column in zip(row, columns):
-                    if column.kind == "id":
-                        eid = ids[cell]
-                    elif cell == "":
-                        continue
-                    elif column.kind == "fk":
-                        cells[column.name] = ids[cell]
-                    elif column.kind == "disc":
-                        cells[column.name] = cell
-                    else:
-                        try:
-                            cells[column.name] = json.loads(cell)
-                        except ValueError:
-                            raise ParseError(
-                                f"bad cell {cell!r} in {spec['file']}"
-                            ) from None
-                if eid is None:
-                    raise ParseError(f"row without id in {spec['file']}")
-                table.rows.append((eid, cells))
+        try:
+            with open(directory / spec["file"], encoding="utf-8", newline="") as handle:
+                _read_rows(csv.reader(handle), spec["file"], table, ids)
+        except OSError as err:
+            raise ParseError(f"cannot read {spec['file']}: {err.strerror}") from None
+        except (UnicodeDecodeError, csv.Error) as err:
+            raise ParseError(f"bad table {spec['file']}: {err}") from None
         tables[label] = table
     return TableSet(tables)
+
+
+def _read_rows(reader, filename: str, table: Table, ids: IdTable):
+    columns = table.columns
+    header = next(reader, None)
+    if header != [c.name for c in columns]:
+        raise ParseError(f"header of {filename} does not match the manifest")
+    for row in reader:
+        if len(row) != len(columns):
+            raise ParseError(f"ragged row in {filename}")
+        eid = None
+        cells: dict[str, object] = {}
+        for cell, column in zip(row, columns):
+            if column.kind == "id":
+                eid = ids[cell]
+            elif cell == "":
+                continue
+            elif column.kind == "fk":
+                cells[column.name] = ids[cell]
+            elif column.kind == "disc":
+                cells[column.name] = cell
+            else:
+                try:
+                    cells[column.name] = json.loads(cell)
+                except ValueError:
+                    raise ParseError(f"bad cell {cell!r} in {filename}") from None
+        if eid is None:
+            raise ParseError(f"row without id in {filename}")
+        table.rows.append((eid, cells))
 
 
 # ---------------------------------------------------------------------------

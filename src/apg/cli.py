@@ -157,7 +157,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    schema = _read_graph(args.schema).schema
+    schema = files.read_schema(_read_text(args.schema))
     tables = bridges.read_tableset(args.directory)
     _emit_graph(bridges.import_relational(tables, schema), args.out)
     return 0

@@ -243,13 +243,12 @@ def graph_to_json(graph: Graph) -> dict:
     return doc
 
 
-def graph_from_json(doc: dict, where: str = "") -> Graph:
-    _expect_object(doc, where or "graph document")
-    schema = schema_from_json(doc, where)
-    prefix = where + "." if where else ""
+def graph_from_json(doc: dict) -> Graph:
+    _expect_object(doc, "graph document")
+    schema = schema_from_json(doc)
     raw = doc.get("elements", {})
     if not isinstance(raw, dict):
-        raise ParseError(f"{prefix}elements must be an object")
+        raise ParseError("elements must be an object")
     registry = schema.registry
     ids = IdTable()
     elements = {}
@@ -257,17 +256,30 @@ def graph_from_json(doc: dict, where: str = "") -> Graph:
         try:
             e = ids[id_text]
         except ParseError as err:
-            raise ParseError(f"{prefix}elements.{id_text}: {err}") from None
+            raise ParseError(f"elements.{id_text}: {err}") from None
         entry = raw[id_text]
         if not (isinstance(entry, dict) and len(entry) == 2 and "label" in entry
                 and "value" in entry and isinstance(entry["label"], str)):
-            _reject_entry(entry, f"{prefix}elements.{id_text}")
+            _reject_entry(entry, f"elements.{id_text}")
         try:
             value = _value(entry["value"], registry, ids)
         except _Malformed as bad:
-            raise bad.at(f"{prefix}elements.{id_text}.value") from None
+            raise bad.at(f"elements.{id_text}.value") from None
         elements[e] = Element(entry["label"], value)
+    if len(elements) != len(raw):
+        _reject_equal_ids(raw, "elements")
     return Graph(schema, elements)
+
+
+def _reject_equal_ids(texts, where: str):
+    """Name the first two texts that parse to equal ids (primitive literals
+    compare as Python numbers do, so Nat=1, Nat=1.0 and Nat=true are one id)."""
+    first_text = {}
+    for text in sorted(texts):
+        e = parse_id(text)
+        if e in first_text:
+            raise ParseError(f"{where}: ids {first_text[e]!r} and {text!r} name the same element")
+        first_text[e] = text
 
 
 def _reject_entry(entry, spot: str):
@@ -332,6 +344,15 @@ def write_graph(graph: Graph) -> str:
     return "".join(out)
 
 
+def read_schema(text: str) -> Schema:
+    """The validated schema of a graph or schema document; elements are not read."""
+    schema = schema_from_json(_expect_object(_load_json(text), "graph document"))
+    report = validate_schema(schema)
+    if not report.ok:
+        raise ValidationFailure(report)
+    return schema
+
+
 def read_graph(text: str, validate: bool = True) -> Graph:
     graph = graph_from_json(_load_json(text))
     if validate:
@@ -376,6 +397,8 @@ def read_morphism(text: str, source: Graph, target: Graph, validate: bool = True
             on_elements[parse_id(k)] = parse_id(v)
         except ParseError as err:
             raise ParseError(f"onElements.{k}: {err}") from None
+    if len(on_elements) != len(raw_elements):
+        _reject_equal_ids(raw_elements, "onElements")
     h = Morphism(source, target, dict(raw_labels), on_elements)
     if validate:
         report = check_morphism(h)

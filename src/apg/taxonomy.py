@@ -167,14 +167,10 @@ def _kind_dependencies(schema: Schema, label: str, strict: bool) -> set[str]:
     if not strict:
         # The generalized alias rule looks at every referenced label.
         return {name for name in labels_in(t) if name in schema.labels}
-    if isinstance(t, Lbl):
-        return {t.name} if t.name in schema.labels else set()
-    deps = set()
-    if isinstance(t, Prod) and isinstance(t.left, Lbl) and t.left.name in schema.labels:
-        deps.add(t.left.name)
-        if isinstance(t.right, Lbl) and t.right.name in schema.labels:
-            deps.add(t.right.name)
-    return deps
+    # Each declared label side, even beside an undeclared one: that side
+    # reads as a hyperelement and the rules still consult the other.
+    sides = (t.left, t.right) if isinstance(t, Prod) else (t,)
+    return {s.name for s in sides if isinstance(s, Lbl) and s.name in schema.labels}
 
 
 def classify_graph(schema: Schema, strict: bool = True) -> dict[str, Classification]:

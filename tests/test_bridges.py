@@ -259,6 +259,14 @@ def test_import_rejects_out_of_domain_cells():
         import_relational(tables, g.schema)
 
 
+def test_import_rejects_foreign_keys_that_are_not_ids():
+    # a manifest that calls a foreign-key column "prim" hands over JSON scalars
+    g, tables, cells = _trip_tables_and_row()
+    cells["fst"] = 5
+    with pytest.raises(ParseError, match="cell fst of 'Trip' is not an element id"):
+        import_relational(tables, g.schema)
+
+
 def test_import_rejects_duplicate_ids():
     g = fixture("plates1.apg")
     tables = export_relational(g)

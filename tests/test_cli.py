@@ -216,6 +216,76 @@ def test_export_relational_and_import_round_trip(tmp_path, capsys):
     assert read_graph(out) == read_graph(load("trips.apg"))
 
 
+def _edit_manifest(edit):
+    def apply(directory):
+        manifest = json.loads((directory / "manifest.json").read_text())
+        (directory / "manifest.json").write_text(json.dumps(edit(manifest)))
+    return apply
+
+
+def _set(entry, key, value):
+    def edit(manifest):
+        manifest[entry][key] = value
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_edit_manifest(lambda m: []), "bad manifest: it must be an object of table entries"),
+    (_edit_manifest(lambda m: {**m, "Trip": 5}),
+     "bad manifest: entry 'Trip' needs a string file and a list of columns"),
+    (_edit_manifest(lambda m: {**m, "Trip": {"file": "Trip.csv"}}),
+     "bad manifest: entry 'Trip' needs a string file and a list of columns"),
+    (_edit_manifest(_set("Trip", "file", ["Trip.csv"])),
+     "bad manifest: entry 'Trip' needs a string file and a list of columns"),
+    (_edit_manifest(_set("Trip", "columns", [{"name": "id", "kind": "id"}, "fst"])),
+     "bad manifest: each column of entry 'Trip' needs a string name and kind"),
+    (_edit_manifest(_set("Trip", "columns", [{"name": "id"}])),
+     "bad manifest: each column of entry 'Trip' needs a string name and kind"),
+    (lambda d: (d / "Trip.csv").unlink(), "cannot read Trip.csv: No such file or directory"),
+    (lambda d: (d / "Trip.csv").write_bytes(b"id\xff\n"),
+     "bad table Trip.csv: 'utf-8' codec can't decode byte 0xff in position 2: "
+     "invalid start byte"),
+    (lambda d: (d / "Trip.csv").write_text('id,"' + "x" * 200_000 + '"\n'),
+     "bad table Trip.csv: field larger than field limit (131072)"),
+], ids=["list manifest", "entry not an object", "entry without columns",
+        "file not a string", "column not an object", "column without kind",
+        "missing table file", "table not UTF-8", "csv error"])
+def test_malformed_table_sets_end_with_one_error_line(tmp_path, capsys, damage, message):
+    tables = tmp_path / "tables"
+    assert run(capsys, "export", "relational", fixture_path("trips.apg"),
+               "--out", str(tables))[0] == 0
+    damage(tables)
+    code, out, err = run(capsys, "import", "relational", str(tables),
+                         "--schema", fixture_path("trips.apg"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_import_reads_only_the_schema_of_the_schema_file(tmp_path, capsys):
+    tables = tmp_path / "tables"
+    assert run(capsys, "export", "relational", fixture_path("trips.apg"),
+               "--out", str(tables))[0] == 0
+    doc = json.loads(load("trips.apg"))
+    doc["elements"] = {"x": {"label": "Ghost", "value": {"maybe": {}}}}
+    broken = tmp_path / "broken.apg"
+    broken.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", "relational", str(tables), "--schema", str(broken))
+    assert (code, out, err) == (0, load("trips.apg"), "")
+
+
+def test_import_rejects_an_invalid_schema_file(tmp_path, capsys):
+    tables = tmp_path / "tables"
+    assert run(capsys, "export", "relational", fixture_path("vertices.apg"),
+               "--out", str(tables))[0] == 0
+    schema = tmp_path / "schema.apg"
+    schema.write_text(json.dumps({"schema": {"User": "1", "Trip": "User * Ghost"}}))
+    code, out, err = run(capsys, "import", "relational", str(tables), "--schema", str(schema))
+    assert (code, out, err) == (2, "", "error: schema.Trip: unknown type name 'Ghost' (at 7)\n")
+    schema.write_text(json.dumps({"schema": {"User": "1", "Nat": "User"}}))
+    code, out, err = run(capsys, "import", "relational", str(tables), "--schema", str(schema))
+    assert (code, out, err) == (1, "", "error: Nat: label shadows a primitive type name\n")
+
+
 def test_export_relational_needs_a_directory(capsys):
     code, _, err = run(capsys, "export", "relational", fixture_path("trips.apg"))
     assert code == 2

@@ -394,3 +394,22 @@ def test_reader_shares_one_object_per_id():
     assert e2.first.element is keys["v1"]
     assert e1.second.inner.element is keys["v2"]
     assert e2.second.inner.element is keys["(v1,v2)"]
+
+
+EQUAL_IDS = ["E:x:Nat=1", "E:x:Nat=1.0", "E:x:Nat=true"]
+
+
+def test_ids_that_parse_equal_are_rejected():
+    doc = _doc({text: {"label": "V", "value": {"unit": {}}} for text in EQUAL_IDS})
+    with pytest.raises(ParseError) as err:
+        read_graph(doc)
+    assert str(err.value) == "elements: ids 'E:x:Nat=1' and 'E:x:Nat=1.0' name the same element"
+
+
+def test_morphism_ids_that_parse_equal_are_rejected():
+    g = read_graph(load("vertices.apg"))
+    text = json.dumps({"onElements": {text: "u1" for text in EQUAL_IDS[1:]}})
+    with pytest.raises(ParseError) as err:
+        read_morphism(text, g, g, validate=False)
+    assert str(err.value) == (
+        "onElements: ids 'E:x:Nat=1.0' and 'E:x:Nat=true' name the same element")

@@ -1,6 +1,6 @@
 import pytest
 
-from apg.adt import Lbl, One
+from apg.adt import Lbl, One, Prod
 from apg.errors import PreconditionError
 from apg.fixtures import load
 from apg.files import read_graph
@@ -151,6 +151,13 @@ def test_undeclared_references_classify_as_hyperelements():
     schema = Schema({"User": One(), "ghostly": Lbl("Ghost")})
     kinds = classify_graph(schema)
     assert kinds["ghostly"] == Tag(Hyperelement())
+
+
+def test_an_undeclared_left_side_still_lets_a_cycle_settle():
+    # the right side waits on the label itself; the stall walk must see it
+    schema = Schema({"E": Prod(Lbl("Ghost"), Lbl("E"))})
+    assert classify_graph(schema, strict=True) == {"E": Hyperelement()}
+    assert classify_graph(schema, strict=False) == {"E": Hyperelement()}
 
 
 def test_classify_label_checks_its_argument():
