@@ -612,15 +612,16 @@ def transport_value(
 
 
 def _transport(v: Value, g: Callable[[ElementId], Value]) -> Value:
+    """v itself when no reference below it changes, so nothing is rebuilt."""
     if isinstance(v, Ref):
         return g(v.element)
     if isinstance(v, (Unit, PrimVal)):
         return v
-    if isinstance(v, Inl):
-        return Inl(_transport(v.inner, g))
-    if isinstance(v, Inr):
-        return Inr(_transport(v.inner, g))
-    return Pair(_transport(v.first, g), _transport(v.second, g))
+    if isinstance(v, (Inl, Inr)):
+        inner = _transport(v.inner, g)
+        return v if inner is v.inner else type(v)(inner)
+    first, second = _transport(v.first, g), _transport(v.second, g)
+    return v if first is v.first and second is v.second else Pair(first, second)
 
 
 # ---------------------------------------------------------------------------

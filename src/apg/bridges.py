@@ -20,6 +20,7 @@ import csv
 import json
 import urllib.parse
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Optional, get_args
 
 from .adt import (
@@ -256,6 +257,13 @@ def export_relational(graph: Graph) -> TableSet:
     return TableSet(tables)
 
 
+def _spec(column: Column | None) -> str:
+    if column is None:
+        return "none"
+    target = "" if column.target is None else f" {column.target}"
+    return f"{column.name!r} ({column.kind}{target})"
+
+
 def import_relational(tables: TableSet, schema: Schema) -> Graph:
     """Rebuild a graph from shredded tables; exact inverse of export.
 
@@ -267,7 +275,11 @@ def import_relational(tables: TableSet, schema: Schema) -> Graph:
     for label in sorted(tables.tables):
         if label not in schema.labels:
             raise ParseError(f"table {label!r} has no declared label")
-        _, _, rebuild = _layout(schema.labels[label], "", label, schema.registry)
+        columns, _, rebuild = _layout(schema.labels[label], "", label, schema.registry)
+        for have, want in zip_longest(tables.tables[label].columns, [Column("id", "id")] + columns):
+            if have != want:
+                raise ParseError(f"table {label!r}: the manifest has column {_spec(have)} "
+                                 f"where the schema gives {_spec(want)}")
         for e, cells in tables.tables[label].rows:
             used: set[str] = set()
             value = rebuild(cells, used)
@@ -381,25 +393,28 @@ def _read_rows(reader, filename: str, table: Table, ids: IdTable):
     header = next(reader, None)
     if header != [c.name for c in columns]:
         raise ParseError(f"header of {filename} does not match the manifest")
-    for row in reader:
+    for number, row in enumerate(reader, 1):
         if len(row) != len(columns):
             raise ParseError(f"ragged row in {filename}")
         eid = None
         cells: dict[str, object] = {}
         for cell, column in zip(row, columns):
-            if column.kind == "id":
-                eid = ids[cell]
-            elif cell == "":
-                continue
-            elif column.kind == "fk":
-                cells[column.name] = ids[cell]
-            elif column.kind == "disc":
-                cells[column.name] = cell
-            else:
-                try:
+            try:
+                if column.kind == "id":
+                    eid = ids[cell]
+                elif cell == "":
+                    continue
+                elif column.kind == "fk":
+                    cells[column.name] = ids[cell]
+                elif column.kind == "disc":
+                    cells[column.name] = cell
+                else:
                     cells[column.name] = json.loads(cell)
-                except ValueError:
-                    raise ParseError(f"bad cell {cell!r} in {filename}") from None
+            except ParseError as err:  # from the id parser
+                raise ParseError(f"bad id {cell!r} in {filename} row {number}, "
+                                 f"column {column.name}: {err.args[0]}") from None
+            except ValueError:
+                raise ParseError(f"bad cell {cell!r} in {filename}") from None
         if eid is None:
             raise ParseError(f"row without id in {filename}")
         table.rows.append((eid, cells))

@@ -6,7 +6,9 @@ taken with both graphs on one shared schema and identity label maps, which is
 the setting data merging needs: the quotient then happens on elements alone
 and the schema survives untouched.  The pushout starts from the disjoint
 union on that shared schema, which tags elements exactly as the coproduct
-does but leaves labels as they are.
+does but leaves labels as they are.  The quotient runs its union-find over
+element positions, not ids, and every tagged id or class is built once and
+shared by its element key, its leg images and the references to it.
 
 Each construction returns the graph together with its legs (projections,
 injections, or the universal map onto the quotient).
@@ -39,7 +41,7 @@ from .adt import (
 )
 from .errors import PreconditionError
 from .graph import Element, Graph, Schema
-from .morphism import Morphism, compose
+from .morphism import Morphism
 
 TERMINAL_LABEL = "⊤"
 
@@ -161,12 +163,13 @@ def _tagged_union(g1: Graph, g2: Graph, schema: Schema, left_prefix: str,
     elements: dict[ElementId, Element] = {}
     sides = []
     for g, tag, prefix in ((g1, Left, left_prefix), (g2, Right, right_prefix)):
-        on_elements: dict[ElementId, ElementId] = {}
-        for e in g.sorted_ids():
+        # One tagged id per element: the element key, the leg image and the
+        # target of every Ref to it are the same object.
+        on_elements = {e: tag(e) for e in g.sorted_ids()}
+        refs = {e: Ref(t) for e, t in on_elements.items()}
+        for e, t in on_elements.items():
             el = g.elements[e]
-            value = transport_value(lambda x: Ref(tag(x)), el.value)
-            elements[tag(e)] = Element(prefix + el.label, value)
-            on_elements[e] = tag(e)
+            elements[t] = Element(prefix + el.label, transport_value(refs, el.value))
         sides.append((g, {l: prefix + l for l in g.schema.labels}, on_elements))
     graph = Graph(schema, elements)
     inj1, inj2 = (Morphism(g, graph, on_labels, on_elements)
@@ -249,61 +252,52 @@ def disjoint_union(g1: Graph, g2: Graph) -> ConstructionResult:
     return _tagged_union(g1, g2, g1.schema, "", "")
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[ElementId]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: ElementId) -> ElementId:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: ElementId, b: ElementId):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _quotient(graph: Graph, pairs: Iterable[tuple[ElementId, ElementId]]):
+def _quotient(graph: Graph, pairs: Iterable[tuple[int, int]]):
     """Quotient a graph's elements by the equivalence the pairs generate.
 
-    Classes must be label-uniform.  Each class is named by its least member
-    under the canonical id ordering, and stored values follow references to
-    their classes.
+    Pairs are positions in graph.elements, and the union-find runs on those
+    positions.  Classes must be label-uniform.  Each class is named by its
+    least member under the canonical id ordering, and stored values follow
+    references to their classes.
     """
-    uf = _UnionFind(graph.elements)
+    ids = list(graph.elements)
+    els = list(graph.elements.values())
+    parent = list(range(len(ids)))
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
     for a, b in pairs:
-        uf.union(a, b)
-    members: dict[ElementId, list[ElementId]] = {}
-    for e in graph.elements:
-        members.setdefault(uf.find(e), []).append(e)
-    rep_of: dict[ElementId, ElementId] = {}
+        parent[find(a)] = find(b)
+    members: dict[int, list[int]] = {}
+    for i in range(len(ids)):
+        members.setdefault(find(i), []).append(i)
+    names = [render_id(e) for e in ids]
+    class_of: list = [None] * len(ids)
+    ref_of: dict[ElementId, Ref] = {}
+    reps = []
     for group in members.values():
-        rep = min(group, key=render_id)
-        labels_seen = {graph.elements[e].label for e in group}
+        labels_seen = {els[i].label for i in group}
         if len(labels_seen) > 1:
-            names = ", ".join(render_id(e) for e in sorted(group, key=render_id))
-            raise PreconditionError(f"class {{{names}}} mixes labels {sorted(labels_seen)}")
-        for e in group:
-            rep_of[e] = rep
-
-    def move(e: ElementId):
-        return Ref(Class(rep_of[e]))
-
-    elements = {}
-    for rep in sorted(set(rep_of.values()), key=render_id):
-        el = graph.elements[rep]
-        elements[Class(rep)] = Element(el.label, transport_value(move, el.value))
+            listed = ", ".join(sorted(names[i] for i in group))
+            raise PreconditionError(f"class {{{listed}}} mixes labels {sorted(labels_seen)}")
+        rep = min(group, key=names.__getitem__)
+        cls = Class(ids[rep])
+        ref = Ref(cls)
+        for i in group:
+            class_of[i] = cls
+            ref_of[ids[i]] = ref
+        reps.append(rep)
+    reps.sort(key=names.__getitem__)
+    elements = {class_of[r]: Element(els[r].label, transport_value(ref_of, els[r].value))
+                for r in reps}
     quotient = Graph(graph.schema, elements)
-    leg = Morphism(
-        graph,
-        quotient,
-        {l: l for l in graph.schema.labels},
-        {e: Class(rep_of[e]) for e in graph.elements},
-    )
+    leg = Morphism(graph, quotient, {l: l for l in graph.schema.labels}, dict(zip(ids, class_of)))
     return quotient, leg
 
 
@@ -321,7 +315,8 @@ def coequalizer(h: Morphism, j: Morphism) -> ConstructionResult:
         for l, image in m.on_labels.items():
             if image != l:
                 raise PreconditionError("coequalizer needs identity label maps")
-    pairs = [(h.on_elements[e], j.on_elements[e]) for e in h.source.elements]
+    position = {e: i for i, e in enumerate(h.target.elements)}
+    pairs = [(position[h.on_elements[e]], position[j.on_elements[e]]) for e in h.source.elements]
     quotient, leg = _quotient(h.target, pairs)
     return ConstructionResult(quotient, {"coeq": leg})
 
@@ -348,14 +343,18 @@ def pushout(f: Morphism, g: Morphism) -> ConstructionResult:
             if m.source.schema.labels[l] != m.target.schema.labels.get(l):
                 raise PreconditionError(f"{role} leg does not preserve the declared type of {l!r}")
     union = disjoint_union(f.target, g.target)
-    h = compose(union.legs["inj1"], f)
-    j = compose(union.legs["inj2"], g)
-    pairs = [(h.on_elements[e], j.on_elements[e]) for e in f.source.elements]
+    # The union holds f.target's elements in inj1's order, then g.target's.
+    inj1, inj2 = union.legs["inj1"].on_elements, union.legs["inj2"].on_elements
+    position1 = {e: i for i, e in enumerate(inj1)}
+    position2 = {e: len(inj1) + i for i, e in enumerate(inj2)}
+    pairs = [(position1[a], position2[g.on_elements[e]]) for e, a in f.on_elements.items()]
     quotient, leg = _quotient(union.graph, pairs)
+    classes = list(leg.on_elements.values())
+    labels = {l: l for l in union.graph.schema.labels}
     return ConstructionResult(
         quotient,
         {
-            "left": compose(leg, union.legs["inj1"]),
-            "right": compose(leg, union.legs["inj2"]),
+            "left": Morphism(f.target, quotient, dict(labels), dict(zip(inj1, classes))),
+            "right": Morphism(g.target, quotient, labels, dict(zip(inj2, classes[len(inj1):]))),
         },
     )

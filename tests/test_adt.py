@@ -226,6 +226,10 @@ def test_transport_value_relabels_refs():
 def test_transport_value_keeps_prims():
     v = PrimVal("Double", 37.78)
     assert transport_value({}, v) == v
+    record = Pair(PrimVal("String", "MX"), Inl(Pair(Unit(), Inr(v))))
+    assert transport_value({}, record) is record
+    mixed = Pair(Ref(Atom("t1")), record)
+    assert transport_value({Atom("t1"): Ref(Atom("t2"))}, mixed).second is record
 
 
 def test_transport_value_missing_ref():

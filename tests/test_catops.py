@@ -5,6 +5,7 @@ import pytest
 from apg.adt import (
     Atom,
     Class,
+    Inl,
     Inr,
     Lbl,
     Left,
@@ -177,6 +178,33 @@ def test_coproduct_retags_references():
     assert r.graph.elements[Left(Atom("d1"))].value == Pair(
         Ref(Left(Atom("t1"))), Ref(Left(Atom("u1")))
     )
+
+
+def _refs_in(v):
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, Ref):
+            yield v
+        elif isinstance(v, Pair):
+            stack += (v.first, v.second)
+        elif isinstance(v, (Inl, Inr)):
+            stack.append(v.inner)
+
+
+@pytest.mark.parametrize("construct", [
+    coproduct, disjoint_union, lambda g1, g2: pushout(identity(g1), identity(g2)),
+], ids=["coproduct", "disjoint_union", "pushout"])
+def test_each_new_id_is_one_object(construct):
+    """The element key, every leg image and the id inside every Ref to an
+    element are one object, not equal copies."""
+    g = fixture("trips.apg")
+    r = construct(g, g)
+    key = {e: e for e in r.graph.elements}
+    for leg in r.legs.values():
+        assert all(key[image] is image for image in leg.on_elements.values())
+    refs = [ref for el in r.graph.elements.values() for ref in _refs_in(el.value)]
+    assert refs and all(key[ref.element] is ref.element for ref in refs)
 
 
 def test_coproduct_counting_and_legs_random():

@@ -223,6 +223,10 @@ def _edit_manifest(edit):
     return apply
 
 
+def _replace_in(path, old, new):
+    path.write_text(path.read_text().replace(old, new, 1))
+
+
 def _set(entry, key, value):
     def edit(manifest):
         manifest[entry][key] = value
@@ -248,9 +252,23 @@ def _set(entry, key, value):
      "invalid start byte"),
     (lambda d: (d / "Trip.csv").write_text('id,"' + "x" * 200_000 + '"\n'),
      "bad table Trip.csv: field larger than field limit (131072)"),
+    (lambda d: _replace_in(d / "Trip.csv", "t1,u1", "(t1,u1"),
+     "bad id '(t1' in Trip.csv row 1, column id: expected ','"),
+    (lambda d: _replace_in(d / "Trip.csv", "t2,u1", "t2,(u1"),
+     "bad id '(u1' in Trip.csv row 2, column fst: expected ','"),
+    (_edit_manifest(_set("PlaceEvent", "columns", [
+        {"name": "id", "kind": "id"}, {"name": "fst", "kind": "disc", "target": [1]},
+        {"name": "snd", "kind": "fk", "target": "UnixTimeSeconds"}])),
+     "table 'PlaceEvent': the manifest has column 'fst' (disc [1]) "
+     "where the schema gives 'fst' (fk Place)"),
+    (lambda d: ((d / "User.csv").write_text("id,age\nu1,\nu2,\nu3,\n"),
+                _edit_manifest(_set("User", "columns", [
+                    {"name": "id", "kind": "id"}, {"name": "age", "kind": "prim"}]))(d)),
+     "table 'User': the manifest has column 'age' (prim) where the schema gives none"),
 ], ids=["list manifest", "entry not an object", "entry without columns",
         "file not a string", "column not an object", "column without kind",
-        "missing table file", "table not UTF-8", "csv error"])
+        "missing table file", "table not UTF-8", "csv error", "bad id cell",
+        "bad foreign-key cell", "foreign key marked disc", "column the schema lacks"])
 def test_malformed_table_sets_end_with_one_error_line(tmp_path, capsys, damage, message):
     tables = tmp_path / "tables"
     assert run(capsys, "export", "relational", fixture_path("trips.apg"),
