@@ -294,8 +294,13 @@ def render_value(v: Value) -> str:
     return "@" + render_id(v.element)
 
 
+_SPACE_RE = re.compile(r"\s*")
+_JSON = json.JSONDecoder()
+
+
 class _Scanner:
-    """Recursive-descent scanner shared by the id and value parsers."""
+    """The cursor every parser of concrete syntax reads with: ids and values
+    here, and type expressions and terms, which lex one token at a time."""
 
     def __init__(self, text: str):
         self.text = text
@@ -306,6 +311,20 @@ class _Scanner:
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def skip(self) -> int:
+        """Move past whitespace and return the new position."""
+        self.pos = _SPACE_RE.match(self.text, self.pos).end()
+        return self.pos
+
+    def sym(self, symbol: str) -> bool:
+        """Take symbol if it comes next after whitespace.  The cursor moves
+        only when it does, so a fault found next is reported where it was."""
+        at = _SPACE_RE.match(self.text, self.pos).end()
+        if not self.text.startswith(symbol, at):
+            return False
+        self.pos = at + len(symbol)
+        return True
 
     def take(self, expected: str):
         if not self.text.startswith(expected, self.pos):
@@ -318,6 +337,20 @@ class _Scanner:
             raise self.error("expected a name")
         self.pos = m.end()
         return m.group()
+
+    def literal(self, end: int | None = None):
+        """The JSON scalar at the cursor; when end is given, its text must
+        stop there."""
+        try:
+            literal, stop = _JSON.raw_decode(self.text, self.pos)
+        except ValueError:
+            raise self.error("bad literal") from None
+        if end is not None and stop != end:
+            raise self.error("bad literal")
+        self.pos = stop
+        if not isinstance(literal, (str, int, float, bool)):
+            raise self.error("literal must be a scalar")
+        return literal
 
     def id_(self) -> ElementId:
         c = self.peek()
@@ -382,14 +415,7 @@ class _Scanner:
             return Inr(inner)
         name = self.atom_run()
         self.take("=")
-        try:
-            literal, end = json.JSONDecoder().raw_decode(self.text, self.pos)
-        except ValueError:
-            raise self.error("bad literal") from None
-        self.pos = end
-        if not isinstance(literal, (str, int, float, bool)):
-            raise self.error("literal must be a scalar")
-        return PrimVal(name, literal)
+        return PrimVal(name, self.literal())
 
 
 def parse_id(text: str) -> ElementId:
@@ -424,67 +450,10 @@ class IdTable(dict):
 #
 # NAME is an identifier, resolved against the schema's labels first and the
 # primitive registry second.  Graphs produced by the categorical operations
-# carry structured label names ("L:driver", "(knows,⊤)"), so the tokenizer
-# also accepts prefixed names and whitespace-free parenthesized pairs as
-# single tokens.
+# carry structured label names ("L:driver", "(knows,⊤)"), so the lexer also
+# reads prefixed names and whitespace-free parenthesized pairs as one token.
 
 _IDENT_RE = re.compile(r"[A-Za-z_⊤][A-Za-z0-9_⊤]*")
-
-
-def _scan_type_tokens(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+*)":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c == "(":
-            name = _try_structured_name(text, i)
-            if name is not None:
-                tokens.append(("name", name, i))
-                i += len(name)
-            else:
-                tokens.append(("(", "(", i))
-                i += 1
-            continue
-        if c == "0" or c == "1":
-            if i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_"):
-                raise ParseError(f"bad token starting at {text[i:i+8]!r}", i)
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            name = m.group()
-            j = m.end()
-            if name in ("L", "R", "C") and j < n and text[j] == ":":
-                s = _Scanner(text)
-                s.pos = i
-                name = s.name()
-                j = s.pos
-            tokens.append(("name", name, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
-def _try_structured_name(text: str, i: int) -> str | None:
-    """Scan a parenthesized pair name like "(a,b)" if one starts at i."""
-    s = _Scanner(text)
-    s.pos = i
-    try:
-        name = s.name()
-    except ParseError:
-        return None
-    return name if name.startswith("(") else None
 
 
 def parse_type(text: str, labels, registry: PrimRegistry = DEFAULT_REGISTRY) -> TypeExpr:
@@ -493,56 +462,64 @@ def parse_type(text: str, labels, registry: PrimRegistry = DEFAULT_REGISTRY) -> 
     labels is the set (or mapping) of label names in scope.  A name that is
     neither a label nor a registered primitive is a parse error.
     """
-    tokens = _scan_type_tokens(text)
-    pos = 0
+    s = _Scanner(text)
 
-    def peek():
-        return tokens[pos][0]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    def token() -> tuple[str, str, int]:
+        """The next token as (kind, text, position); kind is "name", "end",
+        or the symbol itself."""
+        at = s.skip()
+        c = s.peek()
+        if c == "(" or text.startswith(("L:", "R:", "C:"), at):
+            try:
+                return "name", s.name(), at
+            except ParseError:
+                if c != "(":
+                    raise  # else a plain parenthesis, read below
+        m = _IDENT_RE.match(text, at)
+        if m:
+            s.pos = m.end()
+            return "name", m.group(), at
+        if not c:
+            return "end", "", at
+        if c not in "+*()01":
+            raise ParseError(f"unexpected character {c!r}", at)
+        follow = text[at + 1:at + 2]
+        if c in "01" and (follow.isalnum() or follow == "_"):
+            raise ParseError(f"bad token starting at {text[at:at + 8]!r}", at)
+        s.pos = at + 1
+        return c, c, at
 
     def type_() -> TypeExpr:
         t = prod()
-        if peek() == "+":
-            advance()
-            return Sum(t, type_())
-        return t
+        return Sum(t, type_()) if s.sym("+") else t
 
     def prod() -> TypeExpr:
         t = atom()
-        if peek() == "*":
-            advance()
-            return Prod(t, prod())
-        return t
+        return Prod(t, prod()) if s.sym("*") else t
 
     def atom() -> TypeExpr:
-        kind, text_, at = advance()
+        kind, word, at = token()
         if kind == "0":
             return Zero()
         if kind == "1":
             return One()
         if kind == "name":
-            if text_ in labels:
-                return Lbl(text_)
-            if text_ in registry:
-                return Prim(text_)
-            raise ParseError(f"unknown type name {text_!r}", at)
+            if word in labels:
+                return Lbl(word)
+            if word in registry:
+                return Prim(word)
+            raise ParseError(f"unknown type name {word!r}", at)
         if kind == "(":
             t = type_()
-            k, _, at2 = advance()
-            if k != ")":
-                raise ParseError("expected ')'", at2)
+            if not s.sym(")"):
+                raise ParseError("expected ')'", token()[2])
             return t
-        raise ParseError(f"expected a type, found {text_!r}" if text_ else "unexpected end of type", at)
+        raise ParseError(f"expected a type, found {word!r}" if word else "unexpected end of type", at)
 
     result = type_()
-    kind, text_, at = tokens[pos]
+    kind, rest, at = token()
     if kind != "end":
-        raise ParseError(f"trailing characters {text_!r} in type expression", at)
+        raise ParseError(f"trailing characters {rest!r} in type expression", at)
     return result
 
 

@@ -300,6 +300,17 @@ def import_relational(tables: TableSet, schema: Schema) -> Graph:
 # ---------------------------------------------------------------------------
 # CSV serialization of table sets
 
+# kind -> (write, read): how a cell of each column kind becomes CSV text and
+# is read back.  Id and foreign-key cells read through the table set's one
+# IdTable, so an id named in several tables is parsed once.
+_CELLS = {
+    "id": (render_id, lambda ids, text: ids[text]),
+    "fk": (render_id, lambda ids, text: ids[text]),
+    "disc": (str, lambda ids, text: text),
+    "prim": (json.dumps, lambda ids, text: json.loads(text)),
+}
+
+
 def write_tableset(tables: TableSet, directory):
     """One CSV file per table plus a manifest describing the columns.
 
@@ -328,16 +339,11 @@ def write_tableset(tables: TableSet, directory):
             for e, cells in table.rows:
                 row = []
                 for c in table.columns:
+                    write = _CELLS[c.kind][0]
                     if c.kind == "id":
-                        row.append(render_id(e))
-                    elif c.name not in cells:
-                        row.append("")
-                    elif c.kind == "fk":
-                        row.append(render_id(cells[c.name]))
-                    elif c.kind == "disc":
-                        row.append(cells[c.name])
+                        row.append(write(e))
                     else:
-                        row.append(json.dumps(cells[c.name]))
+                        row.append(write(cells[c.name]) if c.name in cells else "")
                 writer.writerow(row)
     with open(directory / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -373,6 +379,10 @@ def read_tableset(directory) -> TableSet:
                    and isinstance(c.get("kind"), str) for c in spec["columns"]):
             raise ParseError(f"bad manifest: each column of entry {label!r} needs "
                              f"a string name and kind")
+        if not all(c["kind"] in _CELLS and isinstance(c.get("target", ""), str)
+                   for c in spec["columns"]):
+            raise ParseError(f"bad manifest: each column of entry {label!r} is of kind "
+                             f"id, prim, fk or disc, with a string target if any")
         columns = [
             Column(c["name"], c["kind"], c.get("target")) for c in spec["columns"]
         ]
@@ -398,23 +408,20 @@ def _read_rows(reader, filename: str, table: Table, ids: IdTable):
             raise ParseError(f"ragged row in {filename}")
         eid = None
         cells: dict[str, object] = {}
-        for cell, column in zip(row, columns):
+        for text, column in zip(row, columns):
+            if text == "" and column.kind != "id":
+                continue
             try:
-                if column.kind == "id":
-                    eid = ids[cell]
-                elif cell == "":
-                    continue
-                elif column.kind == "fk":
-                    cells[column.name] = ids[cell]
-                elif column.kind == "disc":
-                    cells[column.name] = cell
-                else:
-                    cells[column.name] = json.loads(cell)
+                cell = _CELLS[column.kind][1](ids, text)
             except ParseError as err:  # from the id parser
-                raise ParseError(f"bad id {cell!r} in {filename} row {number}, "
+                raise ParseError(f"bad id {text!r} in {filename} row {number}, "
                                  f"column {column.name}: {err.args[0]}") from None
             except ValueError:
-                raise ParseError(f"bad cell {cell!r} in {filename}") from None
+                raise ParseError(f"bad cell {text!r} in {filename}") from None
+            if column.kind == "id":
+                eid = cell
+            else:
+                cells[column.name] = cell
         if eid is None:
             raise ParseError(f"row without id in {filename}")
         table.rows.append((eid, cells))

@@ -80,9 +80,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_op(args) -> int:
     if args.operation in ("product", "coproduct"):
-        g1 = _read_graph(args.inputs[0] if args.inputs else "-")
         if len(args.inputs) != 2:
             raise ParseError(f"op {args.operation} takes two graph files")
+        g1 = _read_graph(args.inputs[0])
         g2 = _read_graph(args.inputs[1])
         run = catops.product if args.operation == "product" else catops.coproduct
         result = run(g1, g2)

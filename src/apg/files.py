@@ -216,19 +216,25 @@ def schema_from_json(doc: dict, where: str = "") -> Schema:
     prefix = where + "." if where else ""
     registry = registry_from_json(doc.get("primitives"), prefix + "primitives")
     raw = doc.get("schema", {})
-    if not isinstance(raw, dict):
-        raise ParseError(f"{prefix}schema must be an object")
-    labels = {}
-    names = set(raw)
-    for label in sorted(raw):
-        text = raw[label]
-        if not isinstance(text, str):
-            raise ParseError(f"{prefix}schema.{label}: type expressions are strings")
-        try:
-            labels[label] = parse_type(text, names, registry)
-        except ParseError as err:
-            raise ParseError(f"{prefix}schema.{label}: {err}") from None
+    labels = _texts(raw, prefix + "schema", "type expressions are strings",
+                    lambda text: parse_type(text, raw, registry))
     return Schema(labels, registry)
+
+
+def _texts(raw, where: str, what: str, parse) -> dict:
+    """parse applied to each text of the object raw, in label order; a
+    fault names where and the label, and what says what the texts are."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where} must be an object")
+    out = {}
+    for label in sorted(raw):
+        if not isinstance(raw[label], str):
+            raise ParseError(f"{where}.{label}: {what}")
+        try:
+            out[label] = parse(raw[label])
+        except ParseError as err:
+            raise ParseError(f"{where}.{label}: {err}") from None
+    return out
 
 
 def graph_to_json(graph: Graph) -> dict:
@@ -427,30 +433,9 @@ def read_mapping(text: str, validate: bool = True) -> SchemaMapping:
     doc = _expect_object(_load_json(text), "mapping document")
     source = schema_from_json(_expect_object(doc.get("source", {}), "source"), "source")
     target = schema_from_json(_expect_object(doc.get("target", {}), "target"), "target")
-    on_labels = {}
-    raw_labels = doc.get("onLabels", {})
-    if not isinstance(raw_labels, dict):
-        raise ParseError("onLabels must be an object")
-    for label in sorted(raw_labels):
-        text_ = raw_labels[label]
-        if not isinstance(text_, str):
-            raise ParseError(f"onLabels.{label}: type expressions are strings")
-        try:
-            on_labels[label] = parse_type(text_, set(target.labels), target.registry)
-        except ParseError as err:
-            raise ParseError(f"onLabels.{label}: {err}") from None
-    on_terms = {}
-    raw_terms = doc.get("onTerms", {})
-    if not isinstance(raw_terms, dict):
-        raise ParseError("onTerms must be an object")
-    for label in sorted(raw_terms):
-        text_ = raw_terms[label]
-        if not isinstance(text_, str):
-            raise ParseError(f"onTerms.{label}: terms are text")
-        try:
-            on_terms[label] = parse_term(text_)
-        except ParseError as err:
-            raise ParseError(f"onTerms.{label}: {err}") from None
+    on_labels = _texts(doc.get("onLabels", {}), "onLabels", "type expressions are strings",
+                       lambda text: parse_type(text, target.labels, target.registry))
+    on_terms = _texts(doc.get("onTerms", {}), "onTerms", "terms are text", parse_term)
     m = SchemaMapping(source, target, on_labels, on_terms)
     if validate:
         report = validate_schema(m.source)

@@ -37,6 +37,7 @@ from .adt import (
     Unit,
     Value,
     Zero,
+    _Scanner,
     labels_in,
     render_id,
     render_type,
@@ -125,120 +126,90 @@ class RewriteLimit(ApgError):
 #   term := 'case' term 'of' '{' 'inl' NAME '->' term ';' 'inr' NAME '->' term '}'
 #         | ('fst'|'snd'|'inl'|'inr'|'phi') term
 #         | '()' | '(' term ')' | '(' term ',' term ')'
-#         | NAME literal        (a primitive literal, e.g. Integer 0)
+#         | NAME literal        (a primitive literal: Integer 0, String "hi", Boolean true)
 #         | NAME                (a variable)
 
-_KEYWORDS = {"fst", "snd", "inl", "inr", "phi", "case", "of"}
+_WRAPPERS = {"fst": Fst, "snd": Snd, "inl": InlT, "inr": InrT, "phi": Phi}
+_KEYWORDS = {*_WRAPPERS, "case", "of"}
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
     r'|(?P<string>"(?:[^"\\]|\\.)*")'
-    r"|(?P<arrow>->)"
-    r"|(?P<punct>[(){};,]))"
+    r"|->|[(){};,]"
 )
 
 
-def _scan_term(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            if text[i:].strip():
-                raise ParseError(f"bad token {text[i:i+8]!r}", i)
-            break
-        i = m.end()
-        if m.lastgroup is None:
-            break
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 def parse_term(text: str) -> Term:
-    tokens = _scan_term(text)
-    pos = 0
+    s = _Scanner(text)
 
-    def peek():
-        return tokens[pos]
+    def token() -> tuple[str | None, str, int]:
+        """The next token as (kind, text, position); kind is ident, number,
+        string, end, or None for punctuation.  A bad token is reported from
+        where the previous token ended."""
+        start = s.pos
+        m = _TOKEN_RE.match(text, s.skip())
+        if m:
+            s.pos = m.end()
+            return m.lastgroup, m.group(), m.start()
+        if s.pos < len(text):
+            raise ParseError(f"bad token {text[start:start + 8]!r}", start)
+        return "end", "", s.pos
 
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def expect(value: str):
-        kind, got, at = advance()
-        if got != value:
-            raise ParseError(f"expected {value!r}, found {got!r}", at)
+    def expect(word: str):
+        _, got, at = token()
+        if got != word:
+            raise ParseError(f"expected {word!r}, found {got!r}", at)
 
     def name() -> str:
-        kind, got, at = advance()
+        kind, got, at = token()
         if kind != "ident" or got in _KEYWORDS:
             raise ParseError(f"expected a name, found {got!r}", at)
         return got
 
-    def term() -> Term:
-        kind, value, at = peek()
-        if kind == "ident" and value == "case":
-            advance()
-            scrutinee = term()
-            expect("of")
-            expect("{")
-            expect("inl")
-            ln = name()
-            expect("->")
-            lb = term()
-            expect(";")
-            expect("inr")
-            rn = name()
-            expect("->")
-            rb = term()
-            expect("}")
-            return CaseT(scrutinee, ln, lb, rn, rb)
-        if kind == "ident" and value in ("fst", "snd", "inl", "inr", "phi"):
-            advance()
-            inner = term()
-            ctor = {"fst": Fst, "snd": Snd, "inl": InlT, "inr": InrT, "phi": Phi}[value]
-            return ctor(inner)
-        return primary()
+    def branch(*words: str) -> tuple[str, Term]:
+        """The words, then one case branch: NAME '->' term."""
+        for word in words:
+            expect(word)
+        bound = name()
+        expect("->")
+        return bound, term()
 
-    def primary() -> Term:
-        kind, value, at = advance()
-        if kind == "punct" and value == "(":
-            k2, v2, _ = peek()
-            if v2 == ")":
-                advance()
+    def term() -> Term:
+        kind, word, at = token()
+        if word == "case":
+            scrutinee = term()
+            left = branch("of", "{", "inl")
+            right = branch(";", "inr")
+            expect("}")
+            return CaseT(scrutinee, *left, *right)
+        if word in _WRAPPERS:
+            return _WRAPPERS[word](term())
+        if word == "(":
+            if s.sym(")"):
                 return UnitT()
             first = term()
-            k3, v3, at3 = advance()
-            if v3 == ")":
+            _, got, at = token()
+            if got == ")":
                 return first
-            if v3 == ",":
+            if got == ",":
                 second = term()
                 expect(")")
                 return PairT(first, second)
-            raise ParseError(f"expected ',' or ')', found {v3!r}", at3)
-        if kind == "ident" and value not in _KEYWORDS:
-            nk, nv, _ = peek()
-            if nk in ("number", "string") or (nk == "ident" and nv in ("true", "false")):
-                advance()
-                if nk == "number":
-                    literal = json.loads(nv)
-                elif nk == "string":
-                    literal = json.loads(nv)
-                else:
-                    literal = nv == "true"
-                return Lit(value, literal)
-            return Var(value)
-        raise ParseError(f"expected a term, found {value!r}" if value else "unexpected end of term", at)
+            raise ParseError(f"expected ',' or ')', found {got!r}", at)
+        if kind == "ident" and word not in _KEYWORDS:
+            mark = s.pos
+            kind, got, at = token()
+            if kind in ("number", "string") or got in ("true", "false"):
+                s.pos = at  # the token must be one JSON scalar: not 01, not "\x"
+                return Lit(word, s.literal(at + len(got)))
+            s.pos = mark
+            return Var(word)
+        raise ParseError(f"expected a term, found {word!r}" if word else "unexpected end of term", at)
 
     result = term()
-    kind, value, at = tokens[pos]
+    kind, rest, at = token()
     if kind != "end":
-        raise ParseError(f"trailing characters {value!r} in term", at)
+        raise ParseError(f"trailing characters {rest!r} in term", at)
     return result
 
 

@@ -90,6 +90,21 @@ def test_parse_reports_position():
     assert "(at 4)" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 + Widget", "unknown type name 'Widget' (at 4)"),
+    ("(1 + 1", "expected ')' (at 6)"),
+    ("1 * )", "expected a type, found ')' (at 4)"),
+    ("1 +  ", "unexpected end of type (at 5)"),
+    ("1 1", "trailing characters '1' in type expression (at 2)"),
+    ("1 * 0x", "bad token starting at '0x' (at 4)"),
+    ("1 + $", "unexpected character '$' (at 4)"),
+])
+def test_each_type_syntax_error_names_its_position(text, message):
+    with pytest.raises(ParseError) as err:
+        t(text)
+    assert str(err.value) == message
+
+
 def test_render_minimal_parens():
     assert render_type(t("Person * String")) == "Person * String"
     assert render_type(t("(1 + User) * String")) == "(1 + User) * String"

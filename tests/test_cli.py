@@ -102,7 +102,7 @@ def test_op_product_writes_a_graph(capsys):
     assert len(g.elements) == 4
 
 
-def test_op_arity_errors(capsys):
+def test_op_arity_errors(capsys, monkeypatch):
     v = fixture_path("vertices.apg")
     code, out, err = run(capsys, "op", "product", v)
     assert code == 2
@@ -110,6 +110,11 @@ def test_op_arity_errors(capsys):
     code, out, err = run(capsys, "op", "pushout", v)
     assert code == 2
     assert "APEX LEFT RIGHT F G" in err
+    # The count is checked before any graph is read, standard input included.
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    for inputs in ([], ["missing.apg"]):
+        assert run(capsys, "op", "coproduct", *inputs) == (
+            2, "", "error: op coproduct takes two graph files\n")
 
 
 def test_op_coequalizer_with_morphism_files(tmp_path, capsys):
@@ -195,6 +200,19 @@ def test_migrate_reads_data_from_stdin(capsys, monkeypatch):
     assert "E:record:@e1" in out
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("Nat 01", "bad literal (at 28)"),
+    ('String "\\x"', "bad literal (at 31)"),
+], ids=["leading zero", "bad escape"])
+def test_migrate_rejects_a_bad_term_literal_with_one_line(tmp_path, capsys, literal, message):
+    doc = json.loads(load("mapping.apgm"))
+    doc["onTerms"]["record"] = f"(snd phi x, (fst phi x, {literal}))"
+    mapping = tmp_path / "bad.apgm"
+    mapping.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "migrate", str(mapping), fixture_path("mapping_input.apg"))
+    assert (code, out, err) == (2, "", f"error: onTerms.record: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # export and import
 
@@ -246,6 +264,13 @@ def _set(entry, key, value):
      "bad manifest: each column of entry 'Trip' needs a string name and kind"),
     (_edit_manifest(_set("Trip", "columns", [{"name": "id"}])),
      "bad manifest: each column of entry 'Trip' needs a string name and kind"),
+    (_edit_manifest(_set("Trip", "columns", [{"name": "id", "kind": "key"}])),
+     "bad manifest: each column of entry 'Trip' is of kind id, prim, fk or disc, "
+     "with a string target if any"),
+    (_edit_manifest(_set("Trip", "columns", [
+        {"name": "id", "kind": "id"}, {"name": "fst", "kind": "fk", "target": ["User"]}])),
+     "bad manifest: each column of entry 'Trip' is of kind id, prim, fk or disc, "
+     "with a string target if any"),
     (lambda d: (d / "Trip.csv").unlink(), "cannot read Trip.csv: No such file or directory"),
     (lambda d: (d / "Trip.csv").write_bytes(b"id\xff\n"),
      "bad table Trip.csv: 'utf-8' codec can't decode byte 0xff in position 2: "
@@ -257,9 +282,9 @@ def _set(entry, key, value):
     (lambda d: _replace_in(d / "Trip.csv", "t2,u1", "t2,(u1"),
      "bad id '(u1' in Trip.csv row 2, column fst: expected ','"),
     (_edit_manifest(_set("PlaceEvent", "columns", [
-        {"name": "id", "kind": "id"}, {"name": "fst", "kind": "disc", "target": [1]},
+        {"name": "id", "kind": "id"}, {"name": "fst", "kind": "disc", "target": "Place"},
         {"name": "snd", "kind": "fk", "target": "UnixTimeSeconds"}])),
-     "table 'PlaceEvent': the manifest has column 'fst' (disc [1]) "
+     "table 'PlaceEvent': the manifest has column 'fst' (disc Place) "
      "where the schema gives 'fst' (fk Place)"),
     (lambda d: ((d / "User.csv").write_text("id,age\nu1,\nu2,\nu3,\n"),
                 _edit_manifest(_set("User", "columns", [
@@ -267,6 +292,7 @@ def _set(entry, key, value):
      "table 'User': the manifest has column 'age' (prim) where the schema gives none"),
 ], ids=["list manifest", "entry not an object", "entry without columns",
         "file not a string", "column not an object", "column without kind",
+        "unknown column kind", "target not a string",
         "missing table file", "table not UTF-8", "csv error", "bad id cell",
         "bad foreign-key cell", "foreign key marked disc", "column the schema lacks"])
 def test_malformed_table_sets_end_with_one_error_line(tmp_path, capsys, damage, message):

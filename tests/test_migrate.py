@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from apg.adt import (
     Atom,
@@ -49,7 +52,7 @@ from apg.migrate import (
     typecheck_mapping,
 )
 
-from .generators import schema_of
+from .generators import random_graph, random_term, reachable_term_type, schema_of
 
 
 def fixture(name):
@@ -89,6 +92,21 @@ def test_parse_rejects_junk():
         parse_term("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("case x { inl a -> a ; inr b -> b }", "expected 'of', found '{' (at 7)"),
+    ("case x of { inl fst -> x ; inr b -> b }", "expected a name, found 'fst' (at 16)"),
+    ("(x; x)", "expected ',' or ')', found ';' (at 2)"),
+    ("fst ;", "expected a term, found ';' (at 4)"),
+    ("snd  ", "unexpected end of term (at 5)"),
+    ("x y", "trailing characters 'y' in term (at 2)"),
+    ("(x,  $)", "bad token '  $)' (at 3)"),
+])
+def test_each_term_syntax_error_names_its_position(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_term(text)
+    assert str(err.value) == message
+
+
 def test_render_parse_round_trip():
     texts = [
         "(snd phi x, (fst phi x, Integer 0))",
@@ -101,6 +119,19 @@ def test_render_parse_round_trip():
     ]
     for text in texts:
         assert render_term(parse_term(text)) == text
+
+
+@given(st.integers(0, 2 ** 32))
+def test_random_terms_render_and_parse_back(seed):
+    rng = random.Random(seed)
+    schema = random_graph(rng).schema
+    x_type = schema.labels[rng.choice(schema.sorted_labels())]
+    try:
+        wanted = reachable_term_type(rng, x_type, schema, 3)
+        term = random_term(rng, wanted, x_type, schema, rng.randrange(0, 7))
+    except ValueError:  # a type the generator cannot fill from x
+        return
+    assert parse_term(render_term(term)) == term
 
 
 # ---------------------------------------------------------------------------
