@@ -3,8 +3,9 @@
 The data model is a tiny algebraic one: types are built from the empty type
 ``0``, the unit type ``1``, binary sums and products, named primitive types,
 and references to labels; values mirror the type constructors, with element
-references standing in for label-typed positions.  Everything is a frozen
-dataclass, compared structurally and safe to share or use as a dict key.
+references standing in for label-typed positions.  Everything is an
+immutable Record, compared structurally and safe to share or use as a dict
+key; composite ids compute their hash once, when they are made.
 
 This module also owns the concrete syntax: type expressions ("User * String"),
 canonical element-id renderings ("(p1,q1)", "L:a", "E:record:@e1"), and the
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, TypeAlias, Union
 
 from .errors import ParseError, PreconditionError
@@ -97,42 +98,93 @@ DEFAULT_REGISTRY = PrimRegistry(DEFAULT_KINDS)
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+_set = object.__setattr__  # how an __init__ stores a field past Record.__setattr__
+
+
+class Record:
+    """Base of the package's records: compared and hashed by class and
+    fields, printed like dataclasses, immutable unless declared frozen=False
+    (then also unhashable).  __slots__ maps each field to its type's text.
+    The shared __init__ takes fields by position or keyword, with a factory
+    in _defaults for each optional one; ids, values and Element have their own.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, frozen: bool = True):
+        cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__slots__", cls._fields))
+        # One C call reads the fields: the value of one, a tuple of several.
+        cls._key = attrgetter(*cls._fields or ["__class__"])
+        if not cls._fields:
+            cls.__init__ = object.__init__
+        if not frozen:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = _set, object.__delattr__, None
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args), **kwargs)
+        fields = set(self._fields)
+        if len(given) != len(args) + len(kwargs) or not (
+                fields - self._defaults.keys() <= given.keys() <= fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for name in self._fields:
+            _set(self, name, given[name] if name in given else self._defaults[name]())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+# ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(Record):
     """The empty type; no value inhabits it."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class One:
+class One(Record):
     """The unit type, inhabited only by Unit."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: TypeExpr
-    right: TypeExpr
+class Sum(Record):
+    __slots__ = {"left": "TypeExpr", "right": "TypeExpr"}
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: TypeExpr
-    right: TypeExpr
+class Prod(Record):
+    __slots__ = {"left": "TypeExpr", "right": "TypeExpr"}
 
 
-@dataclass(frozen=True)
-class Prim:
+class Prim(Record):
     """A primitive type, named into some registry."""
 
-    name: str
+    __slots__ = {"name": "str"}
 
 
-@dataclass(frozen=True)
-class Lbl:
+class Lbl(Record):
     """A reference to a label; its values are references to elements."""
 
-    name: str
+    __slots__ = {"name": "str"}
 
 
 TypeExpr: TypeAlias = Union[Zero, One, Sum, Prod, Prim, Lbl]
@@ -164,44 +216,54 @@ def labels_in(t: TypeExpr) -> set[str]:
 # ---------------------------------------------------------------------------
 # Values and element identifiers (mutually recursive)
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(Record):
     """The sole value of the unit type."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Inl:
-    inner: Value
+class Inl(Record):
+    __slots__ = {"inner": "Value"}
+
+    def __init__(self, inner: Value):
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class Inr:
-    inner: Value
+class Inr(Record):
+    __slots__ = {"inner": "Value"}
+
+    def __init__(self, inner: Value):
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class Pair:
-    first: Value
-    second: Value
+class Pair(Record):
+    __slots__ = {"first": "Value", "second": "Value"}
+
+    def __init__(self, first: Value, second: Value):
+        _set(self, "first", first)
+        _set(self, "second", second)
 
 
-@dataclass(frozen=True)
-class PrimVal:
+class PrimVal(Record):
     """A primitive literal tagged with its primitive type name.
 
     Two primitive values are equal exactly when both the name and the
     literal agree, so Nat 0 and Integer 0 stay distinct.
     """
 
-    prim: str
-    literal: Union[str, int, float, bool]
+    __slots__ = {"prim": "str", "literal": "Union[str, int, float, bool]"}
+
+    def __init__(self, prim: str, literal: Union[str, int, float, bool]):
+        _set(self, "prim", prim)
+        _set(self, "literal", literal)
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(Record):
     """A reference to an element, the value form of a label type."""
 
-    element: ElementId
+    __slots__ = {"element": "ElementId"}
+
+    def __init__(self, element: ElementId):
+        _set(self, "element", element)
 
 
 Value: TypeAlias = Union[Unit, Inl, Inr, Pair, PrimVal, Ref]
@@ -210,54 +272,73 @@ Value: TypeAlias = Union[Unit, Inl, Inr, Pair, PrimVal, Ref]
 _ATOM_RE = re.compile(r"[A-Za-z0-9_.\-⊤]+")
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A plain element id such as "p1"."""
+class Atom(Record):
+    """A plain element id such as "p1"; it hashes as its text does."""
 
-    text: str
+    __slots__ = {"text": "str"}
 
-    def __post_init__(self):
-        if not _ATOM_RE.fullmatch(self.text):
-            raise ParseError(f"bad element id {self.text!r}")
+    def __init__(self, text: str):
+        if not _ATOM_RE.fullmatch(text):
+            raise ParseError(f"bad element id {text!r}")
+        _set(self, "text", text)
+
+    def __hash__(self):
+        return hash(self.text)
 
 
-@dataclass(frozen=True)
-class PairId:
+class _Composite(Record):
+    """An id made of parts and hashed once, when made; ids of one part share this __init__."""
+
+    __slots__ = {"_hash": "int"}
+
+    def __init__(self, part):
+        _set(self, self._fields[0], part)
+        _set(self, "_hash", hash((type(self), part)))
+
+    def __hash__(self):
+        return self._hash
+
+
+class PairId(_Composite):
     """The id of a paired element, rendered "(a,b)"."""
 
-    first: ElementId
-    second: ElementId
+    __slots__ = {"first": "ElementId", "second": "ElementId"}
+
+    def __init__(self, first: ElementId, second: ElementId):
+        _set(self, "first", first)
+        _set(self, "second", second)
+        _set(self, "_hash", hash((first, second)))
 
 
-@dataclass(frozen=True)
-class Left:
+class Left(_Composite):
     """A left-tagged id from a disjoint union, rendered "L:a"."""
 
-    inner: ElementId
+    __slots__ = {"inner": "ElementId"}
 
 
-@dataclass(frozen=True)
-class Right:
-    inner: ElementId
+class Right(_Composite):
+    __slots__ = {"inner": "ElementId"}
 
 
-@dataclass(frozen=True)
-class Class:
+class Class(_Composite):
     """The id of an equivalence class, named by its least member."""
 
-    rep: ElementId
+    __slots__ = {"rep": "ElementId"}
 
 
-@dataclass(frozen=True)
-class Enc:
+class Enc(_Composite):
     """An id minted from a label and a witness value, rendered "E:l:v".
 
     Migration creates one output element per (label, witness) pair; keeping
     the label in the id keeps ids unique when two labels share a witness.
     """
 
-    label: str
-    witness: Value
+    __slots__ = {"label": "str", "witness": "Value"}
+
+    def __init__(self, label: str, witness: Value):
+        _set(self, "label", label)
+        _set(self, "witness", witness)
+        _set(self, "_hash", hash((label, witness)))
 
 
 ElementId: TypeAlias = Union[Atom, PairId, Left, Right, Class, Enc]
@@ -604,12 +685,10 @@ def _transport(v: Value, g: Callable[[ElementId], Value]) -> Value:
 # ---------------------------------------------------------------------------
 # Bidirectional value checking
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Record):
     """A single point of disagreement between a value and a type."""
 
-    path: tuple[str, ...]
-    message: str
+    __slots__ = {"path": "tuple[str, ...]", "message": "str"}
 
     def path_text(self) -> str:
         return "".join("." + step for step in self.path)

@@ -19,9 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import urllib.parse
-from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Optional, get_args
+from typing import get_args
 
 from .adt import (
     ElementId,
@@ -34,6 +33,7 @@ from .adt import (
     Prim,
     PrimVal,
     Prod,
+    Record,
     Ref,
     TypeExpr,
     Unit,
@@ -136,26 +136,22 @@ def export_rdf(graph: Graph) -> str:
 # ---------------------------------------------------------------------------
 # Relational
 
-@dataclass(frozen=True)
-class Column:
+class Column(Record):
     """kind is one of id, prim, fk, disc; target names the primitive type or
     the referenced label where that applies."""
 
-    name: str
-    kind: str
-    target: Optional[str] = None
+    __slots__ = {"name": "str", "kind": "str", "target": "Optional[str]"}
+    _defaults = {"target": lambda: None}
 
 
-@dataclass
-class Table:
-    label: str
-    columns: list[Column]
-    rows: list[tuple[ElementId, dict[str, object]]] = field(default_factory=list)
+class Table(Record, frozen=False):
+    __slots__ = {"label": "str", "columns": "list[Column]",
+                 "rows": "list[tuple[ElementId, dict[str, object]]]"}
+    _defaults = {"rows": list}
 
 
-@dataclass
-class TableSet:
-    tables: dict[str, Table]
+class TableSet(Record, frozen=False):
+    __slots__ = {"tables": "dict[str, Table]"}
 
 
 _ID_TYPES = get_args(ElementId)

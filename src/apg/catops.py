@@ -16,7 +16,6 @@ injections, or the universal map onto the quotient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .adt import (
@@ -31,6 +30,7 @@ from .adt import (
     Pair,
     PairId,
     Prod,
+    Record,
     Ref,
     Right,
     Sum,
@@ -46,10 +46,8 @@ from .morphism import Morphism
 TERMINAL_LABEL = "⊤"
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
-    graph: Graph
-    legs: dict[str, Morphism]
+class ConstructionResult(Record):
+    __slots__ = {"graph": "Graph", "legs": "dict[str, Morphism]"}
 
 
 def _require_same_registry(g1: Graph, g2: Graph):

@@ -2,10 +2,10 @@
 
 One verb per capability: validate, classify, op (the categorical
 constructions), merge, migrate, export, import, fmt.  File arguments accept
-"-" for standard input or output.  Exit status is 0 on success, 1 when data
-fails validation, 2 for usage or parse problems (input nested deeper than the
-interpreter's recursion limit among them); diagnostics go to stderr and data
-to stdout.
+"-" for standard input (in one input at most) or output.  Exit status is 0 on
+success, 1 when data fails validation, 2 for usage or parse problems (input
+nested deeper than the interpreter's recursion limit among them); diagnostics
+go to stderr and data to stdout.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import bridges, catops, files, integrate, migrate, taxonomy
-from .errors import ApgError, ParseError, ValidationFailure
+from .errors import ApgError, InvalidJSON, ParseError, ValidationFailure
 from .graph import Graph, validate_graph
 
 
@@ -38,8 +38,23 @@ def _write_text(path: str, text: str):
             handle.write(text)
 
 
+def _read(path: str, read, *args):
+    """read(text, *args) on the text of path; invalid JSON names the file."""
+    try:
+        return read(_read_text(path), *args)
+    except InvalidJSON as err:
+        raise ParseError(f"{'standard input' if path == '-' else path}: {err}") from None
+
+
 def _read_graph(path: str, validate: bool = True) -> Graph:
-    return files.read_graph(_read_text(path), validate=validate)
+    return _read(path, files.read_graph, validate)
+
+
+def _stdin_inputs(args) -> int:
+    """How many of the command's input files are "-", standard input."""
+    names = ("graph", "left", "right", "mapping", "data", "schema")
+    one = [getattr(args, name, None) for name in names]
+    return (one + getattr(args, "inputs", []) + getattr(args, "graphs", [])).count("-")
 
 
 def _strict_mode() -> bool:
@@ -91,8 +106,8 @@ def _cmd_op(args) -> int:
             raise ParseError(f"op {args.operation} takes SOURCE TARGET H J")
         source = _read_graph(args.inputs[0])
         target = _read_graph(args.inputs[1])
-        h = files.read_morphism(_read_text(args.inputs[2]), source, target)
-        j = files.read_morphism(_read_text(args.inputs[3]), source, target)
+        h = _read(args.inputs[2], files.read_morphism, source, target)
+        j = _read(args.inputs[3], files.read_morphism, source, target)
         run = catops.equalizer if args.operation == "equalizer" else catops.coequalizer
         result = run(h, j)
     else:
@@ -101,8 +116,8 @@ def _cmd_op(args) -> int:
         apex = _read_graph(args.inputs[0])
         left = _read_graph(args.inputs[1])
         right = _read_graph(args.inputs[2])
-        f = files.read_morphism(_read_text(args.inputs[3]), apex, left)
-        g = files.read_morphism(_read_text(args.inputs[4]), apex, right)
+        f = _read(args.inputs[3], files.read_morphism, apex, left)
+        g = _read(args.inputs[4], files.read_morphism, apex, right)
         result = catops.pushout(f, g)
     _emit_graph(result.graph, args.out)
     return 0
@@ -125,7 +140,7 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_migrate(args) -> int:
-    mapping = files.read_mapping(_read_text(args.mapping))
+    mapping = _read(args.mapping, files.read_mapping)
     data = _read_graph(args.data)
     _emit_graph(migrate.delta_migrate(mapping, data), args.out)
     return 0
@@ -157,7 +172,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    schema = files.read_schema(_read_text(args.schema))
+    schema = _read(args.schema, files.read_schema)
     tables = bridges.read_tableset(args.directory)
     _emit_graph(bridges.import_relational(tables, schema), args.out)
     return 0
@@ -237,6 +252,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if _stdin_inputs(args) > 1:
+            raise ParseError("standard input can be read once: give '-' for one input at most")
         return args.run(args)
     except ValidationFailure as err:
         print(err.report, file=sys.stderr)

@@ -25,6 +25,10 @@ class ParseError(ApgError):
         return f"{base} (at {self.position})"
 
 
+class InvalidJSON(ParseError):
+    """A document is not well-formed JSON."""
+
+
 class PreconditionError(ApgError):
     """An operation was called on inputs it is not defined for."""
 

@@ -45,7 +45,7 @@ from .adt import (
     render_id,
     render_type,
 )
-from .errors import ParseError, ValidationFailure
+from .errors import InvalidJSON, ParseError, ValidationFailure
 from .graph import Element, Graph, Schema, validate_graph, validate_schema
 from .migrate import SchemaMapping, parse_term, render_term, typecheck_mapping
 from .morphism import Morphism, check_morphism
@@ -55,7 +55,7 @@ def _load_json(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
-        raise ParseError(
+        raise InvalidJSON(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}",
             err.pos,
         ) from None

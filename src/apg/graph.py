@@ -8,7 +8,6 @@ elements of exactly the referenced label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -19,10 +18,10 @@ from .adt import (
     One,
     Pair,
     Prim,
-    PrimRegistry,
     Prod,
-    TypeExpr,
+    Record,
     Value,
+    _set,
     check_value,
     render_id,
     type_nodes,
@@ -34,10 +33,9 @@ from .errors import PreconditionError
 UNLABELED = ""
 
 
-@dataclass(frozen=True)
-class Schema:
-    labels: dict[str, TypeExpr]
-    registry: PrimRegistry = field(default_factory=lambda: DEFAULT_REGISTRY)
+class Schema(Record):
+    __slots__ = {"labels": "dict[str, TypeExpr]", "registry": "PrimRegistry"}
+    _defaults = {"registry": lambda: DEFAULT_REGISTRY}
 
     def __contains__(self, label: str) -> bool:
         return label in self.labels
@@ -46,16 +44,16 @@ class Schema:
         return sorted(self.labels)
 
 
-@dataclass(frozen=True)
-class Element:
-    label: str
-    value: Value
+class Element(Record):
+    __slots__ = {"label": "str", "value": "Value"}
+
+    def __init__(self, label: str, value: Value):
+        _set(self, "label", label)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Graph:
-    schema: Schema
-    elements: dict[ElementId, Element]
+class Graph(Record):
+    __slots__ = {"schema": "Schema", "elements": "dict[ElementId, Element]"}
 
     def label_of(self, e: ElementId) -> Optional[str]:
         el = self.elements.get(e)
@@ -69,22 +67,19 @@ class Graph:
                       key=render_id)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     """One validation problem, localized to a subject and a path within it."""
 
-    subject: str
-    path: str
-    message: str
+    __slots__ = {"subject": "str", "path": "str", "message": "str"}
 
     def __str__(self) -> str:
         where = self.subject + self.path if self.path else self.subject
         return f"error: {where}: {self.message}"
 
 
-@dataclass
-class ValidationReport:
-    findings: list[Finding] = field(default_factory=list)
+class ValidationReport(Record, frozen=False):
+    __slots__ = {"findings": "list[Finding]"}
+    _defaults = {"findings": list}
 
     @property
     def ok(self) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from typing import Mapping, TypeAlias, Union
 
 from .adt import (
@@ -31,6 +30,7 @@ from .adt import (
     Prim,
     PrimVal,
     Prod,
+    Record,
     Ref,
     Sum,
     TypeExpr,
@@ -51,62 +51,47 @@ from .graph import Element, Graph, Schema, ValidationReport, validate_graph
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = {"name": "str"}
 
 
-@dataclass(frozen=True)
-class UnitT:
-    pass
+class UnitT(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PairT:
-    first: Term
-    second: Term
+class PairT(Record):
+    __slots__ = {"first": "Term", "second": "Term"}
 
 
-@dataclass(frozen=True)
-class InlT:
-    inner: Term
+class InlT(Record):
+    __slots__ = {"inner": "Term"}
 
 
-@dataclass(frozen=True)
-class InrT:
-    inner: Term
+class InrT(Record):
+    __slots__ = {"inner": "Term"}
 
 
-@dataclass(frozen=True)
-class Fst:
-    inner: Term
+class Fst(Record):
+    __slots__ = {"inner": "Term"}
 
 
-@dataclass(frozen=True)
-class Snd:
-    inner: Term
+class Snd(Record):
+    __slots__ = {"inner": "Term"}
 
 
-@dataclass(frozen=True)
-class CaseT:
-    scrutinee: Term
-    left_name: str
-    left_body: Term
-    right_name: str
-    right_body: Term
+class CaseT(Record):
+    __slots__ = {"scrutinee": "Term", "left_name": "str", "left_body": "Term",
+                 "right_name": "str", "right_body": "Term"}
 
 
-@dataclass(frozen=True)
-class Phi:
+class Phi(Record):
     """Dereference: the stored value of the element a term refers to."""
 
-    inner: Term
+    __slots__ = {"inner": "Term"}
 
 
-@dataclass(frozen=True)
-class Lit:
-    prim: str
-    literal: Union[str, int, float, bool]
+class Lit(Record):
+    __slots__ = {"prim": "str", "literal": "Union[str, int, float, bool]"}
 
 
 Term: TypeAlias = Union[Var, UnitT, PairT, InlT, InrT, Fst, Snd, CaseT, Phi, Lit]
@@ -444,18 +429,19 @@ def normalize_term(t: Term, step_limit: int | None = None) -> Term:
 # ---------------------------------------------------------------------------
 # Schema mappings
 
-@dataclass(frozen=True)
-class SchemaMapping:
-    source: Schema
-    target: Schema
-    on_labels: dict[str, TypeExpr]
-    on_terms: dict[str, Term]
+class SchemaMapping(Record):
+    __slots__ = {"source": "Schema", "target": "Schema",
+                 "on_labels": "dict[str, TypeExpr]", "on_terms": "dict[str, Term]"}
 
 
 def typecheck_mapping(m: SchemaMapping) -> ValidationReport:
     """Per-label diagnostics: every source label needs a target type and a
-    term sending a witness of that type to a transported source value."""
+    term sending a witness of that type to a transported source value, and
+    every entry must name a source label."""
     report = ValidationReport()
+    for where, entries in (("onLabels", m.on_labels), ("onTerms", m.on_terms)):
+        for label in sorted(entries.keys() - m.source.labels.keys()):
+            report.add(label, "", f"{where} entry for a label the source schema does not declare")
     for label in m.source.sorted_labels():
         if label not in m.on_labels:
             report.add(label, "", "no target type given")

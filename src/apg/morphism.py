@@ -8,19 +8,14 @@ on top: preservation of declared types, and naturality of stored values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .adt import ElementId, Lbl, Ref, render_id, transport_type, transport_value
+from .adt import ElementId, Lbl, Record, Ref, render_id, transport_type, transport_value
 from .graph import Graph, ValidationReport
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
-class Morphism:
-    source: Graph
-    target: Graph
-    on_labels: dict[str, str]
-    on_elements: dict[ElementId, ElementId]
+class Morphism(Record):
+    __slots__ = {"source": "Graph", "target": "Graph", "on_labels": "dict[str, str]",
+                 "on_elements": "dict[ElementId, ElementId]"}
 
 
 def identity(graph: Graph) -> Morphism:

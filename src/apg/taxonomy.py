@@ -16,57 +16,47 @@ on themselves all the way down come out as hyperelements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TypeAlias, Union
 
-from .adt import Lbl, One, Prim, Prod, TypeExpr, label_free, labels_in, type_nodes
+from .adt import Lbl, One, Prim, Prod, Record, TypeExpr, label_free, labels_in, type_nodes
 from .errors import PreconditionError
 from .graph import Schema
 
 
-@dataclass(frozen=True)
-class Vertex:
-    pass
+class Vertex(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Edge:
-    pass
+class Edge(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HigherOrderEdge:
-    pass
+class HigherOrderEdge(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VertexProperty:
-    pass
+class VertexProperty(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EdgeProperty:
-    pass
+class EdgeProperty(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MetaProperty:
-    pass
+class MetaProperty(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DataTypeAlias:
-    pass
+class DataTypeAlias(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Tag:
-    of: Classification
+class Tag(Record):
+    __slots__ = {"of": "Classification"}
 
 
-@dataclass(frozen=True)
-class Hyperelement:
-    pass
+class Hyperelement(Record):
+    __slots__ = ()
 
 
 Classification: TypeAlias = Union[

@@ -14,15 +14,21 @@ import string
 
 from apg.adt import (
     Atom,
+    Class,
+    ElementId,
+    Enc,
     Inl,
     Inr,
     Lbl,
+    Left,
     One,
     Pair,
+    PairId,
     Prim,
     PrimVal,
     Prod,
     Ref,
+    Right,
     Sum,
     TypeExpr,
     Unit,
@@ -135,6 +141,22 @@ def random_value(rng: random.Random, t: TypeExpr, graph: Graph) -> Value:
         return rng.choice(sides)()
 
     return go(t)
+
+
+def random_id(rng: random.Random, depth: int) -> ElementId:
+    """An id of every shape, nested up to depth."""
+    pick = rng.randrange(0, 6 if depth else 1)
+    if pick == 0:
+        return Atom("".join(rng.choices("abc123_.-", k=rng.randrange(1, 5))))
+    if pick == 1:
+        return PairId(random_id(rng, depth - 1), random_id(rng, depth - 1))
+    if pick == 2:
+        return Left(random_id(rng, depth - 1))
+    if pick == 3:
+        return Right(random_id(rng, depth - 1))
+    if pick == 4:
+        return Class(random_id(rng, depth - 1))
+    return Enc("lbl", Pair(PrimVal("Nat", rng.randrange(9)), Ref(random_id(rng, depth - 1))))
 
 
 def random_graph(rng: random.Random, max_labels: int = 4, max_elements: int = 8) -> Graph:

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +10,7 @@ from apg.adt import (
     Atom,
     Class,
     DEFAULT_REGISTRY,
+    ElementId,
     Enc,
     Inl,
     Inr,
@@ -36,9 +40,10 @@ from apg.adt import (
     transport_value,
 )
 from apg.errors import ParseError, PreconditionError
-from apg.graph import Schema
+from apg.bridges import Column, Table, TableSet
+from apg.graph import Schema, ValidationReport
 
-from .generators import random_graph, random_type
+from .generators import random_graph, random_id, random_type
 
 LABELS = {"Person", "User", "Trip", "PlaceEvent", "Org"}
 
@@ -171,23 +176,7 @@ def test_id_rendering_shapes():
 
 @given(st.integers(0, 2 ** 32))
 def test_id_render_parse_round_trip(seed):
-    rng = random.Random(seed)
-
-    def gen(depth):
-        pick = rng.randrange(0, 6 if depth else 1)
-        if pick == 0:
-            return Atom("".join(rng.choices("abc123_.-", k=rng.randrange(1, 5))))
-        if pick == 1:
-            return PairId(gen(depth - 1), gen(depth - 1))
-        if pick == 2:
-            return Left(gen(depth - 1))
-        if pick == 3:
-            return Right(gen(depth - 1))
-        if pick == 4:
-            return Class(gen(depth - 1))
-        return Enc("lbl", Pair(PrimVal("Nat", rng.randrange(9)), Ref(gen(depth - 1))))
-
-    i = gen(3)
+    i = random_id(random.Random(seed), 3)
     assert parse_id(render_id(i)) == i
 
 
@@ -349,3 +338,61 @@ def test_render_value_forms():
     v = Pair(PrimVal("String", "US"), Ref(Atom("e1")))
     assert render_value(v) == '(String="US",@e1)'
     assert render_value(Inl(Unit())) == "inl(())"
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+FIELD_NAMES = ("text", "first", "second", "inner", "rep", "label", "witness",
+               "prim", "literal", "element", "extra")
+
+
+@given(st.integers(0, 2 ** 32))
+def test_ids_and_values_are_immutable_values(seed):
+    # Each id and value is built twice, from the same seed.
+    ids = [random_id(random.Random(seed), 3) for _ in range(2)]
+    graphs = [random_graph(random.Random(seed)) for _ in range(2)]
+    values = list(zip(*([el.value for el in g.elements.values()] for g in graphs)))
+    for a, b in [tuple(ids)] + values:
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+        for name in FIELD_NAMES:
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+        assert a == b
+    assert parse_id(render_id(ids[0])) == ids[0]
+    for a, _ in [tuple(ids)] + values:
+        assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    for v, _ in values:
+        assert Inl(v) != Inr(v) and Inl(v) == Inl(v)
+    assert PrimVal("Nat", 0) != PrimVal("Integer", 0)
+
+
+def test_records_print_like_dataclasses():
+    assert repr(PairId(Atom("a"), Left(Atom("b")))) == (
+        "PairId(first=Atom(text='a'), second=Left(inner=Atom(text='b')))")
+    assert repr(Enc("l", PrimVal("Nat", 1))) == (
+        "Enc(label='l', witness=PrimVal(prim='Nat', literal=1))")
+    assert repr(Unit()) == "Unit()"
+
+
+def test_other_records_keep_their_defaults_and_mutability():
+    assert typing.get_args(ElementId) == (Atom, PairId, Left, Right, Class, Enc)
+    assert Schema({}).registry is DEFAULT_REGISTRY
+    reports, tables = [ValidationReport() for _ in "ab"], [Table("L", []) for _ in "ab"]
+    assert reports[0].findings == [] and reports[0].findings is not reports[1].findings
+    assert tables[0].rows == [] and tables[0].rows is not tables[1].rows
+    assert Column("id", "id") == Column(name="id", kind="id", target=None)
+    for bad in (lambda: Column("id"), lambda: Column("id", "id", None, None),
+                lambda: Column("id", "id", name="x"), lambda: Column("id", "id", width=3)):
+        with pytest.raises(TypeError):
+            bad()
+    table, report = Table("L", [Column("id", "id")]), ValidationReport()
+    table.rows = [(Atom("a"), {})]
+    report.findings = []
+    assert table == Table("L", [Column("id", "id")], [(Atom("a"), {})])
+    for mutable in (table, report, TableSet({})):
+        with pytest.raises(TypeError):
+            hash(mutable)
+    with pytest.raises(AttributeError):
+        Schema({}).labels = {}

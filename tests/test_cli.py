@@ -213,6 +213,50 @@ def test_migrate_rejects_a_bad_term_literal_with_one_line(tmp_path, capsys, lite
     assert (code, out, err) == (2, "", f"error: onTerms.record: {message}\n")
 
 
+def test_migrate_rejects_entries_for_undeclared_source_labels(tmp_path, capsys):
+    doc = json.loads(load("mapping.apgm"))
+    doc["onLabels"]["ghost"] = "summary"
+    doc["onTerms"]["ghost"] = "x"
+    mapping = tmp_path / "ghost.apgm"
+    mapping.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "migrate", str(mapping), fixture_path("mapping_input.apg"))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: ghost: onLabels entry for a label the source schema does not declare\n"
+        "error: ghost: onTerms entry for a label the source schema does not declare\n")
+
+
+# ---------------------------------------------------------------------------
+# standard input and files that are not JSON
+
+@pytest.mark.parametrize("argv", [
+    ["op", "product", "-", "-"],
+    ["merge", "-", "-"],
+    ["merge", "--left", "-", "--right", "-"],
+    ["migrate", "-"],
+], ids=["op", "merge", "merge flags", "migrate data defaults to stdin"])
+def test_standard_input_is_read_by_one_input_at_most(capsys, monkeypatch, argv):
+    stdin = io.StringIO(load("vertices.apg"))
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(capsys, *argv) == (
+        2, "", "error: standard input can be read once: give '-' for one input at most\n")
+    assert stdin.tell() == 0
+
+
+def test_invalid_json_names_its_file(tmp_path, capsys, monkeypatch):
+    broken = tmp_path / "broken.apg"
+    broken.write_text('{"elements":\n')
+    message = "invalid JSON at line 2 column 1: Expecting value (at 13)"
+    plates = fixture_path("plates1.apg")
+    code, out, err = run(capsys, "merge", plates, str(broken))
+    assert (code, out, err) == (2, "", f"error: {broken}: {message}\n")
+    code, out, err = run(capsys, "migrate", str(broken), fixture_path("mapping_input.apg"))
+    assert (code, out, err) == (2, "", f"error: {broken}: {message}\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(broken.read_text()))
+    code, out, err = run(capsys, "op", "product", plates, "-")
+    assert (code, out, err) == (2, "", f"error: standard input: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # export and import
 

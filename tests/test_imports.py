@@ -1,6 +1,9 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the command line starts without loading dataclasses or inspect."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,11 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Both cost start-up time on every command; records need neither.
+    probe = ("import sys; before = set(sys.modules); import apg.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
