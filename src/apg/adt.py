@@ -167,12 +167,27 @@ class One(Record):
     __slots__ = ()
 
 
+def _shape(t) -> tuple:
+    """The (kind, name) of each node in walk order; node arities are fixed,
+    so equal shapes mean equal types, and no recursion compares them."""
+    return tuple((type(node), getattr(node, "name", None)) for node in type_nodes(t))
+
+
 class Sum(Record):
     __slots__ = {"left": "TypeExpr", "right": "TypeExpr"}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or _shape(self) == _shape(other)
+
+    def __hash__(self):
+        return hash(_shape(self))
 
 
 class Prod(Record):
     __slots__ = {"left": "TypeExpr", "right": "TypeExpr"}
+    __eq__, __hash__ = Sum.__eq__, Sum.__hash__
 
 
 class Prim(Record):

@@ -7,8 +7,8 @@ the setting data merging needs: the quotient then happens on elements alone
 and the schema survives untouched.  The pushout starts from the disjoint
 union on that shared schema, which tags elements exactly as the coproduct
 does but leaves labels as they are.  The quotient runs its union-find over
-element positions, not ids, and every tagged id or class is built once and
-shared by its element key, its leg images and the references to it.
+element positions, not ids.  Every pair id, tagged id or class is built once
+and shared by its element key, its leg images and the references to it.
 
 Each construction returns the graph together with its legs (projections,
 injections, or the universal map onto the quotient).
@@ -90,39 +90,47 @@ def _pair_label(l1: str, l2: str) -> str:
 
 def product(g1: Graph, g2: Graph) -> ConstructionResult:
     """Labels and elements are pairs; declared types and stored values are
-    transported so that each reference pairs up with the fixed other half."""
+    transported so that each reference pairs up with the fixed other half.
+    Each pair id and its one Ref, shared by every value pointing to it, are
+    made once, in a grid over the sorted ids; a reference outside its graph
+    (unvalidated input only) gets a fresh pair id."""
     _require_same_registry(g1, g2)
     # The label maps depend on one label of the other side only.
-    left_f = {l2: {m: Lbl(_pair_label(m, l2)) for m in g1.schema.labels}
-              for l2 in g2.schema.labels}
-    right_f = {l1: {m: Lbl(_pair_label(l1, m)) for m in g2.schema.labels}
-               for l1 in g1.schema.labels}
+    used1, used2 = ({*g.schema.labels, *(el.label for el in g.elements.values())} for g in (g1, g2))
+    names = {(l1, l2): _pair_label(l1, l2) for l1 in used1 for l2 in used2}
+    left_f = {l2: {m: Lbl(names[m, l2]) for m in g1.schema.labels} for l2 in g2.schema.labels}
+    right_f = {l1: {m: Lbl(names[l1, m]) for m in g2.schema.labels} for l1 in g1.schema.labels}
     labels: dict[str, object] = {}
     proj1_labels: dict[str, str] = {}
     proj2_labels: dict[str, str] = {}
     for l1 in g1.schema.sorted_labels():
         for l2 in g2.schema.sorted_labels():
-            name = _pair_label(l1, l2)
+            name = names[l1, l2]
             labels[name] = Prod(
                 transport_type(left_f[l2], g1.schema.labels[l1]),
                 transport_type(right_f[l1], g2.schema.labels[l2]),
             )
             proj1_labels[name] = l1
             proj2_labels[name] = l2
+    ids1, ids2 = g1.sorted_ids(), g2.sorted_ids()
+    at1 = {e: i for i, e in enumerate(ids1)}
+    at2 = {e: j for j, e in enumerate(ids2)}
+    grid = [[Ref(PairId(e1, e2)) for e2 in ids2] for e1 in ids1]
     elements: dict[ElementId, Element] = {}
     proj1_elements: dict[ElementId, ElementId] = {}
     proj2_elements: dict[ElementId, ElementId] = {}
-    ids2 = g2.sorted_ids()
-    for e1 in g1.sorted_ids():
-        el1 = g1.elements[e1]
-        for e2 in ids2:
+    for i, e1 in enumerate(ids1):
+        el1, row = g1.elements[e1], grid[i]
+        for j, e2 in enumerate(ids2):
             el2 = g2.elements[e2]
-            eid = PairId(e1, e2)
             value = Pair(
-                transport_value(lambda e: Ref(PairId(e, e2)), el1.value),
-                transport_value(lambda e: Ref(PairId(e1, e)), el2.value),
+                transport_value(lambda e: grid[at1[e]][j] if e in at1 else Ref(PairId(e, e2)),
+                                el1.value),
+                transport_value(lambda e: row[at2[e]] if e in at2 else Ref(PairId(e1, e)),
+                                el2.value),
             )
-            elements[eid] = Element(_pair_label(el1.label, el2.label), value)
+            eid = row[j].element
+            elements[eid] = Element(names[el1.label, el2.label], value)
             proj1_elements[eid] = e1
             proj2_elements[eid] = e2
     graph = Graph(Schema(labels, g1.schema.registry), elements)

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import bridges, catops, files, integrate, migrate, taxonomy
 from .errors import ApgError, InvalidJSON, ParseError, ValidationFailure
@@ -30,12 +31,15 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {err.strerror}") from None
 
 
+_SLICE = 1 << 16  # characters encoded per write, so no second full copy of the text exists
+
+
 def _write_text(path: str, text: str):
-    if path == "-" or path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    """Write text whole; a file is opened only now, once its text exists."""
+    with (nullcontext(sys.stdout) if path == "-" or path is None
+          else open(path, "w", encoding="utf-8")) as handle:
+        for start in range(0, len(text), _SLICE):
+            handle.write(text[start:start + _SLICE])
 
 
 def _read(path: str, read, *args):

@@ -334,20 +334,23 @@ def _emit_value(v: Value, nl: str, out: list):
 
 
 def write_graph(graph: Graph) -> str:
+    """The canonical text, built in one chunk per element: an element's
+    fragments are joined as soon as it is emitted, before the next one."""
     entries = {render_id(e): el for e, el in graph.elements.items()}
-    out = ['{\n  "elements": {']
+    chunks = ['{\n  "elements": {']
     sep = "\n    "
     for id_text, el in sorted(entries.items()):
-        out.append(f'{sep}{_escape(id_text)}: {{\n      "label": {_escape(el.label)},'
-                   f'\n      "value": ')
+        out = [f'{sep}{_escape(id_text)}: {{\n      "label": {_escape(el.label)},'
+               f'\n      "value": ']
         _emit_value(el.value, "\n      ", out)
         out.append("\n    }")
+        chunks.append("".join(out))
         sep = ",\n    "
-    out.append("\n  }," if entries else "},")
+    chunks.append("\n  }," if entries else "},")
     head = schema_to_json(graph.schema)
-    out.append('\n  "primitives": ' + _encode(head["primitives"], "\n  ")
-               + ',\n  "schema": ' + _encode(head["schema"], "\n  ") + "\n}\n")
-    return "".join(out)
+    chunks.append('\n  "primitives": ' + _encode(head["primitives"], "\n  ")
+                  + ',\n  "schema": ' + _encode(head["schema"], "\n  ") + "\n}\n")
+    return "".join(chunks)
 
 
 def read_schema(text: str) -> Schema:

@@ -476,6 +476,19 @@ def enumerate_values(t: TypeExpr, graph: Graph) -> list[Value]:
     products pair left-major.  Primitive types are refused: their domains are
     not finite.
     """
+    return _enumerate(t, _refs_by_label(graph, labels_in(t)))
+
+
+def _refs_by_label(graph: Graph, labels) -> dict[str, list[Ref]]:
+    """A Ref to each element of the labels, by label in id order: one sorted pass."""
+    groups: dict[str, list[Ref]] = {label: [] for label in labels}
+    for e in sorted((e for e, el in graph.elements.items() if el.label in groups), key=render_id):
+        groups[graph.elements[e].label].append(Ref(e))
+    return groups
+
+
+def _enumerate(t: TypeExpr, refs: dict[str, list[Ref]]) -> list[Value]:
+    """enumerate_values over grouped refs; each factor is enumerated once."""
     if isinstance(t, Prim):
         raise PreconditionError(f"cannot enumerate the primitive type {t.name}")
     if isinstance(t, Zero):
@@ -483,16 +496,14 @@ def enumerate_values(t: TypeExpr, graph: Graph) -> list[Value]:
     if isinstance(t, One):
         return [Unit()]
     if isinstance(t, Lbl):
-        return [Ref(e) for e in graph.ids_of(t.name)]
+        return refs[t.name]
     if isinstance(t, Sum):
-        return [Inl(v) for v in enumerate_values(t.left, graph)] + [
-            Inr(v) for v in enumerate_values(t.right, graph)
+        return [Inl(v) for v in _enumerate(t.left, refs)] + [
+            Inr(v) for v in _enumerate(t.right, refs)
         ]
-    return [
-        Pair(a, b)
-        for a in enumerate_values(t.left, graph)
-        for b in enumerate_values(t.right, graph)
-    ]
+    left = _enumerate(t.left, refs)
+    right = _enumerate(t.right, refs) if left else []  # 0 * String has no values
+    return [Pair(a, b) for a in left for b in right]
 
 
 def eval_term(t: Term, binding: Value, graph: Graph) -> Value:
@@ -553,7 +564,8 @@ def delta_migrate(m: SchemaMapping, graph: Graph) -> Graph:
     For each source label l and each witness w of its mapped type, the term
     for l runs with x bound to w; positions that the source type declares as
     label references are then reindexed onto the elements minted for those
-    witnesses.
+    witnesses.  Each witness's Enc id and Ref are made once: the Enc keys the
+    element and every reference to it is that Ref.
     """
     report = typecheck_mapping(m)
     if not report.ok:
@@ -570,20 +582,19 @@ def delta_migrate(m: SchemaMapping, graph: Graph) -> Graph:
                 + render_type(m.on_labels[label])
             )
 
-    witnesses = {
-        label: enumerate_values(m.on_labels[label], graph)
-        for label in m.source.sorted_labels()
-    }
-    minted = {label: set(values) for label, values in witnesses.items()}
+    refs = _refs_by_label(graph, set().union(*map(labels_in, m.on_labels.values())))
+    minted = {label: {w: Ref(Enc(label, w)) for w in _enumerate(m.on_labels[label], refs)}
+              for label in m.source.sorted_labels()}
 
     def reindex(v: Value, t: TypeExpr, path: tuple[str, ...]) -> Value:
         if isinstance(t, Lbl):
-            if v not in minted.get(t.name, ()):
+            ref = minted[t.name].get(v)
+            if ref is None:
                 where = "".join("." + step for step in path) or "root"
                 raise PreconditionError(
                     f"no migrated element of {t.name!r} for witness {render_value(v)} (at {where})"
                 )
-            return Ref(Enc(t.name, v))
+            return ref
         if isinstance(t, Prod):
             return Pair(
                 reindex(v.first, t.left, path + ("fst",)),
@@ -598,9 +609,7 @@ def delta_migrate(m: SchemaMapping, graph: Graph) -> Graph:
     elements = {}
     for label in m.source.sorted_labels():
         term = m.on_terms[label]
-        for w in witnesses[label]:
+        for w, ref in minted[label].items():
             raw = eval_term(term, w, graph)
-            elements[Enc(label, w)] = Element(
-                label, reindex(raw, m.source.labels[label], ())
-            )
+            elements[ref.element] = Element(label, reindex(raw, m.source.labels[label], ()))
     return Graph(m.source, elements)

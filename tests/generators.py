@@ -35,6 +35,7 @@ from apg.adt import (
     Value,
     Zero,
     render_id,
+    transport_type,
     transport_value,
 )
 from apg.graph import Element, Graph, Schema, validate_graph
@@ -46,10 +47,12 @@ from apg.migrate import (
     Lit,
     PairT,
     Phi,
+    SchemaMapping,
     Snd,
     Term,
     UnitT,
     Var,
+    typecheck_mapping,
 )
 from apg.morphism import Morphism, compose
 
@@ -436,3 +439,48 @@ def reachable_term_type(rng: random.Random, x_type: TypeExpr, schema: Schema,
         return Prod(gen(depth - 1), gen(depth - 1))
 
     return gen(depth)
+
+
+# ---------------------------------------------------------------------------
+# Schema mappings
+
+def _witness_type(rng: random.Random, labels: list[str], depth: int) -> TypeExpr:
+    """An enumerable type: 0, 1, label references, sums and products."""
+    pick = rng.choice(["one", "zero"] + ["lbl"] * 3 * bool(labels) + ["sum", "prod", "prod"] * depth)
+    if pick == "one":
+        return One()
+    if pick == "zero":
+        return Zero()
+    if pick == "lbl":
+        return Lbl(rng.choice(labels))
+    ctor = Sum if pick == "sum" else Prod
+    return ctor(_witness_type(rng, labels, depth - 1), _witness_type(rng, labels, depth - 1))
+
+
+def random_mapping(rng: random.Random, target: Graph, max_labels: int = 3) -> SchemaMapping:
+    """A typechecking mapping onto the target's schema that delta_migrate can run.
+
+    Source labels reference earlier source labels only; witness types are
+    enumerable.  A source type no generated term reaches is drawn again, and
+    after a few misses the label falls back to type 1 with the term ().
+    """
+    names = [f"s{i}" for i in range(rng.randrange(1, max_labels + 1))]
+    target_labels = sorted(target.schema.labels)
+    labels: dict[str, TypeExpr] = {}
+    on_labels: dict[str, TypeExpr] = {}
+    on_terms: dict[str, Term] = {}
+    for i, name in enumerate(names):
+        on_labels[name] = witness = _witness_type(rng, target_labels, rng.randrange(3))
+        labels[name], on_terms[name] = One(), UnitT()
+        for _ in range(5):
+            t = random_type(rng, names[:i], depth=rng.randrange(3))
+            expected = transport_type(on_labels, t)
+            try:
+                on_terms[name] = random_term(rng, expected, witness, target.schema, rng.randrange(3))
+            except ValueError:
+                continue
+            labels[name] = t
+            break
+    m = SchemaMapping(Schema(labels), target.schema, on_labels, on_terms)
+    assert typecheck_mapping(m).ok
+    return m

@@ -124,6 +124,27 @@ def test_render_parse_round_trip_random(seed):
     assert parse_type(render_type(ty), LABELS, DEFAULT_REGISTRY) == ty
 
 
+def test_types_compare_and_hash_by_structure_at_any_depth():
+    def right_nested(ctor, n):
+        ty = One()
+        for _ in range(n):
+            ty = ctor(One(), ty)
+        return ty
+
+    deep = right_nested(Sum, 5000)
+    assert deep == right_nested(Sum, 5000) and hash(deep) == hash(right_nested(Sum, 5000))
+    assert deep != right_nested(Sum, 4999)
+    assert deep != right_nested(Prod, 5000)
+    assert Sum(Prim("A"), One()) != Sum(Lbl("A"), One())
+    assert Prod(Sum(One(), One()), One()) != Prod(One(), Sum(One(), One()))
+    rng = random.Random(7)
+    types = [random_type(rng, sorted(LABELS), depth=3) for _ in range(300)]
+    for a, b in zip(types, types[1:]):
+        assert (a == b) == (render_type(a) == render_type(b))
+        assert a == parse_type(render_type(a), LABELS, DEFAULT_REGISTRY)
+        assert hash(a) == hash(parse_type(render_type(a), LABELS, DEFAULT_REGISTRY))
+
+
 def test_structured_label_names_parse_as_single_tokens():
     labels = {"(a,b)", "L:a", "R:b", "C:x", "⊤"}
     for name in labels:

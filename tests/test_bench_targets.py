@@ -11,6 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from apg import files
+from apg.cli import main
+from apg.fixtures import path
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # Spans that are not function wrappers: the adt probe opens these itself.
@@ -39,3 +43,26 @@ def test_every_timed_span_is_traced(bench_modules):
     traced = {tracing.span_name(fn) for fn, _ in tracing.TARGETS}
     for name in set(run.FUNCTION_TIMES.values()) | REPORT_SPANS:
         assert name in traced | PROBE_SPANS, name
+
+
+def test_each_graph_writing_verb_calls_write_graph_once(tmp_path, monkeypatch, capsys):
+    """The traced run reads files.write_s, bytes_out and elements_out from
+    one files.write_graph call per output graph."""
+    calls = []
+    write_graph = files.write_graph
+    monkeypatch.setattr(files, "write_graph", lambda g: calls.append(g) or write_graph(g))
+    trips, vertices, edges = (str(path(name)) for name in ("trips.apg", "vertices.apg", "edges.apg"))
+    tables = str(tmp_path / "tables")
+    assert main(["export", "relational", trips, "-o", tables]) == 0
+    assert calls == []
+    for argv in (["fmt", trips],
+                 ["op", "product", vertices, edges],
+                 ["op", "coproduct", vertices, edges],
+                 ["merge", str(path("plates1.apg")), str(path("plates2.apg"))],
+                 ["migrate", str(path("mapping.apgm")), str(path("mapping_input.apg"))],
+                 ["import", "relational", tables, "--schema", trips,
+                  "-o", str(tmp_path / "imported.apg")]):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert len(calls) == 1, argv
+    capsys.readouterr()

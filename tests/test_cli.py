@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from apg.bridges import (
     write_tableset,
 )
 from apg.catops import coproduct, product
-from apg.cli import main
+from apg.cli import _SLICE, main
 from apg.files import read_graph, write_graph, write_morphism
 from apg.fixtures import load, path
 from apg.morphism import identity, Morphism
@@ -464,6 +465,62 @@ def test_deep_input_ends_with_a_message(tmp_path, capsys, doc):
     assert (code, out) == (2, "")
     assert err == "error: input is nested too deeply to process\n"
     assert "Traceback" not in err
+
+
+def test_merge_of_a_deep_sum_type_succeeds(tmp_path, capsys):
+    """Types compare without recursion, so merge reaches as deep as validate."""
+    value = {"unit": {}}
+    for _ in range(400):
+        value = {"inr": value}
+    doc = {"schema": {"D": " + ".join(["1"] * 401)},
+           "elements": {"d1": {"label": "D", "value": value}}}
+    deep = tmp_path / "deep.apg"
+    deep.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(deep)) == (0, "ok\n", "")
+    merged = str(tmp_path / "merged.apg")
+    assert run(capsys, "merge", str(deep), str(deep), "-o", merged) == (0, "", "")
+    assert run(capsys, "validate", merged) == (0, "ok\n", "")
+
+
+# ---------------------------------------------------------------------------
+# writing outputs
+
+def test_long_output_is_written_in_slices_with_the_same_bytes(tmp_path, capsys):
+    schema = {"S": "String"}
+    text_value = "é⊤a" * (_SLICE + 7)  # multi-byte characters on every slice boundary
+    doc = {"schema": schema, "elements": {"s": {"label": "S", "value": {
+        "prim": {"type": "String", "value": text_value}}}}}
+    source = tmp_path / "long.apg"
+    source.write_text(json.dumps(doc), encoding="utf-8")
+    text = write_graph(read_graph(source.read_text(encoding="utf-8")))
+    assert len(text) > 3 * _SLICE
+    assert all({"é", "⊤"} & set(text[i - 1:i + 1]) for i in (_SLICE, 2 * _SLICE, 3 * _SLICE))
+    out = tmp_path / "out.apg"
+    assert run(capsys, "fmt", str(source), "-o", str(out)) == (0, "", "")
+    assert out.read_bytes() == text.encode()
+    proc = subprocess.run([sys.executable, "-m", "apg", "fmt", str(source)],
+                          capture_output=True, env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+    assert (proc.returncode, proc.stdout) == (0, text.encode())
+
+
+def test_a_failing_command_leaves_its_output_file_untouched(tmp_path, capsys):
+    out = tmp_path / "out.apg"
+    out.write_text("kept\n")
+    bad = tmp_path / "bad.apg"
+    bad.write_text(json.dumps({"schema": {"V": "1"},
+                               "elements": {"v": {"label": "V", "value": {"ref": "w"}}}}))
+    for argv in (["fmt", str(bad)], ["op", "product", fixture_path("vertices.apg"), str(bad)],
+                 ["merge", fixture_path("plates1.apg"), fixture_path("vertices.apg")]):
+        code, _, _ = run(capsys, *argv, "-o", str(out))
+        assert code == 1, argv
+        assert out.read_text() == "kept\n"
+
+
+def test_fmt_rewrites_its_own_input_in_place(tmp_path, capsys):
+    graph = tmp_path / "g.apg"
+    graph.write_text(json.dumps(json.loads(load("edges.apg"))), encoding="utf-8")  # one line
+    assert run(capsys, "fmt", str(graph), "-o", str(graph)) == (0, "", "")
+    assert graph.read_text(encoding="utf-8") == load("edges.apg")
 
 
 # ---------------------------------------------------------------------------

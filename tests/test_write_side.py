@@ -1,0 +1,267 @@
+"""The write side's constructions, checked against references: product and
+delta_migrate as they were before each id and Ref was made once, with
+enumerate_values re-enumerating the right factor of a product per left value.
+Also pins the sharing itself: one Ref per referenced element, the very id
+object that keys it."""
+
+import random
+
+from apg.adt import (
+    Atom,
+    Enc,
+    Inl,
+    Inr,
+    Lbl,
+    One,
+    Pair,
+    PairId,
+    Prim,
+    Prod,
+    Ref,
+    Sum,
+    Unit,
+    Zero,
+    render_type,
+    render_value,
+    transport_type,
+    transport_value,
+    type_nodes,
+)
+from apg.catops import ConstructionResult, _pair_label, _require_same_registry, product
+from apg.errors import PreconditionError
+from apg.files import write_graph
+from apg.graph import Element, Graph, Schema, validate_graph
+from apg.migrate import delta_migrate, enumerate_values, eval_term, typecheck_mapping
+from apg.morphism import Morphism
+
+from .generators import random_graph, random_mapping
+
+
+def reference_product(g1, g2):
+    _require_same_registry(g1, g2)
+    left_f = {l2: {m: Lbl(_pair_label(m, l2)) for m in g1.schema.labels}
+              for l2 in g2.schema.labels}
+    right_f = {l1: {m: Lbl(_pair_label(l1, m)) for m in g2.schema.labels}
+               for l1 in g1.schema.labels}
+    labels, proj1_labels, proj2_labels = {}, {}, {}
+    for l1 in g1.schema.sorted_labels():
+        for l2 in g2.schema.sorted_labels():
+            name = _pair_label(l1, l2)
+            labels[name] = Prod(transport_type(left_f[l2], g1.schema.labels[l1]),
+                                transport_type(right_f[l1], g2.schema.labels[l2]))
+            proj1_labels[name] = l1
+            proj2_labels[name] = l2
+    elements, proj1_elements, proj2_elements = {}, {}, {}
+    ids2 = g2.sorted_ids()
+    for e1 in g1.sorted_ids():
+        el1 = g1.elements[e1]
+        for e2 in ids2:
+            el2 = g2.elements[e2]
+            eid = PairId(e1, e2)
+            value = Pair(transport_value(lambda e: Ref(PairId(e, e2)), el1.value),
+                         transport_value(lambda e: Ref(PairId(e1, e)), el2.value))
+            elements[eid] = Element(_pair_label(el1.label, el2.label), value)
+            proj1_elements[eid] = e1
+            proj2_elements[eid] = e2
+    graph = Graph(Schema(labels, g1.schema.registry), elements)
+    return ConstructionResult(graph, {
+        "proj1": Morphism(graph, g1, proj1_labels, proj1_elements),
+        "proj2": Morphism(graph, g2, proj2_labels, proj2_elements),
+    })
+
+
+def reference_enumerate(t, graph):
+    if isinstance(t, Prim):
+        raise PreconditionError(f"cannot enumerate the primitive type {t.name}")
+    if isinstance(t, Zero):
+        return []
+    if isinstance(t, One):
+        return [Unit()]
+    if isinstance(t, Lbl):
+        return [Ref(e) for e in graph.ids_of(t.name)]
+    if isinstance(t, Sum):
+        return ([Inl(v) for v in reference_enumerate(t.left, graph)]
+                + [Inr(v) for v in reference_enumerate(t.right, graph)])
+    return [Pair(a, b) for a in reference_enumerate(t.left, graph)
+            for b in reference_enumerate(t.right, graph)]
+
+
+def reference_delta_migrate(m, graph):
+    report = typecheck_mapping(m)
+    if not report.ok:
+        raise PreconditionError(f"mapping does not typecheck:\n{report}")
+    if graph.schema != m.target:
+        raise PreconditionError("graph is not on the mapping's target schema")
+    data_report = validate_graph(graph)
+    if not data_report.ok:
+        raise PreconditionError(f"input graph is not valid:\n{data_report}")
+    for label in m.source.sorted_labels():
+        if any(isinstance(node, Prim) for node in type_nodes(m.on_labels[label])):
+            raise PreconditionError(
+                f"mapped type of {label!r} is outside the enumerable fragment: "
+                + render_type(m.on_labels[label]))
+    witnesses = {label: reference_enumerate(m.on_labels[label], graph)
+                 for label in m.source.sorted_labels()}
+    minted = {label: set(values) for label, values in witnesses.items()}
+
+    def reindex(v, t, path):
+        if isinstance(t, Lbl):
+            if v not in minted.get(t.name, ()):
+                where = "".join("." + step for step in path) or "root"
+                raise PreconditionError(f"no migrated element of {t.name!r} for witness "
+                                        f"{render_value(v)} (at {where})")
+            return Ref(Enc(t.name, v))
+        if isinstance(t, Prod):
+            return Pair(reindex(v.first, t.left, path + ("fst",)),
+                        reindex(v.second, t.right, path + ("snd",)))
+        if isinstance(t, Sum):
+            if isinstance(v, Inl):
+                return Inl(reindex(v.inner, t.left, path + ("inl",)))
+            return Inr(reindex(v.inner, t.right, path + ("inr",)))
+        return v
+
+    elements = {}
+    for label in m.source.sorted_labels():
+        for w in witnesses[label]:
+            raw = eval_term(m.on_terms[label], w, graph)
+            elements[Enc(label, w)] = Element(label, reindex(raw, m.source.labels[label], ()))
+    return Graph(m.source, elements)
+
+
+def outcome(graph_or_result):
+    """write_graph bytes, element order, schema and leg maps in order."""
+    if isinstance(graph_or_result, Graph):
+        graph, legs = graph_or_result, {}
+    else:
+        graph, legs = graph_or_result.graph, graph_or_result.legs
+    return (write_graph(graph), list(graph.elements), graph.schema,
+            {name: (leg.on_labels, list(leg.on_elements.items())) for name, leg in legs.items()})
+
+
+def attempt(construct, *args):
+    try:
+        return outcome(construct(*args))
+    except PreconditionError as err:
+        return str(err)
+
+
+def refs_in(v):
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, Ref):
+            yield v
+        elif isinstance(v, Pair):
+            stack += (v.first, v.second)
+        elif isinstance(v, (Inl, Inr)):
+            stack.append(v.inner)
+
+
+def assert_shared(graph):
+    """Every Ref's id is the object keying its element, and each id has one Ref."""
+    keys = {e: e for e in graph.elements}
+    ref_of = {}
+    for el in graph.elements.values():
+        for ref in refs_in(el.value):
+            assert keys[ref.element] is ref.element
+            assert ref_of.setdefault(ref.element, ref) is ref
+
+
+# ---------------------------------------------------------------------------
+# references
+
+def test_product_matches_the_reference():
+    rng = random.Random("product")
+    for _ in range(300):
+        g1, g2 = random_graph(rng), random_graph(rng)
+        assert outcome(product(g1, g2)) == outcome(reference_product(g1, g2))
+
+
+def test_delta_migrate_matches_the_reference():
+    rng = random.Random("migrate")
+    produced = 0
+    for _ in range(300):
+        g = random_graph(rng)
+        m = random_mapping(rng, g)
+        expected = attempt(reference_delta_migrate, m, g)
+        assert attempt(delta_migrate, m, g) == expected
+        produced += not isinstance(expected, str)
+    assert produced == 300
+
+
+def test_enumerate_values_matches_the_reference():
+    rng = random.Random("enumerate")
+    for _ in range(300):
+        g = random_graph(rng)
+        for t in random_mapping(rng, g).on_labels.values():
+            assert enumerate_values(t, g) == reference_enumerate(t, g)
+    g = random_graph(random.Random(0))
+    for t in (Prod(Zero(), Prim("String")), Sum(Zero(), Prod(Zero(), Prim("Nat")))):
+        assert enumerate_values(t, g) == reference_enumerate(t, g) == []
+
+
+def test_a_product_of_unvalidated_graphs_matches_the_reference():
+    schema = Schema({"V": One(), "E": Prod(Lbl("V"), Lbl("V"))})
+    g1 = Graph(schema, {Atom("v"): Element("V", Unit()),
+                        Atom("e"): Element("E", Pair(Ref(Atom("v")), Ref(Atom("ghost")))),
+                        Atom("s"): Element("Stray", Ref(Atom("v")))})
+    g2 = Graph(schema, {Atom("w"): Element("V", Unit()),
+                        Atom("f"): Element("E", Pair(Ref(Atom("nowhere")), Ref(Atom("w"))))})
+    result = product(g1, g2)
+    assert outcome(result) == outcome(reference_product(g1, g2))
+    dangling = result.graph.elements[PairId(Atom("e"), Atom("w"))].value.first.second
+    assert dangling == Ref(PairId(Atom("ghost"), Atom("w")))
+    assert result.graph.elements[PairId(Atom("s"), Atom("f"))].label == "(Stray,E)"
+
+
+# ---------------------------------------------------------------------------
+# one object per id
+
+def test_every_product_ref_is_the_key_of_its_element():
+    rng = random.Random("product sharing")
+    for _ in range(100):
+        graph = product(random_graph(rng), random_graph(rng)).graph
+        assert_shared(graph)
+        assert_shared(product(graph, random_graph(rng)).graph)  # ids nested in ids
+
+
+def test_every_migrated_ref_is_the_key_of_its_element():
+    rng = random.Random("migrate sharing")
+    checked = 0
+    for _ in range(200):
+        g = random_graph(rng)
+        graph = delta_migrate(random_mapping(rng, g), g)
+        assert_shared(graph)
+        checked += any(True for el in graph.elements.values() for _ in refs_in(el.value))
+    assert checked >= 20  # migrations whose source types hold reference positions
+
+
+class ScanCounter(dict):
+    """A dict that counts the passes made over it."""
+
+    scans = 0
+
+    def _counted(name):
+        def scan(self):
+            type(self).scans += 1
+            return getattr(dict, name)(self)
+        return scan
+
+    __iter__, keys, values, items = map(_counted, ("__iter__", "keys", "values", "items"))
+    del _counted
+
+
+def test_enumerating_a_product_scans_the_graph_once_per_label():
+    schema = Schema({"V": One(), "W": One()})
+    elements = ScanCounter({Atom(f"v{i:03}"): Element("V", Unit()) for i in range(200)})
+    elements[Atom("w")] = Element("W", Unit())
+    graph = Graph(schema, elements)
+    ScanCounter.scans = 0
+    values = enumerate_values(Prod(Lbl("V"), Lbl("V")), graph)
+    assert ScanCounter.scans <= 1
+    assert len(values) == 200 * 200
+    assert values[:2] == [Pair(Ref(Atom("v000")), Ref(Atom("v000"))),
+                          Pair(Ref(Atom("v000")), Ref(Atom("v001")))]
+    ScanCounter.scans = 0
+    enumerate_values(Sum(Prod(Lbl("V"), Lbl("W")), Lbl("W")), graph)
+    assert ScanCounter.scans <= 2
