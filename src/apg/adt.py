@@ -301,6 +301,13 @@ class Atom(Record):
         return hash(self.text)
 
 
+def _atom(text: str) -> Atom:
+    """The Atom of a text already matched against _ATOM_RE, not matched again."""
+    atom = object.__new__(Atom)
+    _set(atom, "text", text)
+    return atom
+
+
 class _Composite(Record):
     """An id made of parts and hashed once, when made; ids of one part share this __init__."""
 
@@ -466,7 +473,7 @@ class _Scanner:
             label = self.name()
             self.take(":")
             return Enc(label, self.value())
-        return Atom(self.atom_run())
+        return _atom(self.atom_run())
 
     def name(self) -> str:
         """A label name: an atom run, a prefixed name, or a comma pair."""
@@ -516,7 +523,7 @@ class _Scanner:
 
 def parse_id(text: str) -> ElementId:
     if _ATOM_RE.fullmatch(text):  # no structured id is a single atom run
-        return Atom(text)
+        return _atom(text)
     s = _Scanner(text)
     result = s.id_()
     if s.pos != len(text):

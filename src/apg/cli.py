@@ -18,7 +18,7 @@ from contextlib import nullcontext
 
 from . import bridges, catops, files, integrate, migrate, taxonomy
 from .errors import ApgError, InvalidJSON, ParseError, ValidationFailure
-from .graph import Graph, validate_graph
+from .graph import Graph
 
 
 def _read_text(path: str) -> str:
@@ -73,11 +73,7 @@ def _emit_graph(graph: Graph, out: str):
 # Subcommand bodies
 
 def _cmd_validate(args) -> int:
-    graph = _read_graph(args.graph, validate=False)
-    report = validate_graph(graph)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return 1
+    _read_graph(args.graph)  # a failing report reaches main as ValidationFailure
     print("ok")
     return 0
 

@@ -12,11 +12,14 @@ Missing top-level keys mean empty (and the default primitive registry), so
 "{}" is the empty graph.  Writing is canonical: sorted keys, two-space
 indent, UTF-8 without escapes, trailing newline.
 
-Reading a graph parses each distinct id text once: element keys and ref
-bodies share one table per document, so every reference to an element is
-the very object that keys it, and dict lookups succeed on identity.  Error
-locations ("elements.e1.value.snd.inl") are assembled only when a value is
-malformed, as the error unwinds.
+Reading a graph decodes each value with a reader built once from its
+label's type, which checks the value as it decodes it; the labels that
+references land on are checked once every element is in.  A value its
+reader does not fit is decoded again form by form and validate_graph writes
+the report, so bad input fails as it always did.  Each distinct id text is
+parsed once and gets one Ref per document, whose element is the very object
+that keys the element.  Error locations ("elements.e1.value.snd.inl") are
+assembled only when a value is malformed, as the error unwinds.
 
 Morphism documents carry {"onLabels", "onElements"} and are interpreted
 against explicitly supplied source and target graphs.  Mapping documents
@@ -26,6 +29,7 @@ terms as text.
 
 from __future__ import annotations
 
+import gc
 import json
 
 from .adt import (
@@ -34,10 +38,15 @@ from .adt import (
     IdTable,
     Inl,
     Inr,
+    Lbl,
+    One,
     Pair,
+    Prim,
     PrimRegistry,
     PrimVal,
+    Prod,
     Ref,
+    Sum,
     Unit,
     Value,
     parse_id,
@@ -249,7 +258,10 @@ def graph_to_json(graph: Graph) -> dict:
     return doc
 
 
-def graph_from_json(doc: dict) -> Graph:
+def graph_from_json(doc: dict, validate: bool = False) -> Graph:
+    """The graph of a decoded document.  With validate, a graph that is not
+    valid raises ValidationFailure with the report of validate_graph, which
+    runs only when the typed pass has a doubt."""
     _expect_object(doc, "graph document")
     schema = schema_from_json(doc)
     raw = doc.get("elements", {})
@@ -257,24 +269,111 @@ def graph_from_json(doc: dict) -> Graph:
         raise ParseError("elements must be an object")
     registry = schema.registry
     ids = IdTable()
+    refs: dict[str, Ref] = {}
+    wanted: dict[str, set] = {}  # label -> the id texts its references name
+    readers = {label: _reader(t, registry, ids, refs, wanted)
+               for label, t in schema.labels.items()}
     elements = {}
-    for id_text in sorted(raw):
-        try:
-            e = ids[id_text]
-        except ParseError as err:
-            raise ParseError(f"elements.{id_text}: {err}") from None
-        entry = raw[id_text]
-        if not (isinstance(entry, dict) and len(entry) == 2 and "label" in entry
-                and "value" in entry and isinstance(entry["label"], str)):
-            _reject_entry(entry, f"elements.{id_text}")
-        try:
-            value = _value(entry["value"], registry, ids)
-        except _Malformed as bad:
-            raise bad.at(f"elements.{id_text}.value") from None
-        elements[e] = Element(entry["label"], value)
+    doubt = False
+    collecting = gc.isenabled()
+    gc.disable()  # decoding makes no reference cycles
+    try:
+        for id_text in sorted(raw):
+            try:
+                e = ids[id_text]
+            except ParseError as err:
+                raise ParseError(f"elements.{id_text}: {err}") from None
+            entry = raw[id_text]
+            if not (isinstance(entry, dict) and len(entry) == 2 and "label" in entry
+                    and "value" in entry and isinstance(entry["label"], str)):
+                _reject_entry(entry, f"elements.{id_text}")
+            try:
+                value = readers[entry["label"]](entry["value"])
+            except (_Misfit, KeyError, TypeError, ParseError):
+                try:
+                    value = _value(entry["value"], registry, ids)
+                except _Malformed as bad:
+                    raise bad.at(f"elements.{id_text}.value") from None
+                doubt = True
+            elements[e] = Element(entry["label"], value)
+    finally:
+        if collecting:
+            gc.enable()
     if len(elements) != len(raw):
         _reject_equal_ids(raw, "elements")
-    return Graph(schema, elements)
+    graph = Graph(schema, elements)
+    if validate and (doubt or not validate_schema(schema).ok or any(
+            text not in raw or raw[text]["label"] != label
+            for label, texts in wanted.items() for text in texts)):
+        report = validate_graph(graph)
+        if not report.ok:
+            raise ValidationFailure(report)
+    return graph
+
+
+class _Misfit(Exception):
+    """A value its label's reader does not accept; _value decodes it again."""
+
+
+# kind -> the type json.loads gives the literals of that domain
+_JSON_TYPE = {"string": str, "boolean": bool, "nat": int, "integer": int, "double": float}
+
+
+def _reader(t, registry: PrimRegistry, ids: IdTable, refs: dict, wanted: dict):
+    """The reader of values of type t.  It returns what _value decodes from a
+    raw value that _check accepts, and raises _Misfit, KeyError, TypeError or
+    ParseError on any other.  A reference is read as the one Ref of its id
+    text, and the text is noted under its label, to be checked at the end."""
+    if isinstance(t, (Sum, Prod)):
+        left = _reader(t.left, registry, ids, refs, wanted)  # one frame per level, as parse_type
+        right = _reader(t.right, registry, ids, refs, wanted)
+    if isinstance(t, Prod):
+        def read(raw):
+            body = raw["pair"]
+            if len(raw) != 1 or type(body) is not list or len(body) != 2:
+                raise _Misfit
+            return Pair(left(body[0]), right(body[1]))
+    elif isinstance(t, Sum):
+        def read(raw):
+            if len(raw) != 1:
+                raise _Misfit
+            return Inl(left(raw["inl"])) if "inl" in raw else Inr(right(raw["inr"]))
+    elif isinstance(t, Lbl):
+        texts = wanted.setdefault(t.name, set())
+
+        def read(raw):
+            text = raw["ref"]
+            if len(raw) != 1 or type(text) is not str:
+                raise _Misfit
+            ref = refs.get(text)
+            if ref is None:
+                ref = refs[text] = Ref(ids[text])
+            texts.add(text)
+            return ref
+    elif isinstance(t, Prim):
+        name, kind = t.name, registry.kind(t.name)
+        want = _JSON_TYPE[kind]
+        recheck = kind in ("nat", "double")  # domains narrower than their JSON type
+
+        def read(raw):
+            body = raw["prim"]
+            if len(raw) != 1 or type(body) is not dict or len(body) != 2 or body["type"] != name:
+                raise _Misfit
+            literal = body["value"]
+            if type(literal) is int and want is float:
+                literal = float(literal)  # as registry.coerce does
+            elif type(literal) is not want or recheck and not registry.check_literal(name, literal):
+                raise _Misfit
+            return PrimVal(name, literal)
+    elif isinstance(t, One):
+        def read(raw):
+            if raw["unit"] != {} or len(raw) != 1:
+                raise _Misfit
+            return Unit()
+    else:
+        def read(raw):
+            raise _Misfit
+    return read
 
 
 def _reject_equal_ids(texts, where: str):
@@ -363,12 +462,7 @@ def read_schema(text: str) -> Schema:
 
 
 def read_graph(text: str, validate: bool = True) -> Graph:
-    graph = graph_from_json(_load_json(text))
-    if validate:
-        report = validate_graph(graph)
-        if not report.ok:
-            raise ValidationFailure(report)
-    return graph
+    return graph_from_json(_load_json(text), validate)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,25 @@ def test_atom_validates_its_text():
         Atom("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "expected a name (at 0)"),
+    ("é", "expected a name (at 0)"),
+    ("a b", "trailing characters in element id (at 1)"),
+    ("(a", "expected ',' (at 2)"),
+    ("L:", "expected a name (at 2)"),
+    ("E:l", "expected ':' (at 3)"),
+])
+def test_bad_ids_keep_their_messages(text, message):
+    """parse_id matches a plain id once; what it rejects it names as before."""
+    with pytest.raises(ParseError) as err:
+        parse_id(text)
+    assert str(err.value) == message
+    if text:
+        with pytest.raises(ParseError) as err:
+            Atom(text)
+        assert str(err.value) == f"bad element id {text!r}"
+
+
 # ---------------------------------------------------------------------------
 # Transports
 

@@ -66,3 +66,35 @@ def test_each_graph_writing_verb_calls_write_graph_once(tmp_path, monkeypatch, c
         assert main(argv) == 0, argv
         assert len(calls) == 1, argv
     capsys.readouterr()
+
+
+def test_each_graph_reading_verb_calls_graph_from_json_once_per_graph(tmp_path, monkeypatch,
+                                                                       capsys):
+    """The traced run reads files.from_json_s from one files.graph_from_json
+    call per graph document a verb reads; a schema-only read makes none."""
+    calls = []
+    graph_from_json = files.graph_from_json
+    monkeypatch.setattr(files, "graph_from_json",
+                        lambda *args: calls.append(args) or graph_from_json(*args))
+    trips, vertices, edges = (str(path(name)) for name in ("trips.apg", "vertices.apg", "edges.apg"))
+    tables = str(tmp_path / "tables")
+    out = str(tmp_path / "out")
+    for argv, graphs in ((["validate", trips], 1),
+                         (["fmt", trips, "-o", out], 1),
+                         (["fmt", "--no-validate", trips, "-o", out], 1),
+                         (["classify", trips, "-o", out], 1),
+                         (["export", "rdf", trips, "-o", out], 1),
+                         (["export", "relational", trips, "-o", tables], 1),
+                         (["export", "kv", str(path("plates1.apg")), "--label", "PlateNumber",
+                           "-o", out], 1),
+                         (["import", "relational", tables, "--schema", trips, "-o", out], 0),
+                         (["op", "product", vertices, edges, "-o", out], 2),
+                         (["op", "coproduct", vertices, edges, "-o", out], 2),
+                         (["merge", str(path("plates1.apg")), str(path("plates2.apg")),
+                           "-o", out], 2),
+                         (["migrate", str(path("mapping.apgm")), str(path("mapping_input.apg")),
+                           "-o", out], 1)):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert len(calls) == graphs, argv
+    capsys.readouterr()

@@ -482,6 +482,21 @@ def test_merge_of_a_deep_sum_type_succeeds(tmp_path, capsys):
     assert run(capsys, "validate", merged) == (0, "ok\n", "")
 
 
+def test_validate_and_fmt_read_a_900_deep_sum_value(tmp_path):
+    """The typed reader recurses once per level, as the type parser does; in a
+    fresh process both verbs reach 900 levels."""
+    depth = 900
+    value = '{"inr": ' * depth + '{"unit": {}}' + "}" * depth
+    deep = tmp_path / "deep.apg"
+    deep.write_text('{"schema": {"D": "%s"}, "elements": {"d1": {"label": "D", "value": %s}}}'
+                    % (" + ".join(["1"] * (depth + 1)), value))
+    for verb in ("validate", "fmt"):
+        proc = subprocess.run([sys.executable, "-m", "apg", verb, str(deep)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), verb
+    assert proc.stdout.count('"inr"') == depth
+
+
 # ---------------------------------------------------------------------------
 # writing outputs
 

@@ -1,0 +1,227 @@
+"""The typed read, checked against a reference: graph_from_json as it was
+before values were decoded against their label's type, with validate_graph
+run on every graph read.  Also pins the sharing the typed read adds: one
+Ref per referenced id, whose element is the id object keying the element."""
+
+import gc
+import json
+import random
+
+from apg.adt import Enc, IdTable, Inl, Inr, Left, Pair, PairId, Ref, render_id, transport_value
+from apg.errors import ParseError, ValidationFailure
+from apg.files import (
+    _Malformed,
+    _expect_object,
+    _load_json,
+    _reject_entry,
+    _reject_equal_ids,
+    _value,
+    read_graph,
+    schema_from_json,
+    write_graph,
+)
+from apg.graph import Element, Graph, validate_graph
+
+from .generators import PRIM_NAMES, breaking_mutations, random_graph
+
+
+def reference_graph_from_json(doc):
+    _expect_object(doc, "graph document")
+    schema = schema_from_json(doc)
+    raw = doc.get("elements", {})
+    if not isinstance(raw, dict):
+        raise ParseError("elements must be an object")
+    ids = IdTable()
+    elements = {}
+    for id_text in sorted(raw):
+        try:
+            e = ids[id_text]
+        except ParseError as err:
+            raise ParseError(f"elements.{id_text}: {err}") from None
+        entry = raw[id_text]
+        if not (isinstance(entry, dict) and len(entry) == 2 and "label" in entry
+                and "value" in entry and isinstance(entry["label"], str)):
+            _reject_entry(entry, f"elements.{id_text}")
+        try:
+            value = _value(entry["value"], schema.registry, ids)
+        except _Malformed as bad:
+            raise bad.at(f"elements.{id_text}.value") from None
+        elements[e] = Element(entry["label"], value)
+    if len(elements) != len(raw):
+        _reject_equal_ids(raw, "elements")
+    return Graph(schema, elements)
+
+
+def reference_read(text, validate=True):
+    graph = reference_graph_from_json(_load_json(text))
+    if validate:
+        report = validate_graph(graph)
+        if not report.ok:
+            raise ValidationFailure(report)
+    return graph
+
+
+def outcome(read, text, validate=True):
+    """The graph, its element order and write_graph bytes; or the report or
+    ParseError text."""
+    try:
+        graph = read(text, validate)
+    except ValidationFailure as err:
+        return "invalid", str(err.report)
+    except ParseError as err:
+        return "malformed", str(err)
+    return graph, list(graph.elements), write_graph(graph)
+
+
+def rewrap(rng, graph):
+    """The graph under structured ids: each id e becomes one of L:e, (e,e),
+    E:k:@e, consistently in keys and references."""
+    wrap = rng.choice([Left, lambda e: PairId(e, e), lambda e: Enc("k", Ref(e))])
+    move = lambda e: Ref(wrap(e))  # noqa: E731
+    return Graph(graph.schema, {wrap(e): Element(el.label, transport_value(move, el.value))
+                                for e, el in graph.elements.items()})
+
+
+def value_nodes(raw):
+    """(parent, key, node) of each value node of an element; the root's
+    parent and key are None."""
+    stack = [(None, None, raw)]
+    while stack:
+        parent, key, node = stack.pop()
+        yield parent, key, node
+        (form, body), = node.items()
+        if form == "pair":
+            stack.extend((body, i, body[i]) for i in (0, 1))
+        elif form in ("inl", "inr"):
+            stack.append((node, form, body))
+
+
+OUT_OF_DOMAIN = {
+    "String": [5, None, ["a"]],
+    "Nat": [-1, 1.5, 1.0, True, "3"],
+    "Integer": [1.5, False, "x"],
+    "Double": ["x", True, float("inf"), None, 3],  # 3 is coerced to 3.0 and fits
+    "Boolean": [1, "true", 0.0],
+}
+
+
+def raw_edits(rng, doc):
+    """(what, edited document) for one edit of each kind, on copies of doc."""
+    entries = doc["elements"]
+    for what in ("unknown form", "extra key", "bad ref id", "ref to a missing element",
+                 "wrong primitive name", "literal outside its domain", "undeclared label",
+                 "wrong shape", "equal id spelled differently", "schema problem"):
+        edited = json.loads(json.dumps(doc))
+        key = rng.choice(sorted(entries))
+        entry = edited["elements"][key]
+        nodes = list(value_nodes(entry["value"]))
+        refs = [n for n in nodes if "ref" in n[2]]
+        prims = [n for n in nodes if "prim" in n[2]]
+        parent, slot, node = rng.choice(nodes)
+        if what in ("undeclared label", "schema problem"):
+            if what == "undeclared label":
+                entry["label"] = rng.choice(["Ghost", "", "l9"])
+            else:  # a label shadowing a primitive, or an unlabeled vertex type other than 1
+                edited["schema"].update(rng.choice([{"Boolean": "1"}, {"": "1 + 1"}]))
+            yield what, edited
+            continue
+        if what == "unknown form":
+            new = rng.choice([{"bogus": {}}, [], "unit", None, 7, {}])
+        elif what == "extra key":
+            if prims and rng.random() < 0.5:
+                parent, slot, node = rng.choice(prims)
+                new = {"prim": dict(node["prim"], extra=1)}
+            else:
+                new = dict(node, extra={})
+        elif what == "bad ref id":
+            new = {"ref": rng.choice(["a b", "(a", "", "L:", "E:l", 5, None])}
+        elif what == "ref to a missing element":
+            if refs:
+                parent, slot, node = rng.choice(refs)
+            new = {"ref": "nowhere"}
+        elif what == "wrong primitive name":
+            if prims:
+                parent, slot, node = rng.choice(prims)
+            new = {"prim": {"type": rng.choice(list(PRIM_NAMES) + ["Widget", 3]),
+                            "value": node.get("prim", {}).get("value", 0)}}
+        elif what == "literal outside its domain":
+            if prims:
+                parent, slot, node = rng.choice(prims)
+            name = node["prim"]["type"] if "prim" in node else rng.choice(PRIM_NAMES)
+            new = {"prim": {"type": name, "value": rng.choice(OUT_OF_DOMAIN[name])}}
+        elif what == "wrong shape":
+            new = rng.choice([{"unit": {}}, {"unit": {"a": 1}}, {"pair": [{"unit": {}}]},
+                              {"pair": [node, node, node]}, {"inl": {"unit": {}}},
+                              {"inr": node}, {"prim": {"type": "Nat"}}, {"ref": "x", "unit": {}}])
+        else:
+            # an Enc key spelled as Nat=1, referenced as Nat=1.0: one id
+            edited["elements"]["E:k:Nat=1"] = {"label": entry["label"], "value": entry["value"]}
+            new = {"ref": "E:k:Nat=1.0"}
+        if parent is None:
+            entry["value"] = new
+        else:
+            parent[slot] = new
+        yield what, edited
+
+
+def test_typed_read_matches_the_reference():
+    rng = random.Random("read side")
+    seen = {"graph": 0, "invalid": 0, "malformed": 0}
+    cases = 0
+    for i in range(300):
+        graph = random_graph(rng)
+        if i % 3 == 0:
+            graph = rewrap(rng, graph)
+        texts = [write_graph(graph)]
+        if i % 4 == 0:
+            texts += [write_graph(broken) for _, _, broken in breaking_mutations(rng, graph, 3)]
+        doc = json.loads(texts[0])
+        texts += [json.dumps(edited) for _, edited in raw_edits(rng, doc)]
+        for text in texts:
+            for validate in (True, False) if i % 3 == 0 else (True,):
+                want = outcome(reference_read, text, validate)
+                assert outcome(read_graph, text, validate) == want, text
+                seen["graph" if isinstance(want[0], Graph) else want[0]] += 1
+                cases += 1
+    assert cases > 4000
+    assert min(seen.values()) > 500, seen
+
+
+def refs_in(value):
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, Ref):
+            yield v
+        elif isinstance(v, Pair):
+            stack += [v.first, v.second]
+        elif isinstance(v, (Inl, Inr)):
+            stack.append(v.inner)
+
+
+def test_each_referenced_id_has_one_ref_which_holds_the_key():
+    rng = random.Random("sharing")
+    repeats = 0
+    for i in range(200):
+        graph = random_graph(rng, max_elements=16)
+        read = read_graph(write_graph(rewrap(rng, graph) if i % 2 else graph))
+        key_of = {e: e for e in read.elements}
+        ref_of = {}
+        for el in read.elements.values():
+            for ref in refs_in(el.value):
+                assert ref_of.setdefault(ref.element, ref) is ref, render_id(ref.element)
+                assert ref.element is key_of[ref.element]
+                repeats += 1
+        repeats -= len(ref_of)
+    assert repeats > 100  # references to an id already referenced
+
+
+def test_the_read_restores_the_collector_setting():
+    text = write_graph(random_graph(random.Random("collector")))
+    for enabled in (True, False):
+        gc.enable() if enabled else gc.disable()
+        try:
+            read_graph(text)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
