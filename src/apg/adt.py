@@ -26,7 +26,14 @@ from .errors import ParseError, PreconditionError
 # ---------------------------------------------------------------------------
 # Primitive type registry
 
-_KINDS = ("string", "nat", "integer", "double", "boolean")
+# kind -> the test that a literal lies in the domain of that kind
+_IN_DOMAIN = {
+    "string": lambda x: isinstance(x, str),
+    "nat": lambda x: isinstance(x, int) and not isinstance(x, bool) and x >= 0,
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "double": lambda x: isinstance(x, float) and math.isfinite(x),
+    "boolean": lambda x: isinstance(x, bool),
+}
 
 
 class PrimRegistry:
@@ -41,7 +48,7 @@ class PrimRegistry:
         for name, kind in kinds.items():
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
                 raise ParseError(f"bad primitive type name {name!r}")
-            if kind not in _KINDS:
+            if kind not in _IN_DOMAIN:
                 raise ParseError(f"unknown primitive kind {kind!r} for {name}")
         self._kinds = dict(kinds)
 
@@ -56,24 +63,20 @@ class PrimRegistry:
 
     def check_literal(self, name: str, literal: object) -> bool:
         """True when the literal lies in the domain registered under name."""
-        if name not in self._kinds:
-            return False
-        kind = self._kinds[name]
-        if kind == "string":
-            return isinstance(literal, str)
-        if kind == "boolean":
-            return isinstance(literal, bool)
-        if kind == "nat":
-            return isinstance(literal, int) and not isinstance(literal, bool) and literal >= 0
-        if kind == "integer":
-            return isinstance(literal, int) and not isinstance(literal, bool)
-        return isinstance(literal, float) and math.isfinite(literal)
+        return name in self._kinds and _IN_DOMAIN[self._kinds[name]](literal)
+
+    def domain(self, name: str) -> Callable[[object], bool]:
+        """check_literal for the registered name, looked up once."""
+        return _IN_DOMAIN[self._kinds[name]]
 
     def coerce(self, name: str, raw: object) -> object:
-        """Normalize a literal fresh from JSON (ints are legal double text)."""
-        if name in self._kinds and self._kinds[name] == "double":
-            if isinstance(raw, int) and not isinstance(raw, bool):
+        """Normalize a literal fresh from JSON: ints are legal double text, but
+        one too large for a float stays an int, which check_literal rejects."""
+        if self._kinds.get(name) == "double" and _IN_DOMAIN["integer"](raw):
+            try:
                 return float(raw)
+            except OverflowError:
+                pass
         return raw
 
     def items(self):

@@ -7,11 +7,14 @@ Three one-way or round-trip bridges:
   the predicate.
 * Relational shredding: one table per label, one column per leaf position of
   the declared type, discriminator columns for sums.  Importing the tables
-  against the same schema reproduces the graph exactly, ids included.  Each
-  label's layout (its columns, and how a row is shredded and read back) is
-  built once from the declared type, so no row re-walks the type for names.
+  against the same schema reproduces the graph exactly, ids included.
 * Key-value view: (first, second) pairs of a product-typed label, once the
   first components are known to be unique.
+
+A label's type fixes the leaf positions of its values, so both of the first
+two bridges read one layout per label, built once from the declared type by
+_layout: column names and RDF predicates are both spelled from the access
+path it fixes, and no row or element re-walks the type for names.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from .adt import (
     parse_id,
     render_id,
 )
-from .errors import ParseError, PreconditionError, ValidationFailure
+from .errors import InvalidJSON, ParseError, PreconditionError, ValidationFailure
+from .files import load_json
 from .graph import Element, Graph, Schema, check_primary_key, validate_graph
 
 # ---------------------------------------------------------------------------
@@ -51,13 +55,6 @@ from .graph import Element, Graph, Schema, check_primary_key, validate_graph
 _RDF_TYPE = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 _UNIT_IRI = "<apg:unit>"
-
-_KIND_DATATYPE = {
-    "nat": _XSD + "nonNegativeInteger",
-    "integer": _XSD + "integer",
-    "double": _XSD + "double",
-    "boolean": _XSD + "boolean",
-}
 
 
 def _quote(text: str) -> str:
@@ -68,68 +65,40 @@ def _element_iri(e: ElementId) -> str:
     return f"<apg:e/{_quote(render_id(e))}>"
 
 
-def _label_iri(label: str) -> str:
-    return f"<apg:l/{_quote(label)}>"
-
-
-def _predicate_iri(label: str, path: tuple[str, ...]) -> str:
-    tail = "/" + "/".join(path) if path else ""
-    return f"<apg:p/{_quote(label)}{tail}>"
-
-
 def _escape_literal(text: str) -> str:
     out = text.replace("\\", "\\\\").replace('"', '\\"')
     out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
     return out
 
 
-def _literal_node(v: PrimVal, registry) -> str:
-    kind = registry.kind(v.prim) if v.prim in registry else None
-    if kind == "string":
-        return f'"{_escape_literal(v.literal)}"'
-    if kind == "boolean":
-        lexical = "true" if v.literal else "false"
-    else:
-        lexical = repr(v.literal) if isinstance(v.literal, float) else str(v.literal)
-    datatype = _KIND_DATATYPE.get(kind, f"apg:prim/{_quote(v.prim)}")
-    return f'"{lexical}"^^<{datatype}>'
+# kind -> the N-Triples object of a literal of that domain
+_LITERAL_NODE = {
+    "string": lambda literal: f'"{_escape_literal(literal)}"',
+    "boolean": lambda literal: f'"{"true" if literal else "false"}"^^<{_XSD}boolean>',
+    "nat": lambda literal: f'"{literal}"^^<{_XSD}nonNegativeInteger>',
+    "integer": lambda literal: f'"{literal}"^^<{_XSD}integer>',
+    "double": lambda literal: f'"{literal!r}"^^<{_XSD}double>',
+}
 
 
 def export_rdf(graph: Graph) -> str:
-    """Serialize to sorted N-Triples.
+    """Serialize a valid graph to sorted N-Triples.
 
     Every element contributes 1 + (number of leaves of its value) triples:
     the type triple, then one triple per unit, literal, or reference leaf,
     addressed by access path.  A bare unit value (a vertex) still emits its
     one marker triple, so vertices are visible beyond rdf:type.
     """
-    registry = graph.schema.registry
+    schema = graph.schema
+    plans = {label: (f" {_RDF_TYPE} <apg:l/{_quote(label)}> .",
+                     _layout(t, "", label, schema.registry)[3])
+             for label, t in schema.labels.items()}
     lines = []
-    for e in graph.sorted_ids():
-        el = graph.elements[e]
+    for e, el in graph.elements.items():
         subject = _element_iri(e)
-        lines.append(f"{subject} {_RDF_TYPE} {_label_iri(el.label)} .")
-
-        def emit(v: Value, path: tuple[str, ...]):
-            if isinstance(v, Unit):
-                lines.append(f"{subject} {_predicate_iri(el.label, path)} {_UNIT_IRI} .")
-            elif isinstance(v, PrimVal):
-                lines.append(
-                    f"{subject} {_predicate_iri(el.label, path)} {_literal_node(v, registry)} ."
-                )
-            elif isinstance(v, Ref):
-                lines.append(
-                    f"{subject} {_predicate_iri(el.label, path)} {_element_iri(v.element)} ."
-                )
-            elif isinstance(v, Pair):
-                emit(v.first, path + ("fst",))
-                emit(v.second, path + ("snd",))
-            elif isinstance(v, Inl):
-                emit(v.inner, path + ("inl",))
-            else:
-                emit(v.inner, path + ("inr",))
-
-        emit(el.value, ())
+        typed, triples = plans[el.label]
+        lines.append(subject + typed)
+        triples(el.value, subject, lines)
     return "\n".join(sorted(lines)) + "\n" if lines else ""
 
 
@@ -158,23 +127,32 @@ _ID_TYPES = get_args(ElementId)
 
 
 def _layout(t: TypeExpr, name: str, label: str, registry):
-    """(columns, shred, rebuild) for values of type t whose cells start at name.
+    """(columns, shred, rebuild, triples) for values of type t whose cells
+    start at name.
 
     shred(v, cells) stores the leaves of v; rebuild(cells, used) reads a value
     back, adds each cell it reads to used, and raises ParseError on a row that
-    does not fit.  A column is named by its access path joined with dots, a
-    sum's discriminator by that path plus "#"; names and error locations are
-    fixed here, once per label, not per row.
+    does not fit; triples(v, subject, lines) appends the N-Triples line of
+    each leaf of v.  A column is named by its access path joined with dots, a
+    sum's discriminator by that path plus "#", and a leaf's predicate by the
+    label and that path joined with slashes; names, predicates, literal forms
+    and error locations are fixed here, once per label, not per row.
     """
     spot = name or "root"
+    predicate = f" <apg:p/{_quote(label)}{'/' if name else ''}{name.replace('.', '/')}> "
     if isinstance(t, (One, Zero)):
         def rebuild(cells, used):
             if isinstance(t, Zero):
                 raise ParseError(f"{label!r} declares an uninhabited position at {spot}")
             return Unit()
-        return [], lambda v, cells: None, rebuild
+
+        def triples(v, subject, lines):
+            lines.append(f"{subject}{predicate}{_UNIT_IRI} .")
+        return [], lambda v, cells: None, rebuild, triples
     if isinstance(t, (Prim, Lbl)):
         kind, leaf = ("fk", "element") if isinstance(t, Lbl) else ("prim", "literal")
+        node = _element_iri if isinstance(t, Lbl) else _LITERAL_NODE.get(
+            t.name in registry and registry.kind(t.name))  # None in an invalid schema
 
         def shred(v, cells):
             cells[name] = getattr(v, leaf)
@@ -194,10 +172,14 @@ def _layout(t: TypeExpr, name: str, label: str, registry):
             if not registry.check_literal(t.name, literal):
                 raise ParseError(f"cell {spot} of {label!r} is not a {t.name}")
             return PrimVal(t.name, literal)
-        return [Column(name, kind, t.name)], shred, rebuild
+
+        def triples(v, subject, lines):
+            lines.append(f"{subject}{predicate}{node(getattr(v, leaf))} .")
+        return [Column(name, kind, t.name)], shred, rebuild, triples
 
     steps = ("fst", "snd") if isinstance(t, Prod) else ("inl", "inr")
-    (left_columns, shred_left, rebuild_left), (right_columns, shred_right, rebuild_right) = (
+    ((left_columns, shred_left, rebuild_left, triples_left),
+     (right_columns, shred_right, rebuild_right, triples_right)) = (
         _layout(part, f"{name}.{step}" if name else step, label, registry)
         for part, step in zip((t.left, t.right), steps)
     )
@@ -208,7 +190,11 @@ def _layout(t: TypeExpr, name: str, label: str, registry):
 
         def rebuild(cells, used):
             return Pair(rebuild_left(cells, used), rebuild_right(cells, used))
-        return left_columns + right_columns, shred, rebuild
+
+        def triples(v, subject, lines):
+            triples_left(v.first, subject, lines)
+            triples_right(v.second, subject, lines)
+        return left_columns + right_columns, shred, rebuild, triples
 
     disc = name + "#"
 
@@ -230,7 +216,13 @@ def _layout(t: TypeExpr, name: str, label: str, registry):
         if side == "r":
             return Inr(rebuild_right(cells, used))
         raise ParseError(f"discriminator {disc} of {label!r} must be 'l' or 'r', not {side!r}")
-    return [Column(disc, "disc")] + left_columns + right_columns, shred, rebuild
+
+    def triples(v, subject, lines):
+        if isinstance(v, Inl):
+            triples_left(v.inner, subject, lines)
+        else:
+            triples_right(v.inner, subject, lines)
+    return [Column(disc, "disc")] + left_columns + right_columns, shred, rebuild, triples
 
 
 def export_relational(graph: Graph) -> TableSet:
@@ -243,7 +235,7 @@ def export_relational(graph: Graph) -> TableSet:
     tables = {}
     schema = graph.schema
     for label in schema.sorted_labels():
-        columns, shred, _ = _layout(schema.labels[label], "", label, schema.registry)
+        columns, shred, _, _ = _layout(schema.labels[label], "", label, schema.registry)
         table = Table(label, [Column("id", "id")] + columns)
         for e in graph.ids_of(label):
             cells: dict[str, object] = {}
@@ -271,7 +263,7 @@ def import_relational(tables: TableSet, schema: Schema) -> Graph:
     for label in sorted(tables.tables):
         if label not in schema.labels:
             raise ParseError(f"table {label!r} has no declared label")
-        columns, _, rebuild = _layout(schema.labels[label], "", label, schema.registry)
+        columns, _, rebuild, _ = _layout(schema.labels[label], "", label, schema.registry)
         for have, want in zip_longest(tables.tables[label].columns, [Column("id", "id")] + columns):
             if have != want:
                 raise ParseError(f"table {label!r}: the manifest has column {_spec(have)} "
@@ -303,7 +295,7 @@ _CELLS = {
     "id": (render_id, lambda ids, text: ids[text]),
     "fk": (render_id, lambda ids, text: ids[text]),
     "disc": (str, lambda ids, text: text),
-    "prim": (json.dumps, lambda ids, text: json.loads(text)),
+    "prim": (json.dumps, lambda ids, text: load_json(text)),
 }
 
 
@@ -357,10 +349,10 @@ def read_tableset(directory) -> TableSet:
         raise ParseError(f"no manifest.json in {directory}")
     try:
         with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
+            manifest = load_json(handle.read())
     except OSError as err:
         raise ParseError(f"cannot read {manifest_path}: {err.strerror}") from None
-    except ValueError as err:
+    except (InvalidJSON, UnicodeDecodeError) as err:
         raise ParseError(f"bad manifest: {err}") from None
     if not isinstance(manifest, dict):
         raise ParseError("bad manifest: it must be an object of table entries")
@@ -409,11 +401,11 @@ def _read_rows(reader, filename: str, table: Table, ids: IdTable):
                 continue
             try:
                 cell = _CELLS[column.kind][1](ids, text)
+            except InvalidJSON:  # from a primitive cell
+                raise ParseError(f"bad cell {text!r} in {filename}") from None
             except ParseError as err:  # from the id parser
                 raise ParseError(f"bad id {text!r} in {filename} row {number}, "
                                  f"column {column.name}: {err.args[0]}") from None
-            except ValueError:
-                raise ParseError(f"bad cell {text!r} in {filename}") from None
             if column.kind == "id":
                 eid = cell
             else:

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import gc
 import json
+import re
+import sys
 
 from .adt import (
     DEFAULT_KINDS,
@@ -60,14 +62,31 @@ from .migrate import SchemaMapping, parse_term, render_term, typecheck_mapping
 from .morphism import Morphism, check_morphism
 
 
-def _load_json(text: str):
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def load_json(text: str):
+    """The document of a JSON text.  Its strings must hold Unicode text, as
+    I-JSON (RFC 7493) asks: no UTF-8 output can hold a lone surrogate such as
+    "\\ud800", so one is rejected here, by the line and column of its string.
+    Only a text with a surrogate escape has its strings decoded one by one."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            for string in _STRING.finditer(text):
+                if _SURROGATE.search(json.loads(string.group())):
+                    raise json.JSONDecodeError("lone surrogate in a string", text, string.start())
     except json.JSONDecodeError as err:
         raise InvalidJSON(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}",
             err.pos,
         ) from None
+    except ValueError:  # CPython's limit on the digits of an int
+        raise InvalidJSON(f"invalid JSON: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+    return doc
 
 
 def _expect_object(doc, where: str) -> dict:
@@ -156,13 +175,6 @@ class _Malformed(Exception):
     def at(self, where: str) -> ParseError:
         path = "".join("." + step for step in reversed(self.steps))
         return ParseError(f"{where}{path}: {self.message}")
-
-
-def value_from_json(raw, registry: PrimRegistry, where: str) -> Value:
-    try:
-        return _value(raw, registry, IdTable())
-    except _Malformed as bad:
-        raise bad.at(where) from None
 
 
 def _value(raw, registry: PrimRegistry, ids: IdTable) -> Value:
@@ -315,10 +327,6 @@ class _Misfit(Exception):
     """A value its label's reader does not accept; _value decodes it again."""
 
 
-# kind -> the type json.loads gives the literals of that domain
-_JSON_TYPE = {"string": str, "boolean": bool, "nat": int, "integer": int, "double": float}
-
-
 def _reader(t, registry: PrimRegistry, ids: IdTable, refs: dict, wanted: dict):
     """The reader of values of type t.  It returns what _value decodes from a
     raw value that _check accepts, and raises _Misfit, KeyError, TypeError or
@@ -351,18 +359,17 @@ def _reader(t, registry: PrimRegistry, ids: IdTable, refs: dict, wanted: dict):
             texts.add(text)
             return ref
     elif isinstance(t, Prim):
-        name, kind = t.name, registry.kind(t.name)
-        want = _JSON_TYPE[kind]
-        recheck = kind in ("nat", "double")  # domains narrower than their JSON type
+        name, inside = t.name, registry.domain(t.name)
+        double = registry.kind(name) == "double"
 
         def read(raw):
             body = raw["prim"]
             if len(raw) != 1 or type(body) is not dict or len(body) != 2 or body["type"] != name:
                 raise _Misfit
             literal = body["value"]
-            if type(literal) is int and want is float:
-                literal = float(literal)  # as registry.coerce does
-            elif type(literal) is not want or recheck and not registry.check_literal(name, literal):
+            if double and type(literal) is int:
+                literal = registry.coerce(name, literal)
+            if not inside(literal):
                 raise _Misfit
             return PrimVal(name, literal)
     elif isinstance(t, One):
@@ -454,7 +461,7 @@ def write_graph(graph: Graph) -> str:
 
 def read_schema(text: str) -> Schema:
     """The validated schema of a graph or schema document; elements are not read."""
-    schema = schema_from_json(_expect_object(_load_json(text), "graph document"))
+    schema = schema_from_json(_expect_object(load_json(text), "graph document"))
     report = validate_schema(schema)
     if not report.ok:
         raise ValidationFailure(report)
@@ -462,7 +469,7 @@ def read_schema(text: str) -> Schema:
 
 
 def read_graph(text: str, validate: bool = True) -> Graph:
-    return graph_from_json(_load_json(text), validate)
+    return graph_from_json(load_json(text), validate)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +487,7 @@ def write_morphism(h: Morphism) -> str:
 
 
 def read_morphism(text: str, source: Graph, target: Graph, validate: bool = True) -> Morphism:
-    doc = _expect_object(_load_json(text), "morphism document")
+    doc = _expect_object(load_json(text), "morphism document")
     extra = set(doc) - {"onLabels", "onElements"}
     if extra:
         raise ParseError(f"unknown morphism keys: {', '.join(sorted(extra))}")
@@ -527,7 +534,7 @@ def write_mapping(m: SchemaMapping) -> str:
 
 
 def read_mapping(text: str, validate: bool = True) -> SchemaMapping:
-    doc = _expect_object(_load_json(text), "mapping document")
+    doc = _expect_object(load_json(text), "mapping document")
     source = schema_from_json(_expect_object(doc.get("source", {}), "source"), "source")
     target = schema_from_json(_expect_object(doc.get("target", {}), "target"), "target")
     on_labels = _texts(doc.get("onLabels", {}), "onLabels", "type expressions are strings",

@@ -335,11 +335,16 @@ def _set(entry, key, value):
                 _edit_manifest(_set("User", "columns", [
                     {"name": "id", "kind": "id"}, {"name": "age", "kind": "prim"}]))(d)),
      "table 'User': the manifest has column 'age' (prim) where the schema gives none"),
+    (lambda d: (d / "manifest.json").write_text('{"Trip": "\\ud800"}'),
+     "bad manifest: invalid JSON at line 1 column 10: lone surrogate in a string (at 9)"),
+    (lambda d: (d / "manifest.json").write_text("[1" + "0" * 4999 + "]"),
+     "bad manifest: invalid JSON: an integer has more than 4300 digits"),
 ], ids=["list manifest", "entry not an object", "entry without columns",
         "file not a string", "column not an object", "column without kind",
         "unknown column kind", "target not a string",
         "missing table file", "table not UTF-8", "csv error", "bad id cell",
-        "bad foreign-key cell", "foreign key marked disc", "column the schema lacks"])
+        "bad foreign-key cell", "foreign key marked disc", "column the schema lacks",
+        "lone surrogate in the manifest", "5000-digit manifest number"])
 def test_malformed_table_sets_end_with_one_error_line(tmp_path, capsys, damage, message):
     tables = tmp_path / "tables"
     assert run(capsys, "export", "relational", fixture_path("trips.apg"),
@@ -536,6 +541,57 @@ def test_fmt_rewrites_its_own_input_in_place(tmp_path, capsys):
     graph.write_text(json.dumps(json.loads(load("edges.apg"))), encoding="utf-8")  # one line
     assert run(capsys, "fmt", str(graph), "-o", str(graph)) == (0, "", "")
     assert graph.read_text(encoding="utf-8") == load("edges.apg")
+
+
+# ---------------------------------------------------------------------------
+# literals no output can hold: one error line, never a traceback
+
+HUGE = "1" + "0" * 400  # an integer no float holds
+LONG = "1" + "0" * 4999  # more digits than CPython turns into an int
+ONE_LITERAL = ('{"schema": {"X": "%s"},\n "elements": {"x": {"label": "X", '
+               '"value": {"prim": {"type": "%s", "value": %s}}}}}')
+BAD_LITERALS = {
+    "Double past float": (ONE_LITERAL % ("Double", "Double", HUGE), 1,
+                          f"error: x: literal {HUGE} is outside the Double domain"),
+    "5000-digit Nat": (ONE_LITERAL % ("Nat", "Nat", LONG), 2,
+                       "error: {file}: invalid JSON: an integer has more than 4300 digits"),
+    "lone surrogate": (ONE_LITERAL % ("String", "String", '"a\\ud800"'), 2,
+                       "error: {file}: invalid JSON at line 2 column 81: "
+                       "lone surrogate in a string (at 108)"),
+}
+
+
+@pytest.mark.parametrize("verb", [["validate"], ["fmt"], ["fmt", "--no-validate"],
+                                  ["export", "rdf"], ["export", "relational"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("case", BAD_LITERALS)
+def test_bad_literals_end_in_one_line(tmp_path, capsys, case, verb):
+    text, code, message = BAD_LITERALS[case]
+    doc = tmp_path / "bad.apg"
+    doc.write_text(text)
+    out = tmp_path / "out"  # a file or directory: output is encoded as UTF-8
+    result = run(capsys, *verb, str(doc), *([] if verb == ["validate"] else ["-o", str(out)]))
+    if case == "Double past float" and verb == ["fmt", "--no-validate"]:
+        assert result == (0, "", "")
+        assert f'"value": {HUGE}' in out.read_text()
+    else:
+        assert result == (code, "", message.format(file=doc) + "\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("cell, message", [
+    ('"""\\ud800"""', """error: bad cell '"\\\\ud800"' in name.csv"""),
+    (LONG, f"error: bad cell '{LONG}' in name.csv"),
+], ids=["lone surrogate", "5000 digits"])
+def test_bad_literal_cells_end_in_one_line(tmp_path, capsys, cell, message):
+    tables = tmp_path / "tables"
+    assert run(capsys, "export", "relational", fixture_path("names.apg"), "-o", str(tables))[0] == 0
+    _replace_in(tables / "name.csv", '"""Arthur Dent"""', cell)
+    out = tmp_path / "out.apg"
+    code, _, err = run(capsys, "import", "relational", str(tables),
+                       "--schema", fixture_path("names.apg"), "-o", str(out))
+    assert (code, err) == (2, message + "\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,13 @@ from apg.catops import coproduct, product
 from apg.errors import ParseError, ValidationFailure
 from apg.fixtures import load
 from apg.files import (
+    graph_from_json,
     graph_to_json,
     read_graph,
     read_mapping,
     read_morphism,
     registry_from_json,
     registry_to_json,
-    value_from_json,
     value_to_json,
     write_graph,
     write_mapping,
@@ -126,8 +126,14 @@ def test_registry_entry_shapes():
         registry_from_json([{"name": "X", "kind": "decimal"}])
 
 
+def read_value(raw):
+    """raw read as the value of the one element of a document with no schema,
+    which decodes it form by form."""
+    graph = graph_from_json({"elements": {"x": {"label": "L", "value": raw}}})
+    return graph.elements[Atom("x")].value
+
+
 def test_value_forms_round_trip():
-    registry = DEFAULT_REGISTRY
     values = [
         Unit(),
         Pair(Unit(), PrimVal("Nat", 3)),
@@ -136,26 +142,24 @@ def test_value_forms_round_trip():
         PrimVal("String", "snow ❄"),
     ]
     for v in values:
-        assert value_from_json(value_to_json(v), registry, "value") == v
+        assert read_value(value_to_json(v)) == v
 
 
 def test_value_form_errors_name_their_position():
-    registry = DEFAULT_REGISTRY
-    with pytest.raises(ParseError, match="exactly one"):
-        value_from_json({"unit": {}, "inl": {}}, registry, "value")
-    with pytest.raises(ParseError, match=r"value\.fst"):
-        value_from_json({"pair": [{"bogus": 1}, {"unit": {}}]}, registry, "value")
+    with pytest.raises(ParseError, match=r"elements\.x\.value: .*exactly one"):
+        read_value({"unit": {}, "inl": {}})
+    with pytest.raises(ParseError, match=r"elements\.x\.value\.fst"):
+        read_value({"pair": [{"bogus": 1}, {"unit": {}}]})
     with pytest.raises(ParseError, match="two-element list"):
-        value_from_json({"pair": [{"unit": {}}]}, registry, "value")
+        read_value({"pair": [{"unit": {}}]})
     with pytest.raises(ParseError, match="unknown value form"):
-        value_from_json({"maybe": {}}, registry, "value")
+        read_value({"maybe": {}})
     with pytest.raises(ParseError, match="id string"):
-        value_from_json({"ref": 9}, registry, "value")
+        read_value({"ref": 9})
 
 
 def test_doubles_coerce_from_integer_literals():
-    raw = {"prim": {"type": "Double", "value": 3}}
-    v = value_from_json(raw, DEFAULT_REGISTRY, "value")
+    v = read_value({"prim": {"type": "Double", "value": 3}})
     assert v == PrimVal("Double", 3.0)
     assert isinstance(v.literal, float)
 
@@ -370,13 +374,12 @@ def test_reader_reports_the_first_bad_element_in_id_order():
 
 def test_value_reader_errors_are_exact():
     with pytest.raises(ParseError) as caught:
-        value_from_json({"pair": [{"unit": {}}, {"inr": {"ref": "(a,"}}]},
-                        DEFAULT_REGISTRY, "value")
-    assert str(caught.value) == "value.snd.inr: expected a name (at 3)"
+        read_value({"pair": [{"unit": {}}, {"inr": {"ref": "(a,"}}]})
+    assert str(caught.value) == "elements.x.value.snd.inr: expected a name (at 3)"
     with pytest.raises(ParseError) as caught:
-        value_from_json([], DEFAULT_REGISTRY, "here")
+        read_value([])
     assert str(caught.value) == (
-        "here: a value is an object with exactly one of unit/pair/inl/inr/prim/ref")
+        "elements.x.value: a value is an object with exactly one of unit/pair/inl/inr/prim/ref")
 
 
 def test_reader_shares_one_object_per_id():

@@ -12,10 +12,10 @@ from apg.errors import ParseError, ValidationFailure
 from apg.files import (
     _Malformed,
     _expect_object,
-    _load_json,
     _reject_entry,
     _reject_equal_ids,
     _value,
+    load_json,
     read_graph,
     schema_from_json,
     write_graph,
@@ -53,7 +53,7 @@ def reference_graph_from_json(doc):
 
 
 def reference_read(text, validate=True):
-    graph = reference_graph_from_json(_load_json(text))
+    graph = reference_graph_from_json(load_json(text))
     if validate:
         report = validate_graph(graph)
         if not report.ok:

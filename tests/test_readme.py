@@ -7,9 +7,8 @@ import re
 import shlex
 from pathlib import Path
 
-from apg.adt import DEFAULT_REGISTRY
 from apg.cli import main
-from apg.files import read_graph, value_from_json
+from apg.files import graph_from_json, read_graph
 from apg.fixtures import path
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -30,8 +29,8 @@ def test_readme_inline_value_forms_read_as_values():
         except json.JSONDecodeError:
             continue  # a form with placeholders such as {"inl": v}
     assert {"unit": {}} in forms
-    for raw in forms:
-        value_from_json(raw, DEFAULT_REGISTRY, "README")
+    for raw in forms:  # each, as the one element of a schema-free document, decodes
+        graph_from_json({"elements": {"x": {"label": "L", "value": raw}}})
 
 
 FIXTURE_VARIABLES = {"$trips": "trips.apg", "$plates1": "plates1.apg", "$plates2": "plates2.apg"}
