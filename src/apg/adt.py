@@ -103,15 +103,38 @@ DEFAULT_REGISTRY = PrimRegistry(DEFAULT_KINDS)
 # ---------------------------------------------------------------------------
 # Records
 
-_set = object.__setattr__  # how an __init__ stores a field past Record.__setattr__
+_set = object.__setattr__  # how Atom stores its text past Record.__setattr__
+_OMITTED = object()  # the default of an optional field's parameter
+
+
+def _constructor(cls):
+    """The __init__ of cls, written out from its fields: one parameter per
+    field, the factory in _defaults for each optional one left out, each
+    field stored through its slot's own setter, and, for a composite id, the
+    hash of (cls, *fields) stored once."""
+    scope = {"_cls": cls, "_defaults": cls._defaults, "_OMITTED": _OMITTED}
+    params = [f"{f}=_OMITTED" if f in cls._defaults else f for f in ("self", *cls._fields)]
+    body = []
+    for name in cls._fields:
+        scope["_set_" + name] = getattr(cls, name).__set__
+        if name in cls._defaults:
+            body.append(f"if {name} is _OMITTED: {name} = _defaults[{name!r}]()")
+        body.append(f"_set_{name}(self, {name})")
+    if hasattr(cls, "_hash"):
+        scope["_set__hash"] = cls._hash.__set__
+        body.append(f"_set__hash(self, hash((_cls, {', '.join(cls._fields)})))")
+    exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body), scope)
+    scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"  # named in its TypeErrors
+    return scope["__init__"]
 
 
 class Record:
     """Base of the package's records: compared and hashed by class and
     fields, printed like dataclasses, immutable unless declared frozen=False
     (then also unhashable).  __slots__ maps each field to its type's text.
-    The shared __init__ takes fields by position or keyword, with a factory
-    in _defaults for each optional one; ids, values and Element have their own.
+    Each class with fields, but Atom, is built by one constructor that its
+    first build writes out from its fields (see _constructor): it takes them
+    by position or keyword, with a factory in _defaults for each optional one.
     """
 
     __slots__ = ()
@@ -122,19 +145,16 @@ class Record:
         cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__slots__", cls._fields))
         # One C call reads the fields: the value of one, a tuple of several.
         cls._key = attrgetter(*cls._fields or ["__class__"])
-        if not cls._fields:
-            cls.__init__ = object.__init__
+        if "__init__" not in cls.__dict__:  # so no class builds with its parent's constructor
+            cls.__init__ = Record.__init__ if cls._fields else object.__init__
         if not frozen:
             cls.__setattr__, cls.__delattr__, cls.__hash__ = _set, object.__delattr__, None
 
     def __init__(self, *args, **kwargs):
-        given = dict(zip(self._fields, args), **kwargs)
-        fields = set(self._fields)
-        if len(given) != len(args) + len(kwargs) or not (
-                fields - self._defaults.keys() <= given.keys() <= fields):
-            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
-        for name in self._fields:
-            _set(self, name, given[name] if name in given else self._defaults[name]())
+        """Write out the class's own constructor, keep it, and build with it."""
+        cls = type(self)
+        cls.__init__ = _constructor(cls)
+        cls.__init__(self, *args, **kwargs)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -242,23 +262,13 @@ class Unit(Record):
 class Inl(Record):
     __slots__ = {"inner": "Value"}
 
-    def __init__(self, inner: Value):
-        _set(self, "inner", inner)
-
 
 class Inr(Record):
     __slots__ = {"inner": "Value"}
 
-    def __init__(self, inner: Value):
-        _set(self, "inner", inner)
-
 
 class Pair(Record):
     __slots__ = {"first": "Value", "second": "Value"}
-
-    def __init__(self, first: Value, second: Value):
-        _set(self, "first", first)
-        _set(self, "second", second)
 
 
 class PrimVal(Record):
@@ -270,18 +280,11 @@ class PrimVal(Record):
 
     __slots__ = {"prim": "str", "literal": "Union[str, int, float, bool]"}
 
-    def __init__(self, prim: str, literal: Union[str, int, float, bool]):
-        _set(self, "prim", prim)
-        _set(self, "literal", literal)
-
 
 class Ref(Record):
     """A reference to an element, the value form of a label type."""
 
     __slots__ = {"element": "ElementId"}
-
-    def __init__(self, element: ElementId):
-        _set(self, "element", element)
 
 
 Value: TypeAlias = Union[Unit, Inl, Inr, Pair, PrimVal, Ref]
@@ -312,13 +315,9 @@ def _atom(text: str) -> Atom:
 
 
 class _Composite(Record):
-    """An id made of parts and hashed once, when made; ids of one part share this __init__."""
+    """An id made of parts and hashed once, when made."""
 
     __slots__ = {"_hash": "int"}
-
-    def __init__(self, part):
-        _set(self, self._fields[0], part)
-        _set(self, "_hash", hash((type(self), part)))
 
     def __hash__(self):
         return self._hash
@@ -328,11 +327,6 @@ class PairId(_Composite):
     """The id of a paired element, rendered "(a,b)"."""
 
     __slots__ = {"first": "ElementId", "second": "ElementId"}
-
-    def __init__(self, first: ElementId, second: ElementId):
-        _set(self, "first", first)
-        _set(self, "second", second)
-        _set(self, "_hash", hash((first, second)))
 
 
 class Left(_Composite):
@@ -359,11 +353,6 @@ class Enc(_Composite):
     """
 
     __slots__ = {"label": "str", "witness": "Value"}
-
-    def __init__(self, label: str, witness: Value):
-        _set(self, "label", label)
-        _set(self, "witness", witness)
-        _set(self, "_hash", hash((label, witness)))
 
 
 ElementId: TypeAlias = Union[Atom, PairId, Left, Right, Class, Enc]

@@ -401,10 +401,9 @@ def _read_rows(reader, filename: str, table: Table, ids: IdTable):
                 continue
             try:
                 cell = _CELLS[column.kind][1](ids, text)
-            except InvalidJSON:  # from a primitive cell
-                raise ParseError(f"bad cell {text!r} in {filename}") from None
-            except ParseError as err:  # from the id parser
-                raise ParseError(f"bad id {text!r} in {filename} row {number}, "
+            except ParseError as err:  # from the id parser, or the JSON one for a primitive
+                what = "cell" if isinstance(err, InvalidJSON) else f"id {text!r}"
+                raise ParseError(f"bad {what} in {filename} row {number}, "
                                  f"column {column.name}: {err.args[0]}") from None
             if column.kind == "id":
                 eid = cell

@@ -21,14 +21,28 @@ from .errors import ApgError, InvalidJSON, ParseError, ValidationFailure
 from .graph import Graph
 
 
+def _name(path: str) -> str:
+    return "standard input" if path == "-" else path
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The bytes of path, or of standard input for "-", decoded once as
+    strict UTF-8, each line end read as a line feed, as in a text file."""
+    if path == "-" and sys.stdin is None:  # Python started with descriptor 0 closed
+        raise ParseError("cannot read standard input: it is closed")
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{_name(path)}: not UTF-8 text at byte {err.start}: {err.reason}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 _SLICE = 1 << 16  # characters encoded per write, so no second full copy of the text exists
@@ -47,7 +61,7 @@ def _read(path: str, read, *args):
     try:
         return read(_read_text(path), *args)
     except InvalidJSON as err:
-        raise ParseError(f"{'standard input' if path == '-' else path}: {err}") from None
+        raise ParseError(f"{_name(path)}: {err}") from None
 
 
 def _read_graph(path: str, validate: bool = True) -> Graph:

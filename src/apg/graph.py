@@ -9,7 +9,7 @@ elements of exactly the referenced label.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .adt import (
     DEFAULT_REGISTRY,
@@ -21,7 +21,6 @@ from .adt import (
     Prod,
     Record,
     Value,
-    _set,
     check_value,
     render_id,
     type_nodes,
@@ -47,17 +46,9 @@ class Schema(Record):
 class Element(Record):
     __slots__ = {"label": "str", "value": "Value"}
 
-    def __init__(self, label: str, value: Value):
-        _set(self, "label", label)
-        _set(self, "value", value)
-
 
 class Graph(Record):
     __slots__ = {"schema": "Schema", "elements": "dict[ElementId, Element]"}
-
-    def label_of(self, e: ElementId) -> Optional[str]:
-        el = self.elements.get(e)
-        return el.label if el is not None else None
 
     def sorted_ids(self) -> list[ElementId]:
         return sorted(self.elements, key=render_id)

@@ -1,4 +1,9 @@
-"""Prints one PASS/FAIL line per acceptance check after the run."""
+"""Prints one PASS/FAIL line per acceptance check after the run, and
+gives tests a standard input to feed."""
+
+import io
+
+import pytest
 
 _outcomes = {}
 
@@ -20,3 +25,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, outcome in _outcomes.items():
         verdict = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"{verdict}  {name}")
+
+
+@pytest.fixture
+def stdin(monkeypatch):
+    """feed(data) makes data, a text or bytes, the process's standard input,
+    with a byte buffer under it as a real one has, and returns the stream."""
+    def feed(data):
+        raw = data.encode("utf-8") if isinstance(data, str) else data
+        stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stream)
+        return stream
+    return feed

@@ -360,10 +360,11 @@ def test_check_after_transport_random():
             {l: transport_type(f, ty) for l, ty in g.schema.labels.items()},
             g.schema.registry,
         )
+        label_of = {e: el.label for e, el in g.elements.items()}
         for e, el in g.elements.items():
             ty = g.schema.labels[el.label]
             out = transport_value(move, el.value)
-            miss = check_value(out, transport_type(f, ty), wrapped_schema, g.label_of)
+            miss = check_value(out, transport_type(f, ty), wrapped_schema, label_of)
             assert miss is None, miss
 
 

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import random
@@ -103,7 +102,7 @@ def test_op_product_writes_a_graph(capsys):
     assert len(g.elements) == 4
 
 
-def test_op_arity_errors(capsys, monkeypatch):
+def test_op_arity_errors(capsys, stdin):
     v = fixture_path("vertices.apg")
     code, out, err = run(capsys, "op", "product", v)
     assert code == 2
@@ -112,7 +111,7 @@ def test_op_arity_errors(capsys, monkeypatch):
     assert code == 2
     assert "APEX LEFT RIGHT F G" in err
     # The count is checked before any graph is read, standard input included.
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    stdin("")
     for inputs in ([], ["missing.apg"]):
         assert run(capsys, "op", "coproduct", *inputs) == (
             2, "", "error: op coproduct takes two graph files\n")
@@ -194,8 +193,8 @@ def test_migrate_produces_the_source_shaped_graph(capsys):
     assert "E:record:@e1" in json.loads(out)["elements"]
 
 
-def test_migrate_reads_data_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(load("mapping_input.apg")))
+def test_migrate_reads_data_from_stdin(capsys, stdin):
+    stdin(load("mapping_input.apg"))
     code, out, err = run(capsys, "migrate", fixture_path("mapping.apgm"))
     assert code == 0
     assert "E:record:@e1" in out
@@ -236,15 +235,14 @@ def test_migrate_rejects_entries_for_undeclared_source_labels(tmp_path, capsys):
     ["merge", "--left", "-", "--right", "-"],
     ["migrate", "-"],
 ], ids=["op", "merge", "merge flags", "migrate data defaults to stdin"])
-def test_standard_input_is_read_by_one_input_at_most(capsys, monkeypatch, argv):
-    stdin = io.StringIO(load("vertices.apg"))
-    monkeypatch.setattr("sys.stdin", stdin)
+def test_standard_input_is_read_by_one_input_at_most(capsys, stdin, argv):
+    stream = stdin(load("vertices.apg"))
     assert run(capsys, *argv) == (
         2, "", "error: standard input can be read once: give '-' for one input at most\n")
-    assert stdin.tell() == 0
+    assert stream.tell() == 0
 
 
-def test_invalid_json_names_its_file(tmp_path, capsys, monkeypatch):
+def test_invalid_json_names_its_file(tmp_path, capsys, stdin):
     broken = tmp_path / "broken.apg"
     broken.write_text('{"elements":\n')
     message = "invalid JSON at line 2 column 1: Expecting value (at 13)"
@@ -253,9 +251,47 @@ def test_invalid_json_names_its_file(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (2, "", f"error: {broken}: {message}\n")
     code, out, err = run(capsys, "migrate", str(broken), fixture_path("mapping_input.apg"))
     assert (code, out, err) == (2, "", f"error: {broken}: {message}\n")
-    monkeypatch.setattr("sys.stdin", io.StringIO(broken.read_text()))
+    stdin(broken.read_text())
     code, out, err = run(capsys, "op", "product", plates, "-")
     assert (code, out, err) == (2, "", f"error: standard input: {message}\n")
+
+
+# A String literal holding the byte 0xff, which no UTF-8 text holds.
+NOT_UTF8 = ('{"schema": {"S": "String"}, "elements": {"s": {"label": "S", '
+            '"value": {"prim": {"type": "String", "value": "a\xffb"}}}}}').encode("latin-1")
+
+
+@pytest.mark.parametrize("verb", [["validate"], ["fmt"], ["export", "rdf"]], ids=" ".join)
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_that_is_not_utf8_ends_in_one_line(tmp_path, source, verb):
+    doc, out = tmp_path / "bad.apg", tmp_path / "out"
+    doc.write_bytes(NOT_UTF8)
+    argv = [*verb, str(doc) if source == "file" else "-"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "apg", *argv, *([] if verb == ["validate"] else ["-o", str(out)])],
+        input=NOT_UTF8 if source == "stdin" else b"", capture_output=True)
+    name = str(doc) if source == "file" else "standard input"
+    at = NOT_UTF8.index(b"\xff")
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
+        2, b"", f"error: {name}: not UTF-8 text at byte {at}: invalid start byte\n")
+    assert not out.exists()
+
+
+def test_line_ends_are_read_as_in_a_text_file(tmp_path, capsys, stdin):
+    # "\r\n" and a lone "\r" read as "\n", so JSON error positions do not move.
+    message = "invalid JSON at line 2 column 1: Expecting value (at 13)"
+    for text in (b'{"elements":\r\n', b'{"elements":\r'):
+        broken = tmp_path / "broken.apg"
+        broken.write_bytes(text)
+        assert run(capsys, "validate", str(broken)) == (2, "", f"error: {broken}: {message}\n")
+        stdin(text)
+        assert run(capsys, "validate", "-") == (2, "", f"error: standard input: {message}\n")
+
+
+def test_closed_standard_input_ends_in_one_line(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", None)  # as Python starts with descriptor 0 closed
+    assert run(capsys, "validate", "-") == (
+        2, "", "error: cannot read standard input: it is closed\n")
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +616,10 @@ def test_bad_literals_end_in_one_line(tmp_path, capsys, case, verb):
 
 
 @pytest.mark.parametrize("cell, message", [
-    ('"""\\ud800"""', """error: bad cell '"\\\\ud800"' in name.csv"""),
-    (LONG, f"error: bad cell '{LONG}' in name.csv"),
+    ('"""\\ud800"""', "error: bad cell in name.csv row 1, column snd: "
+                       "invalid JSON at line 1 column 1: lone surrogate in a string"),
+    (LONG, "error: bad cell in name.csv row 1, column snd: "
+           "invalid JSON: an integer has more than 4300 digits"),
 ], ids=["lone surrogate", "5000 digits"])
 def test_bad_literal_cells_end_in_one_line(tmp_path, capsys, cell, message):
     tables = tmp_path / "tables"

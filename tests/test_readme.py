@@ -1,7 +1,6 @@
 """The README's document examples must read as the code reads them, and its
 command lines that need only the shipped fixtures must run."""
 
-import io
 import json
 import re
 import shlex
@@ -51,18 +50,18 @@ def fixture_pipelines():
     return lines
 
 
-def test_readme_cli_lines_on_fixtures_run(tmp_path, monkeypatch, capsys):
+def test_readme_cli_lines_on_fixtures_run(tmp_path, monkeypatch, capsys, stdin):
     monkeypatch.chdir(tmp_path)  # `export relational -o out/` writes here
     ran = []
     for stages in fixture_pipelines():
-        stdin = ""
+        piped = ""
         for argv in stages:
-            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            stdin(piped)
             code = main(argv)
-            stdin = capsys.readouterr().out
+            piped = capsys.readouterr().out
             assert code == 0, argv
             ran.append(" ".join(a for a in argv[:2] if not a.startswith(("/", "-"))))
         if len(stages) > 1:
-            assert stdin == "ok\n"
+            assert piped == "ok\n"
     assert ran == ["validate", "classify", "merge", "merge", "export rdf",
                    "export relational", "import relational", "export kv", "merge", "validate"]
