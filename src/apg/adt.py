@@ -435,12 +435,14 @@ class _Scanner:
 
     def literal(self, end: int | None = None):
         """The JSON scalar at the cursor; when end is given, its text must
-        stop there."""
+        stop there.  A number must be a finite double: NaN, Infinity and a
+        number past a double's range render as text no parser reads back."""
         try:
             literal, stop = _JSON.raw_decode(self.text, self.pos)
         except ValueError:
             raise self.error("bad literal") from None
-        if end is not None and stop != end:
+        if (end is not None and stop != end
+                or isinstance(literal, float) and not math.isfinite(literal)):
             raise self.error("bad literal")
         self.pos = stop
         if not isinstance(literal, (str, int, float, bool)):

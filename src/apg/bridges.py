@@ -46,7 +46,7 @@ from .adt import (
     render_id,
 )
 from .errors import InvalidJSON, ParseError, PreconditionError, ValidationFailure
-from .files import load_json
+from .files import decode_utf8, load_json
 from .graph import Element, Graph, Schema, check_primary_key, validate_graph
 
 # ---------------------------------------------------------------------------
@@ -375,12 +375,16 @@ def read_tableset(directory) -> TableSet:
             Column(c["name"], c["kind"], c.get("target")) for c in spec["columns"]
         ]
         table = Table(label, columns)
+        path = directory / spec["file"]
         try:
-            with open(directory / spec["file"], encoding="utf-8", newline="") as handle:
+            with open(path, encoding="utf-8", newline="") as handle:
                 _read_rows(csv.reader(handle), spec["file"], table, ids)
         except OSError as err:
             raise ParseError(f"cannot read {spec['file']}: {err.strerror}") from None
-        except (UnicodeDecodeError, csv.Error) as err:
+        except UnicodeDecodeError:  # its offset counts from a decoder chunk: find the file's
+            decode_utf8(path.read_bytes(), f"bad table {spec['file']}")
+            raise
+        except csv.Error as err:
             raise ParseError(f"bad table {spec['file']}: {err}") from None
         tables[label] = table
     return TableSet(tables)

@@ -38,10 +38,7 @@ def _read_text(path: str) -> str:
                 data = handle.read()
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err.strerror}") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise ParseError(f"{_name(path)}: not UTF-8 text at byte {err.start}: {err.reason}") from None
+    text = files.decode_utf8(data, _name(path))
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
@@ -70,7 +67,7 @@ def _read_graph(path: str, validate: bool = True) -> Graph:
 
 def _stdin_inputs(args) -> int:
     """How many of the command's input files are "-", standard input."""
-    names = ("graph", "left", "right", "mapping", "data", "schema")
+    names = ("graph", "mapping", "data", "schema")
     one = [getattr(args, name, None) for name in names]
     return (one + getattr(args, "inputs", []) + getattr(args, "graphs", [])).count("-")
 
@@ -138,16 +135,9 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    left = args.left if args.left is not None else (args.graphs[0] if args.graphs else None)
-    right = args.right if args.right is not None else (args.graphs[-1] if len(args.graphs) > 1 else None)
-    if args.graphs and (args.left or args.right):
-        raise ParseError("give the graphs either positionally or by flag, not both")
-    if len(args.graphs) > 2:
-        raise ParseError("merge takes exactly two graphs")
-    if left is None or right is None:
-        raise ParseError("merge needs two graphs (positional, or --left and --right)")
-    g1 = _read_graph(left)
-    g2 = _read_graph(right)
+    if len(args.graphs) != 2:
+        raise ParseError("merge takes two graphs")
+    g1, g2 = map(_read_graph, args.graphs)
     merged = integrate.merge_by_key(g1, g2, key=args.key)
     _emit_graph(merged, args.out)
     return 0
@@ -228,8 +218,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge", help="key-based merge of two graphs on one schema")
     p.add_argument("graphs", nargs="*")
-    p.add_argument("--left")
-    p.add_argument("--right")
     p.add_argument("--key", help="key path such as fst or fst.snd (whole value when absent)")
     out_flag(p)
     p.set_defaults(run=_cmd_merge)

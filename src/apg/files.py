@@ -67,6 +67,15 @@ _STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
+def decode_utf8(data: bytes, where: str) -> str:
+    """data as strict UTF-8 text; other bytes raise a ParseError that says
+    where, and at which byte of data."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{where}: not UTF-8 text at byte {err.start}: {err.reason}") from None
+
+
 def load_json(text: str):
     """The document of a JSON text.  Its strings must hold Unicode text, as
     I-JSON (RFC 7493) asks: no UTF-8 output can hold a lone surrogate such as

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from typing import Mapping, TypeAlias, Union
+from typing import Mapping, TypeAlias, Union, get_args
 
 from .adt import (
     Enc,
@@ -95,6 +95,7 @@ class Lit(Record):
 
 
 Term: TypeAlias = Union[Var, UnitT, PairT, InlT, InrT, Fst, Snd, CaseT, Phi, Lit]
+_TERMS = get_args(Term)
 
 
 class TermTypeError(ApgError):
@@ -115,6 +116,7 @@ class RewriteLimit(ApgError):
 #         | NAME                (a variable)
 
 _WRAPPERS = {"fst": Fst, "snd": Snd, "inl": InlT, "inr": InrT, "phi": Phi}
+_KEYWORD_OF = {cls: word for word, cls in _WRAPPERS.items()}
 _KEYWORDS = {*_WRAPPERS, "case", "of"}
 _TOKEN_RE = re.compile(
     r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -205,16 +207,8 @@ def render_term(t: Term) -> str:
         return "()"
     if isinstance(t, PairT):
         return f"({render_term(t.first)}, {render_term(t.second)})"
-    if isinstance(t, InlT):
-        return f"inl {render_term(t.inner)}"
-    if isinstance(t, InrT):
-        return f"inr {render_term(t.inner)}"
-    if isinstance(t, Fst):
-        return f"fst {render_term(t.inner)}"
-    if isinstance(t, Snd):
-        return f"snd {render_term(t.inner)}"
-    if isinstance(t, Phi):
-        return f"phi {render_term(t.inner)}"
+    if type(t) in _KEYWORD_OF:
+        return f"{_KEYWORD_OF[type(t)]} {render_term(t.inner)}"
     if isinstance(t, CaseT):
         return (
             f"case {render_term(t.scrutinee)} of "
@@ -310,19 +304,25 @@ def check_term(t: Term, expected: TypeExpr, env: Mapping[str, TypeExpr], schema:
 # ---------------------------------------------------------------------------
 # Rewriting
 
+def _parts(t: Term) -> list[Term]:
+    """The fields of t that hold terms, in field order."""
+    return [v for v in map(t.__getattribute__, t._fields) if isinstance(v, _TERMS)]
+
+
+def _remake(t: Term, parts) -> Term:
+    """t with its term fields replaced by parts, in field order; names and literals stay."""
+    parts = iter(parts)
+    return type(t)(*(next(parts) if isinstance(v, _TERMS) else v
+                     for v in map(t.__getattribute__, t._fields)))
+
+
 def free_vars(t: Term) -> set[str]:
     if isinstance(t, Var):
         return {t.name}
-    if isinstance(t, (UnitT, Lit)):
-        return set()
-    if isinstance(t, PairT):
-        return free_vars(t.first) | free_vars(t.second)
-    if isinstance(t, (InlT, InrT, Fst, Snd, Phi)):
-        return free_vars(t.inner)
-    out = free_vars(t.scrutinee)
-    out |= free_vars(t.left_body) - {t.left_name}
-    out |= free_vars(t.right_body) - {t.right_name}
-    return out
+    if isinstance(t, CaseT):
+        return (free_vars(t.scrutinee) | (free_vars(t.left_body) - {t.left_name})
+                | (free_vars(t.right_body) - {t.right_name}))
+    return set().union(*map(free_vars, _parts(t)))
 
 
 def _fresh(base: str, avoid: set[str]) -> str:
@@ -336,16 +336,12 @@ def substitute(t: Term, name: str, replacement: Term) -> Term:
     """Capture-avoiding substitution of replacement for the free variable."""
     if isinstance(t, Var):
         return replacement if t.name == name else t
-    if isinstance(t, (UnitT, Lit)):
-        return t
-    if isinstance(t, PairT):
-        return PairT(substitute(t.first, name, replacement), substitute(t.second, name, replacement))
-    if isinstance(t, (InlT, InrT, Fst, Snd, Phi)):
-        return type(t)(substitute(t.inner, name, replacement))
-    scrutinee = substitute(t.scrutinee, name, replacement)
-    ln, lb = _subst_branch(t.left_name, t.left_body, name, replacement)
-    rn, rb = _subst_branch(t.right_name, t.right_body, name, replacement)
-    return CaseT(scrutinee, ln, lb, rn, rb)
+    if isinstance(t, CaseT):
+        scrutinee = substitute(t.scrutinee, name, replacement)
+        ln, lb = _subst_branch(t.left_name, t.left_body, name, replacement)
+        rn, rb = _subst_branch(t.right_name, t.right_body, name, replacement)
+        return CaseT(scrutinee, ln, lb, rn, rb)
+    return _remake(t, [substitute(part, name, replacement) for part in _parts(t)])
 
 
 def _subst_branch(binder: str, body: Term, name: str, replacement: Term):
@@ -371,25 +367,11 @@ def _reduce_root(t: Term) -> Term | None:
 
 
 def has_redex(t: Term) -> bool:
-    if _reduce_root(t) is not None:
-        return True
-    if isinstance(t, PairT):
-        return has_redex(t.first) or has_redex(t.second)
-    if isinstance(t, (InlT, InrT, Fst, Snd, Phi)):
-        return has_redex(t.inner)
-    if isinstance(t, CaseT):
-        return has_redex(t.scrutinee) or has_redex(t.left_body) or has_redex(t.right_body)
-    return False
+    return _reduce_root(t) is not None or any(map(has_redex, _parts(t)))
 
 
 def term_size(t: Term) -> int:
-    if isinstance(t, (Var, UnitT, Lit)):
-        return 1
-    if isinstance(t, PairT):
-        return 1 + term_size(t.first) + term_size(t.second)
-    if isinstance(t, (InlT, InrT, Fst, Snd, Phi)):
-        return 1 + term_size(t.inner)
-    return 1 + term_size(t.scrutinee) + term_size(t.left_body) + term_size(t.right_body)
+    return 1 + sum(map(term_size, _parts(t)))
 
 
 def normalize_term(t: Term, step_limit: int | None = None) -> Term:
@@ -407,16 +389,7 @@ def normalize_term(t: Term, step_limit: int | None = None) -> Term:
             raise RewriteLimit(f"no normal form within {step_limit} steps")
 
     def norm(t: Term) -> Term:
-        if isinstance(t, (Var, UnitT, Lit)):
-            return t
-        if isinstance(t, PairT):
-            t = PairT(norm(t.first), norm(t.second))
-        elif isinstance(t, (InlT, InrT, Fst, Snd, Phi)):
-            t = type(t)(norm(t.inner))
-        elif isinstance(t, CaseT):
-            t = CaseT(
-                norm(t.scrutinee), t.left_name, norm(t.left_body), t.right_name, norm(t.right_body)
-            )
+        t = _remake(t, [norm(part) for part in _parts(t)])
         reduced = _reduce_root(t)
         if reduced is None:
             return t

@@ -186,6 +186,14 @@ def test_csv_round_trip(tmp_path):
         assert import_relational(read_tableset(directory), g.schema) == g
 
 
+def test_csv_cells_keep_their_line_breaks(tmp_path):
+    texts = ["a\r\nb", "c\rd", "e\nf", "g\u2028h", "i\x85j"]
+    g = graph_of({"S": "String"},
+                 {f"s{i}": ("S", PrimVal("String", text)) for i, text in enumerate(texts)})
+    write_tableset(export_relational(g), tmp_path)
+    assert import_relational(read_tableset(tmp_path), g.schema) == g
+
+
 def test_csv_handles_the_unlabeled_label(tmp_path):
     g = graph_of({"": "1"}, {"e0": ("", Unit())})
     write_tableset(export_relational(g), tmp_path)

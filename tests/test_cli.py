@@ -155,11 +155,9 @@ def test_merge_positional(capsys):
     assert len(read_graph(out).elements) == 3
 
 
-def test_merge_flags_and_key(capsys):
-    code, out, err = run(capsys, "merge",
-                         "--left", fixture_path("plates1.apg"),
-                         "--right", fixture_path("plates2.apg"),
-                         "--key", "fst")
+def test_merge_with_key(capsys):
+    code, out, err = run(capsys, "merge", fixture_path("plates1.apg"),
+                         fixture_path("plates2.apg"), "--key", "fst")
     assert code == 0
     assert len(read_graph(out).elements) == 2
 
@@ -168,10 +166,8 @@ def test_merge_argument_mistakes(capsys):
     p1 = fixture_path("plates1.apg")
     code, _, err = run(capsys, "merge", p1)
     assert code == 2 and "two graphs" in err
-    code, _, err = run(capsys, "merge", p1, "--left", p1)
-    assert code == 2 and "not both" in err
     code, _, err = run(capsys, "merge", p1, p1, p1)
-    assert code == 2
+    assert code == 2 and "two graphs" in err
 
 
 def test_merge_schema_mismatch_fails_cleanly(capsys):
@@ -203,7 +199,8 @@ def test_migrate_reads_data_from_stdin(capsys, stdin):
 @pytest.mark.parametrize("literal, message", [
     ("Nat 01", "bad literal (at 28)"),
     ('String "\\x"', "bad literal (at 31)"),
-], ids=["leading zero", "bad escape"])
+    ("Double 1e999", "bad literal (at 31)"),
+], ids=["leading zero", "bad escape", "number past a double"])
 def test_migrate_rejects_a_bad_term_literal_with_one_line(tmp_path, capsys, literal, message):
     doc = json.loads(load("mapping.apgm"))
     doc["onTerms"]["record"] = f"(snd phi x, (fst phi x, {literal}))"
@@ -232,9 +229,8 @@ def test_migrate_rejects_entries_for_undeclared_source_labels(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["op", "product", "-", "-"],
     ["merge", "-", "-"],
-    ["merge", "--left", "-", "--right", "-"],
     ["migrate", "-"],
-], ids=["op", "merge", "merge flags", "migrate data defaults to stdin"])
+], ids=["op", "merge", "migrate data defaults to stdin"])
 def test_standard_input_is_read_by_one_input_at_most(capsys, stdin, argv):
     stream = stdin(load("vertices.apg"))
     assert run(capsys, *argv) == (
@@ -354,8 +350,9 @@ def _set(entry, key, value):
      "with a string target if any"),
     (lambda d: (d / "Trip.csv").unlink(), "cannot read Trip.csv: No such file or directory"),
     (lambda d: (d / "Trip.csv").write_bytes(b"id\xff\n"),
-     "bad table Trip.csv: 'utf-8' codec can't decode byte 0xff in position 2: "
-     "invalid start byte"),
+     "bad table Trip.csv: not UTF-8 text at byte 2: invalid start byte"),
+    (lambda d: (d / "Trip.csv").write_bytes(b'id,"' + b"x" * 19_996 + b'\xff"\n'),
+     "bad table Trip.csv: not UTF-8 text at byte 20000: invalid start byte"),
     (lambda d: (d / "Trip.csv").write_text('id,"' + "x" * 200_000 + '"\n'),
      "bad table Trip.csv: field larger than field limit (131072)"),
     (lambda d: _replace_in(d / "Trip.csv", "t1,u1", "(t1,u1"),
@@ -378,7 +375,8 @@ def _set(entry, key, value):
 ], ids=["list manifest", "entry not an object", "entry without columns",
         "file not a string", "column not an object", "column without kind",
         "unknown column kind", "target not a string",
-        "missing table file", "table not UTF-8", "csv error", "bad id cell",
+        "missing table file", "table not UTF-8", "table not UTF-8 past the first chunk",
+        "csv error", "bad id cell",
         "bad foreign-key cell", "foreign key marked disc", "column the schema lacks",
         "lone surrogate in the manifest", "5000-digit manifest number"])
 def test_malformed_table_sets_end_with_one_error_line(tmp_path, capsys, damage, message):
@@ -613,6 +611,15 @@ def test_bad_literals_end_in_one_line(tmp_path, capsys, case, verb):
     else:
         assert result == (code, "", message.format(file=doc) + "\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
+def test_an_id_literal_that_is_not_finite_ends_in_one_line(tmp_path, capsys, literal):
+    eid = f"E:X:Double={literal}"
+    doc = tmp_path / "bad.apg"
+    doc.write_text(ONE_LITERAL.replace('"x"', json.dumps(eid)) % ("Double", "Double", "1.5"))
+    for verb in (["validate"], ["fmt", "--no-validate"]):
+        assert run(capsys, *verb, str(doc)) == (2, "", f"error: elements.{eid}: bad literal (at 11)\n")
 
 
 @pytest.mark.parametrize("cell, message", [
