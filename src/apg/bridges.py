@@ -352,8 +352,11 @@ def read_tableset(directory) -> TableSet:
             manifest = load_json(handle.read())
     except OSError as err:
         raise ParseError(f"cannot read {manifest_path}: {err.strerror}") from None
-    except (InvalidJSON, UnicodeDecodeError) as err:
+    except InvalidJSON as err:
         raise ParseError(f"bad manifest: {err}") from None
+    except UnicodeDecodeError:  # worded as every other input: by its byte in the file
+        decode_utf8(manifest_path.read_bytes(), "bad manifest")
+        raise
     if not isinstance(manifest, dict):
         raise ParseError("bad manifest: it must be an object of table entries")
     tables = {}

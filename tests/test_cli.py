@@ -372,13 +372,19 @@ def _set(entry, key, value):
      "bad manifest: invalid JSON at line 1 column 10: lone surrogate in a string (at 9)"),
     (lambda d: (d / "manifest.json").write_text("[1" + "0" * 4999 + "]"),
      "bad manifest: invalid JSON: an integer has more than 4300 digits"),
+    (lambda d: (d / "manifest.json").write_bytes(b'{"x": "' + b"y" * 30_000 + b'\xff"}'),
+     "bad manifest: not UTF-8 text at byte 30007: invalid start byte"),
+    (lambda d: (d / "manifest.json").write_bytes(b'{\r\n"Trip": 1,\r\n}\r\n'),
+     "bad manifest: invalid JSON at line 3 column 1: "
+     "Expecting property name enclosed in double quotes (at 13)"),
 ], ids=["list manifest", "entry not an object", "entry without columns",
         "file not a string", "column not an object", "column without kind",
         "unknown column kind", "target not a string",
         "missing table file", "table not UTF-8", "table not UTF-8 past the first chunk",
         "csv error", "bad id cell",
         "bad foreign-key cell", "foreign key marked disc", "column the schema lacks",
-        "lone surrogate in the manifest", "5000-digit manifest number"])
+        "lone surrogate in the manifest", "5000-digit manifest number",
+        "manifest not UTF-8 past byte 30000", "CRLF manifest with invalid JSON"])
 def test_malformed_table_sets_end_with_one_error_line(tmp_path, capsys, damage, message):
     tables = tmp_path / "tables"
     assert run(capsys, "export", "relational", fixture_path("trips.apg"),

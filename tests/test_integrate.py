@@ -1,16 +1,22 @@
 import random
+import re
+from collections import Counter
+from itertools import product
 
 import pytest
 
-from apg.adt import Atom, Class, Left, PairId, Pair, PrimVal, Right
+from apg import integrate
+from apg.adt import (Atom, Class, Inl, Inr, Left, One, PairId, Pair, Prim, PrimVal, Prod,
+                     Right, Unit)
+from apg.catops import pushout
 from apg.errors import PreconditionError
 from apg.fixtures import load
-from apg.files import read_graph
-from apg.graph import Graph, validate_graph
+from apg.files import read_graph, write_graph
+from apg.graph import Element, Graph, validate_graph
 from apg.integrate import match_by_key, merge_by_key
 from apg.morphism import check_morphism
 
-from .generators import graph_of, label_free_graph
+from .generators import graph_of, label_free_graph, random_id, schema_of
 
 PLATE_TYPES = {"PlateNumber": "String * String * String"}
 
@@ -122,3 +128,96 @@ def test_merge_with_itself_collapses_equal_values():
         distinct = {(el.label, el.value) for el in g.elements.values()}
         assert len(merged.elements) == len(distinct)
         assert validate_graph(merged).ok
+
+
+# ---------------------------------------------------------------------------
+# Merge glues along a spanning subset of the span; the full span is the oracle
+
+KEYS = ("", "fst", "snd", "snd.fst")
+
+
+def assert_merge_matches_the_full_span(g1, g2, key):
+    """merge_by_key writes what the pushout of the full span writes, or
+    raises what match_by_key raises; False when the key does not apply."""
+    try:
+        expected = write_graph(pushout(*match_by_key(g1, g2, key)[1:]).graph)
+    except PreconditionError as err:
+        with pytest.raises(PreconditionError, match=re.escape(err.args[0])):
+            merge_by_key(g1, g2, key)
+        return False
+    assert write_graph(merge_by_key(g1, g2, key)) == expected
+    return True
+
+
+def test_merge_equals_the_full_span_pushout_on_the_fixtures():
+    graphs = [fixture(name) for name in
+              ("plates1.apg", "plates2.apg", "vertices.apg", "mapping_input.apg")]
+    applied = [key for g1, g2 in product(graphs, repeat=2) if g1.schema == g2.schema
+               for key in KEYS if assert_merge_matches_the_full_span(g1, g2, key)]
+    assert sorted(set(applied)) == sorted(KEYS)
+
+
+POOLED_TYPES = {"A": "String * (Nat * Boolean)", "B": "(1 + Nat) * (String * (1 + 1))"}
+POOL = {"String": ["a", "b"], "Nat": [0, 1], "Boolean": [True, False]}
+
+
+def pooled_value(rng, t):
+    """A value of t whose literals come from POOL, so keys repeat often."""
+    if isinstance(t, One):
+        return Unit()
+    if isinstance(t, Prim):
+        return PrimVal(t.name, rng.choice(POOL[t.name]))
+    if isinstance(t, Prod):
+        return Pair(pooled_value(rng, t.left), pooled_value(rng, t.right))
+    return Inl(pooled_value(rng, t.left)) if rng.random() < 0.5 else Inr(pooled_value(rng, t.right))
+
+
+def pooled_graph(rng, schema):
+    elements = {}
+    for label in sorted(schema.labels):
+        for _ in range(rng.randrange(12)):
+            elements.setdefault(random_id(rng, 2),
+                                Element(label, pooled_value(rng, schema.labels[label])))
+    return Graph(schema, elements)
+
+
+def test_merge_equals_the_full_span_pushout_on_random_pairs():
+    rng = random.Random(1414)
+    schema = schema_of(POOLED_TYPES)
+    both_sides_repeat = 0
+    for trial in range(300):
+        g1, g2 = pooled_graph(rng, schema), pooled_graph(rng, schema)
+        key = KEYS[trial % len(KEYS)]
+        assert assert_merge_matches_the_full_span(g1, g2, key)
+        apex = match_by_key(g1, g2, key)[0]
+        left = Counter(e.first for e in apex.elements)
+        right = Counter(e.second for e in apex.elements)
+        both_sides_repeat += any(left[e.first] > 1 and right[e.second] > 1 for e in apex.elements)
+    assert both_sides_repeat >= 150
+
+
+def one_key_graph(prefix, n):
+    return graph_of({"Plate": "String * Nat"}, {
+        f"{prefix}{i}": ("Plate", Pair(PrimVal("String", "US"), PrimVal("Nat", i)))
+        for i in range(n)})
+
+
+def test_a_single_shared_key_reaches_the_pushout_as_n1_plus_n2_pairs(monkeypatch):
+    apex_sizes = []
+
+    def recording(f, g):
+        apex_sizes.append(len(f.source.elements))
+        return pushout(f, g)
+
+    monkeypatch.setattr(integrate, "pushout", recording)
+    n1 = n2 = 4096
+    merged = merge_by_key(one_key_graph("p", n1), one_key_graph("q", n2), key="fst")
+    assert len(apex_sizes) == 1 and apex_sizes[0] <= n1 + n2
+    assert list(merged.elements) == [Class(Left(Atom("p0")))]
+
+
+def test_match_keeps_the_full_span_of_a_single_shared_key():
+    g1, g2 = one_key_graph("p", 5), one_key_graph("q", 7)
+    apex, m1, m2 = match_by_key(g1, g2, key="fst")
+    assert set(apex.elements) == {PairId(a, b) for a, b in product(g1.elements, g2.elements)}
+    assert check_morphism(m1).ok and check_morphism(m2).ok
