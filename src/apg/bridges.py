@@ -90,12 +90,14 @@ def export_rdf(graph: Graph) -> str:
     one marker triple, so vertices are visible beyond rdf:type.
     """
     schema = graph.schema
+    iris = {e: _element_iri(e) for e in graph.elements}  # a reference elsewhere is quoted as met
     plans = {label: (f" {_RDF_TYPE} <apg:l/{_quote(label)}> .",
-                     _layout(t, "", label, schema.registry)[3])
+                     _layout(t, "", label, schema.registry,
+                             lambda e: iris.get(e) or _element_iri(e))[3])
              for label, t in schema.labels.items()}
     lines = []
     for e, el in graph.elements.items():
-        subject = _element_iri(e)
+        subject = iris[e]
         typed, triples = plans[el.label]
         lines.append(subject + typed)
         triples(el.value, subject, lines)
@@ -126,9 +128,9 @@ class TableSet(Record, frozen=False):
 _ID_TYPES = get_args(ElementId)
 
 
-def _layout(t: TypeExpr, name: str, label: str, registry):
+def _layout(t: TypeExpr, name: str, label: str, registry, iri=_element_iri):
     """(columns, shred, rebuild, triples) for values of type t whose cells
-    start at name.
+    start at name; iri(e) is the IRI a reference leaf to e is written as.
 
     shred(v, cells) stores the leaves of v; rebuild(cells, used) reads a value
     back, adds each cell it reads to used, and raises ParseError on a row that
@@ -151,7 +153,7 @@ def _layout(t: TypeExpr, name: str, label: str, registry):
         return [], lambda v, cells: None, rebuild, triples
     if isinstance(t, (Prim, Lbl)):
         kind, leaf = ("fk", "element") if isinstance(t, Lbl) else ("prim", "literal")
-        node = _element_iri if isinstance(t, Lbl) else _LITERAL_NODE.get(
+        node = iri if isinstance(t, Lbl) else _LITERAL_NODE.get(
             t.name in registry and registry.kind(t.name))  # None in an invalid schema
 
         def shred(v, cells):
@@ -180,7 +182,7 @@ def _layout(t: TypeExpr, name: str, label: str, registry):
     steps = ("fst", "snd") if isinstance(t, Prod) else ("inl", "inr")
     ((left_columns, shred_left, rebuild_left, triples_left),
      (right_columns, shred_right, rebuild_right, triples_right)) = (
-        _layout(part, f"{name}.{step}" if name else step, label, registry)
+        _layout(part, f"{name}.{step}" if name else step, label, registry, iri)
         for part, step in zip((t.left, t.right), steps)
     )
     if isinstance(t, Prod):

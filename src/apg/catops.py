@@ -35,6 +35,7 @@ from .adt import (
     Right,
     Sum,
     Unit,
+    label_free,
     render_id,
     transport_type,
     transport_value,
@@ -159,6 +160,14 @@ def pair(f: Morphism, g: Morphism) -> Morphism:
 # ---------------------------------------------------------------------------
 # Coproduct
 
+def _mover(schema: Schema, refs: dict):
+    """An element's value with its references sent through refs, walked only
+    where the label's declared type holds a label: an unvalidated graph's
+    reference under a label-free type is kept, naming an input element."""
+    free = {l for l, t in schema.labels.items() if label_free(t)}
+    return lambda el: el.value if el.label in free else transport_value(refs, el.value)
+
+
 def _tagged_union(g1: Graph, g2: Graph, schema: Schema, left_prefix: str,
                   right_prefix: str) -> ConstructionResult:
     """Elements of g1 tagged Left and of g2 tagged Right, over schema.
@@ -172,10 +181,10 @@ def _tagged_union(g1: Graph, g2: Graph, schema: Schema, left_prefix: str,
         # One tagged id per element: the element key, the leg image and the
         # target of every Ref to it are the same object.
         on_elements = {e: tag(e) for e in g.sorted_ids()}
-        refs = {e: Ref(t) for e, t in on_elements.items()}
+        move = _mover(g.schema, {e: Ref(t) for e, t in on_elements.items()})
         for e, t in on_elements.items():
             el = g.elements[e]
-            elements[t] = Element(prefix + el.label, transport_value(refs, el.value))
+            elements[t] = Element(prefix + el.label, move(el))
         sides.append((g, {l: prefix + l for l in g.schema.labels}, on_elements))
     graph = Graph(schema, elements)
     inj1, inj2 = (Morphism(g, graph, on_labels, on_elements)
@@ -300,8 +309,8 @@ def _quotient(graph: Graph, pairs: Iterable[tuple[int, int]]):
             ref_of[ids[i]] = ref
         reps.append(rep)
     reps.sort(key=names.__getitem__)
-    elements = {class_of[r]: Element(els[r].label, transport_value(ref_of, els[r].value))
-                for r in reps}
+    move = _mover(graph.schema, ref_of)
+    elements = {class_of[r]: Element(els[r].label, move(els[r])) for r in reps}
     quotient = Graph(graph.schema, elements)
     leg = Morphism(graph, quotient, {l: l for l in graph.schema.labels}, dict(zip(ids, class_of)))
     return quotient, leg
@@ -333,7 +342,8 @@ def pushout(f: Morphism, g: Morphism) -> ConstructionResult:
     All three graphs must share one schema and both legs must be identity on
     labels.  The result is the disjoint union of the targets with f(e) and
     g(e) identified for every apex element e; its legs are the two composites
-    through the union.
+    through the union.  An unvalidated target's reference under a
+    label-free type is copied as it is (see _mover).
     """
     if f.source != g.source:
         raise PreconditionError("pushout needs a span with a common source")

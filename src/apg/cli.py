@@ -145,8 +145,8 @@ def _cmd_merge(args) -> int:
 
 def _cmd_migrate(args) -> int:
     mapping = _read(args.mapping, files.read_mapping)
-    data = _read_graph(args.data)
-    _emit_graph(migrate.delta_migrate(mapping, data), args.out)
+    data = _read_graph(args.data)  # validated here, so not again in delta_migrate
+    _emit_graph(migrate.delta_migrate(mapping, data, validate=False), args.out)
     return 0
 
 

@@ -12,10 +12,11 @@ Missing top-level keys mean empty (and the default primitive registry), so
 "{}" is the empty graph.  Writing is canonical: sorted keys, two-space
 indent, UTF-8 without escapes, trailing newline.
 
-Reading a graph decodes each value with a reader built once from its
-label's type, which checks the value as it decodes it; the labels that
-references land on are checked once every element is in.  A value its
-reader does not fit is decoded again form by form and validate_graph writes
+Reading a graph builds each value while json.loads runs, as the parser
+closes its object, so no tree of the JSON document is held; a test built
+once from each label's type then checks the values, and the labels that
+references land on once every element is in.  A document that does not fit
+is decoded again the plain way, form by form, with validate_graph writing
 the report, so bad input fails as it always did.  Each distinct id text is
 parsed once and gets one Ref per document, whose element is the very object
 that keys the element.  Error locations ("elements.e1.value.snd.inl") are
@@ -76,13 +77,16 @@ def decode_utf8(data: bytes, where: str) -> str:
         raise ParseError(f"{where}: not UTF-8 text at byte {err.start}: {err.reason}") from None
 
 
-def load_json(text: str):
-    """The document of a JSON text.  Its strings must hold Unicode text, as
-    I-JSON (RFC 7493) asks: no UTF-8 output can hold a lone surrogate such as
-    "\\ud800", so one is rejected here, by the line and column of its string.
-    Only a text with a surrogate escape has its strings decoded one by one."""
+def load_json(text: str, hook=None):
+    """The document of a JSON text, each object passed through hook when
+    given.  Its strings must hold Unicode text, as I-JSON (RFC 7493)
+    asks: no UTF-8 output can hold a lone surrogate such as "\\ud800", so
+    one is rejected here, by the line and column of its string.  Only a
+    text with a surrogate escape has its strings decoded one by one."""
+    collecting = gc.isenabled()
+    gc.disable()  # a parse makes no reference cycles
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=hook)
         if _SURROGATE_ESCAPE.search(text):
             for string in _STRING.finditer(text):
                 if _SURROGATE.search(json.loads(string.group())):
@@ -95,6 +99,9 @@ def load_json(text: str):
     except ValueError:  # CPython's limit on the digits of an int
         raise InvalidJSON(f"invalid JSON: an integer has more than "
                           f"{sys.get_int_max_str_digits()} digits") from None
+    finally:
+        if collecting:
+            gc.enable()
     return doc
 
 
@@ -279,117 +286,104 @@ def graph_to_json(graph: Graph) -> dict:
     return doc
 
 
-def graph_from_json(doc: dict, validate: bool = False) -> Graph:
-    """The graph of a decoded document.  With validate, a graph that is not
-    valid raises ValidationFailure with the report of validate_graph, which
-    runs only when the typed pass has a doubt."""
+def graph_from_json(doc: dict, validate: bool = False, ids: IdTable | None = None) -> Graph:
+    """The graph of a document load_json decoded, or, given ids, of one that
+    _builder built through ids, its values tested by their labels' _checker.
+    With validate, a graph that is not valid raises ValidationFailure with
+    the report of validate_graph, run on a built one only on a doubt."""
     _expect_object(doc, "graph document")
     schema = schema_from_json(doc)
     raw = doc.get("elements", {})
     if not isinstance(raw, dict):
         raise ParseError("elements must be an object")
-    registry = schema.registry
-    ids = IdTable()
-    refs: dict[str, Ref] = {}
-    wanted: dict[str, set] = {}  # label -> the id texts its references name
-    readers = {label: _reader(t, registry, ids, refs, wanted)
-               for label, t in schema.labels.items()}
+    built, ids = ids is not None, IdTable() if ids is None else ids
+    wanted: dict[str, dict] = {}  # label -> the Refs that must land on it
+    checks = {label: _checker(t, schema.registry, wanted) for label, t in schema.labels.items()}
     elements = {}
-    doubt = False
-    collecting = gc.isenabled()
-    gc.disable()  # decoding makes no reference cycles
-    try:
-        for id_text in sorted(raw):
+    for id_text in sorted(raw):
+        try:
+            e = ids[id_text]
+        except ParseError as err:
+            raise ParseError(f"elements.{id_text}: {err}") from None
+        entry = raw[id_text]
+        if not built:
+            _reject_entry(entry, f"elements.{id_text}")
             try:
-                e = ids[id_text]
-            except ParseError as err:
-                raise ParseError(f"elements.{id_text}: {err}") from None
-            entry = raw[id_text]
-            if not (isinstance(entry, dict) and len(entry) == 2 and "label" in entry
-                    and "value" in entry and isinstance(entry["label"], str)):
-                _reject_entry(entry, f"elements.{id_text}")
-            try:
-                value = readers[entry["label"]](entry["value"])
-            except (_Misfit, KeyError, TypeError, ParseError):
-                try:
-                    value = _value(entry["value"], registry, ids)
-                except _Malformed as bad:
-                    raise bad.at(f"elements.{id_text}.value") from None
-                doubt = True
-            elements[e] = Element(entry["label"], value)
-    finally:
-        if collecting:
-            gc.enable()
+                entry = Element(entry["label"], _value(entry["value"], schema.registry, ids))
+            except _Malformed as bad:
+                raise bad.at(f"elements.{id_text}.value") from None
+        elif not (type(entry) is Element and entry.label in checks
+                  and checks[entry.label](entry.value)):
+            raise ParseError(f"elements.{id_text}: not a value of its label's type")
+        elements[e] = entry
     if len(elements) != len(raw):
         _reject_equal_ids(raw, "elements")
     graph = Graph(schema, elements)
-    if validate and (doubt or not validate_schema(schema).ok or any(
-            text not in raw or raw[text]["label"] != label
-            for label, texts in wanted.items() for text in texts)):
+    if validate and (not built or not validate_schema(schema).ok or any(
+            getattr(elements.get(ref.element), "label", None) != label
+            for label, refs in wanted.items() for ref in refs.values())):
         report = validate_graph(graph)
         if not report.ok:
             raise ValidationFailure(report)
     return graph
 
 
-class _Misfit(Exception):
-    """A value its label's reader does not accept; _value decodes it again."""
-
-
-def _reader(t, registry: PrimRegistry, ids: IdTable, refs: dict, wanted: dict):
-    """The reader of values of type t.  It returns what _value decodes from a
-    raw value that _check accepts, and raises _Misfit, KeyError, TypeError or
-    ParseError on any other.  A reference is read as the one Ref of its id
-    text, and the text is noted under its label, to be checked at the end."""
+def _checker(t, registry: PrimRegistry, wanted: dict):
+    """The test that a built value has type t.  Each Ref is noted under its
+    label in wanted, to be checked once every element is in.  A double's int
+    literal fails: the plain read makes it the float (canonical text has no
+    such literal, and a built PrimVal, a record, is not changed in place)."""
     if isinstance(t, (Sum, Prod)):
-        left = _reader(t.left, registry, ids, refs, wanted)  # one frame per level, as parse_type
-        right = _reader(t.right, registry, ids, refs, wanted)
+        left = _checker(t.left, registry, wanted)  # one frame per level, as parse_type
+        right = _checker(t.right, registry, wanted)
     if isinstance(t, Prod):
-        def read(raw):
-            body = raw["pair"]
-            if len(raw) != 1 or type(body) is not list or len(body) != 2:
-                raise _Misfit
-            return Pair(left(body[0]), right(body[1]))
-    elif isinstance(t, Sum):
-        def read(raw):
-            if len(raw) != 1:
-                raise _Misfit
-            return Inl(left(raw["inl"])) if "inl" in raw else Inr(right(raw["inr"]))
-    elif isinstance(t, Lbl):
-        texts = wanted.setdefault(t.name, set())
+        return lambda v: type(v) is Pair and left(v.first) and right(v.second)
+    if isinstance(t, Sum):
+        return lambda v: left(v.inner) if type(v) is Inl else type(v) is Inr and right(v.inner)
+    if isinstance(t, Lbl):
+        refs = wanted.setdefault(t.name, {})  # by identity: the parse made one Ref per id text
+        return lambda v: type(v) is Ref and refs.setdefault(id(v), v) is v
+    if not isinstance(t, Prim):
+        return lambda v: type(v) is Unit and isinstance(t, One)
+    name, inside = t.name, registry.domain(t.name)
+    return lambda v: type(v) is PrimVal and v.prim == name and inside(v.literal)
 
-        def read(raw):
-            text = raw["ref"]
-            if len(raw) != 1 or type(text) is not str:
-                raise _Misfit
-            ref = refs.get(text)
-            if ref is None:
-                ref = refs[text] = Ref(ids[text])
-            texts.add(text)
-            return ref
-    elif isinstance(t, Prim):
-        name, inside = t.name, registry.domain(t.name)
-        double = registry.kind(name) == "double"
 
-        def read(raw):
-            body = raw["prim"]
-            if len(raw) != 1 or type(body) is not dict or len(body) != 2 or body["type"] != name:
-                raise _Misfit
-            literal = body["value"]
-            if double and type(literal) is int:
-                literal = registry.coerce(name, literal)
-            if not inside(literal):
-                raise _Misfit
-            return PrimVal(name, literal)
-    elif isinstance(t, One):
-        def read(raw):
-            if raw["unit"] != {} or len(raw) != 1:
-                raise _Misfit
-            return Unit()
-    else:
-        def read(raw):
-            raise _Misfit
-    return read
+def _builder(ids: IdTable):
+    """The object_hook that builds each value form, one Ref per id text
+    through ids, and an Element of each {"label", "value"}; literals stay as
+    parsed.  Any other object stays a dict: the hook never raises."""
+    refs: dict[str, Ref] = {}
+    unit, values = Unit(), frozenset({Unit, Pair, Inl, Inr, PrimVal, Ref})
+
+    def build(obj):
+        if len(obj) == 1:
+            form, = obj
+            body = obj[form]
+            kind = type(body)
+            if kind is str and form == "ref":
+                if body not in refs:
+                    try:
+                        refs[body] = Ref(ids[body])
+                    except ParseError:
+                        return obj
+                return refs[body]
+            if kind in values and form in ("inl", "inr"):
+                return Inl(body) if form == "inl" else Inr(body)
+            if (kind is list and form == "pair" and len(body) == 2
+                    and type(body[0]) in values and type(body[1]) in values):
+                return Pair(*body)
+            if kind is dict and form == "unit" and not body:
+                return unit
+            if (kind is dict and form == "prim" and len(body) == 2
+                    and "type" in body and "value" in body):
+                return PrimVal(body["type"], body["value"])
+        elif (len(obj) == 2 and "label" in obj and "value" in obj and type(obj["label"]) is str
+                and type(obj["value"]) in values):
+            return Element(obj["label"], obj["value"])
+        return obj
+
+    return build
 
 
 def _reject_equal_ids(texts, where: str):
@@ -404,10 +398,12 @@ def _reject_equal_ids(texts, where: str):
 
 
 def _reject_entry(entry, spot: str):
+    """Reject an entry other than {"label": <string>, "value": ...}."""
     _expect_object(entry, spot)
     if set(entry) != {"label", "value"}:
         raise ParseError(f"{spot}: entries carry exactly label and value")
-    raise ParseError(f"{spot}: label must be a string")
+    if not isinstance(entry["label"], str):
+        raise ParseError(f"{spot}: label must be a string")
 
 
 # write_graph emits the text _dump(graph_to_json(graph)) would, in one pass
@@ -468,9 +464,22 @@ def write_graph(graph: Graph) -> str:
     return "".join(chunks)
 
 
+def _read_built(text: str, read):
+    """read(doc, ids) of text's document with its values built through ids;
+    where that raises, read(doc, None) of the plain document, whose result
+    or error stands (the hook's frame costs the built parse one level)."""
+    ids = IdTable()
+    try:
+        return read(load_json(text, _builder(ids)), ids)
+    except (ParseError, RecursionError):
+        pass  # the built document is freed before the second read
+    return read(load_json(text), None)
+
+
 def read_schema(text: str) -> Schema:
     """The validated schema of a graph or schema document; elements are not read."""
-    schema = schema_from_json(_expect_object(load_json(text), "graph document"))
+    schema = _read_built(text, lambda doc, ids: schema_from_json(
+        _expect_object(doc, "graph document")))
     report = validate_schema(schema)
     if not report.ok:
         raise ValidationFailure(report)
@@ -478,7 +487,7 @@ def read_schema(text: str) -> Schema:
 
 
 def read_graph(text: str, validate: bool = True) -> Graph:
-    return graph_from_json(load_json(text), validate)
+    return _read_built(text, lambda doc, ids: graph_from_json(doc, validate, ids))
 
 
 # ---------------------------------------------------------------------------

@@ -531,23 +531,25 @@ def eval_term(t: Term, binding: Value, graph: Graph) -> Value:
 # ---------------------------------------------------------------------------
 # Migration
 
-def delta_migrate(m: SchemaMapping, graph: Graph) -> Graph:
+def delta_migrate(m: SchemaMapping, graph: Graph, validate: bool = True) -> Graph:
     """Pull a target graph back through a mapping, yielding a source graph.
 
     For each source label l and each witness w of its mapped type, the term
     for l runs with x bound to w; positions that the source type declares as
     label references are then reindexed onto the elements minted for those
     witnesses.  Each witness's Enc id and Ref are made once: the Enc keys the
-    element and every reference to it is that Ref.
+    element and every reference to it is that Ref.  validate=False skips the
+    check of graph, for a caller that has validated it (read_graph does).
     """
     report = typecheck_mapping(m)
     if not report.ok:
         raise PreconditionError(f"mapping does not typecheck:\n{report}")
     if graph.schema != m.target:
         raise PreconditionError("graph is not on the mapping's target schema")
-    data_report = validate_graph(graph)
-    if not data_report.ok:
-        raise PreconditionError(f"input graph is not valid:\n{data_report}")
+    if validate:
+        data_report = validate_graph(graph)
+        if not data_report.ok:
+            raise PreconditionError(f"input graph is not valid:\n{data_report}")
     for label in m.source.sorted_labels():
         if any(isinstance(node, Prim) for node in type_nodes(m.on_labels[label])):
             raise PreconditionError(

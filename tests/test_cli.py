@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from apg import files, migrate
 from apg.adt import Atom
 from apg.bridges import (
     export_rdf,
@@ -187,6 +188,26 @@ def test_migrate_produces_the_source_shaped_graph(capsys):
     g = read_graph(out)
     assert set(g.schema.labels) == {"record"}
     assert "E:record:@e1" in json.loads(out)["elements"]
+
+
+def test_migrate_validates_its_data_once(tmp_path, capsys, monkeypatch):
+    """The read checks the data; delta_migrate does not run validate_graph
+    on it again, and invalid data still fails with the read's report."""
+    calls = []
+    for module in (files, migrate):
+        check = module.validate_graph
+        monkeypatch.setattr(module, "validate_graph",
+                            lambda graph, check=check: calls.append(graph) or check(graph))
+    code, out, _ = run(capsys, "migrate", fixture_path("mapping.apgm"),
+                       fixture_path("mapping_input.apg"))
+    assert code == 0 and calls == []
+    doc = json.loads(load("mapping_input.apg"))
+    doc["elements"]["e1"]["value"]["pair"][0]["prim"]["value"] = -7
+    broken = tmp_path / "broken.apg"
+    broken.write_text(json.dumps(doc))
+    assert run(capsys, "migrate", fixture_path("mapping.apgm"), str(broken)) == (
+        1, "", "error: e1.fst: literal -7 is outside the Nat domain\n")
+    assert len(calls) == 1
 
 
 def test_migrate_reads_data_from_stdin(capsys, stdin):

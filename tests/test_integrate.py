@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from apg import integrate
+from apg import catops, integrate
 from apg.adt import (Atom, Class, Inl, Inr, Left, One, PairId, Pair, Prim, PrimVal, Prod,
                      Right, Unit)
 from apg.catops import pushout
@@ -92,6 +92,20 @@ def test_merge_collapses_the_shared_plate():
         Class(Right(Atom("q2"))): plates("MX", "SON", "VUK-17-75"),
     }
     assert {e: el.value for e, el in merged.elements.items()} == expected
+
+
+def test_merge_walks_no_value_for_references(monkeypatch):
+    """merge_by_key takes label-free types only, so the pushout copies each
+    value as it is; a type that holds a label is still walked."""
+    walked = []
+    transport = catops.transport_value
+    monkeypatch.setattr(catops, "transport_value",
+                        lambda refs, v: walked.append(v) or transport(refs, v))
+    merge_by_key(fixture("plates1.apg"), fixture("plates2.apg"))
+    assert walked == []
+    edges = fixture("edges.apg")
+    catops.coproduct(edges, edges)
+    assert walked
 
 
 def test_merge_of_disjoint_graphs_keeps_everything():

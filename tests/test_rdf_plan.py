@@ -8,6 +8,7 @@ import urllib.parse
 
 import pytest
 
+from apg import bridges
 from apg.adt import Atom, Inl, Inr, Pair, PrimVal, Ref, Unit, render_id
 from apg.bridges import export_rdf
 from apg.catops import coproduct, product
@@ -107,3 +108,16 @@ def test_same_bytes_on_edge_literals():
         },
     )
     assert export_rdf(g) == reference_export_rdf(g)
+
+
+def test_each_element_iri_is_quoted_once_and_a_dangling_reference_as_met(monkeypatch):
+    quoted = []
+    element_iri = bridges._element_iri
+    monkeypatch.setattr(bridges, "_element_iri", lambda e: quoted.append(e) or element_iri(e))
+    g = read_graph(load("trips.apg"))
+    assert export_rdf(g) == reference_export_rdf(g)
+    assert sorted(map(render_id, quoted)) == sorted(map(render_id, g.elements))
+    dangling = graph_of({"V": "1", "R": "V"}, {"v": ("V", Unit()), "r": ("R", Ref(Atom("gone")))})
+    quoted.clear()
+    assert export_rdf(dangling) == reference_export_rdf(dangling)
+    assert sorted(map(render_id, quoted)) == ["gone", "r", "v"]

@@ -1,11 +1,17 @@
 """The typed read, checked against a reference: graph_from_json as it was
 before values were decoded against their label's type, with validate_graph
 run on every graph read.  Also pins the sharing the typed read adds: one
-Ref per referenced id, whose element is the id object keying the element."""
+Ref per referenced id, whose element is the id object keying the element;
+and, since values are built while the JSON is parsed, that a read's traced
+peak stays under twice the graph it returns."""
 
+import copy
 import gc
 import json
 import random
+import tracemalloc
+
+from hypothesis import given, settings, strategies as st
 
 from apg.adt import Enc, IdTable, Inl, Inr, Left, Pair, PairId, Ref, render_id, transport_value
 from apg.errors import ParseError, ValidationFailure
@@ -225,3 +231,160 @@ def test_the_read_restores_the_collector_setting():
             assert gc.isenabled() == enabled
         finally:
             gc.enable()
+
+
+V_E = '"schema": {"V": "1", "E": "V * V"}'
+VERTEX = '{"label": "V", "value": {"unit": {}}}'
+FAST_PATH_EDGES = [
+    # value-shaped objects outside value position
+    ('{"schema": {"ref": "1"}}', "graph"),
+    ('{"schema": {"ref": "1"}, "elements": {"a": {"label": "ref", "value": {"unit": {}}}}}',
+     "graph"),
+    ('{"schema": {"unit": {}}}', "malformed"),
+    ('{"schema": {"label": "1", "value": {"unit": {}}}}', "malformed"),
+    ('{"schema": {"V": "1"}, "elements": {"type": %s, "value": %s}}' % (VERTEX, VERTEX), "graph"),
+    ('{"schema": {"V": "1"}, "elements": {"label": %s, "value": %s}}' % (VERTEX, VERTEX), "graph"),
+    ('{"schema": {"V": "1"}, "elements": {"label": "V", "value": {"unit": {}}}}', "malformed"),
+    ('{"elements": {"ref": "x"}}', "malformed"),
+    ('{"ref": "x"}', "graph"),
+    ('{"label": "V", "value": {"unit": {}}}', "graph"),
+    ('{"schema": {"V": "1"}, "primitives": [{"unit": {}}]}', "malformed"),
+    ('{"schema": {"D": "Double"}, "elements": {"d": {"label": "D", "value": '
+     '{"prim": {"type": "Double", "value": {"unit": {}}}}}}}', "invalid"),
+    # a pair list holding a non-value
+    ('{%s, "elements": {"v": %s, "e": {"label": "E", "value": '
+     '{"pair": [{"ref": "v"}, {"bogus": {}}]}}}}' % (V_E, VERTEX), "malformed"),
+    ('{%s, "elements": {"v": %s, "e": {"label": "E", "value": '
+     '{"pair": [{"ref": "v"}, 3]}}}}' % (V_E, VERTEX), "malformed"),
+    ('{%s, "elements": {"v": %s, "e": {"label": "E", "value": '
+     '{"pair": [{"ref": "v"}, {"ref": "v"}, {"ref": "v"}]}}}}' % (V_E, VERTEX), "malformed"),
+    # {"value", "label"} key order, and a repeated key
+    ('{%s, "elements": {"v": {"value": {"unit": {}}, "label": "V"}, "e": {"value": '
+     '{"pair": [{"ref": "v"}, {"ref": "v"}]}, "label": "E"}}}' % V_E, "graph"),
+    ('{"schema": {"V": "1"}, "elements": {"v": {"label": "V", "value": {"unit": {}, "unit": {}}}}}',
+     "graph"),
+    ('{"schema": {"V": "1"}, "elements": {"v": {"label": "V", "label": "V", '
+     '"value": {"unit": {}}}}}', "graph"),
+    # doubts the checks leave to validate_graph
+    ('{%s, "elements": {"v": %s, "e": {"label": "E", "value": '
+     '{"pair": [{"ref": "v"}, {"ref": "e"}]}}}}' % (V_E, VERTEX), "invalid"),
+    ('{"schema": {"Boolean": "1"}, "elements": {"v": {"label": "Boolean", "value": {"unit": {}}}}}',
+     "invalid"),
+    # literals the checks refuse: a double's int literal and one outside its domain
+    ('{"schema": {"D": "Double"}, "elements": {"d": {"label": "D", "value": '
+     '{"prim": {"type": "Double", "value": 3}}}}}', "graph"),
+    ('{"schema": {"N": "Nat"}, "elements": {"n": {"label": "N", "value": '
+     '{"prim": {"type": "Nat", "value": -1}}}}}', "invalid"),
+]
+
+
+def test_documents_off_the_fast_path_read_as_the_reference_reads_them():
+    for text, kind in FAST_PATH_EDGES:
+        for validate in (False, True):
+            want = outcome(reference_read, text, validate)
+            assert outcome(read_graph, text, validate) == want, text
+        assert ("graph" if isinstance(want[0], Graph) else want[0]) == kind, (text, want)
+
+
+FRAGMENTS = [{"unit": {}}, {"ref": "l0_e0"}, {"ref": "a b"}, {"pair": [{"unit": {}}, {"unit": {}}]},
+             {"pair": [{"unit": {}}, 5]}, {"inl": {"unit": {}}}, {"inr": {"ref": "l0_e0"}},
+             {"prim": {"type": "Nat", "value": 1}}, {"prim": {"type": "Double", "value": 2}},
+             {"prim": {"type": "Nat", "value": -1}}, {"prim": {"type": "String", "value": 5}},
+             {"label": "l0", "value": {"unit": {}}}, {"value": {"unit": {}}, "label": "l1"},
+             {"type": "Nat", "value": 0}, {"bogus": {}}, {}, [], "x", "l0", 1, 1.5, True, None]
+KEYS = ["", "Boolean", "ref", "unit", "label", "value", "type", "l0", "l1_e1"]
+
+
+def slots(doc):
+    """(container, key) of every position below the root of doc."""
+    found, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+                found.append((node, key))
+                stack.append(child)
+    return found
+
+
+def shuffled(node, rng):
+    """node with the keys of every object in a random order."""
+    if isinstance(node, list):
+        return [shuffled(child, rng) for child in node]
+    if not isinstance(node, dict):
+        return node
+    keys = list(node)
+    rng.shuffle(keys)
+    return {key: shuffled(node[key], rng) for key in keys}
+
+
+def result(read, text, validate):
+    """outcome, or the type and text of any other error."""
+    try:
+        return outcome(read, text, validate)
+    except Exception as err:  # noqa: BLE001 - both reads must fail alike
+        return type(err).__name__, str(err)
+
+
+LITERALS = [literal for literals in OUT_OF_DOMAIN.values() for literal in literals]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                          st.sampled_from(["put", "rename", "literal", "schema"])), max_size=3),
+       st.booleans())
+def test_read_graph_agrees_with_the_reference_on_mutated_documents(seed, edits, validate):
+    """Each edit puts a fragment at some position of a random graph's
+    document, the root included; renames the key of an object's member;
+    gives a primitive value a literal of another type; or adds a label
+    that breaks the schema."""
+    rng = random.Random(seed)
+    doc = json.loads(write_graph(random_graph(rng)))
+    for where, what, kind in edits:
+        spots = slots(doc)
+        if where % (len(spots) + 1) == len(spots):
+            doc = copy.deepcopy(FRAGMENTS[what % len(FRAGMENTS)])
+            continue
+        container, key = spots[where % len(spots)] if spots else (None, None)
+        prims = [node for node, slot in spots if slot == "prim" and isinstance(node[slot], dict)]
+        if kind == "rename" and isinstance(container, dict):
+            container[KEYS[what % len(KEYS)]] = container.pop(key)
+        elif kind == "literal" and prims:
+            prims[where % len(prims)]["prim"]["value"] = LITERALS[what % len(LITERALS)]
+        elif kind == "schema" and isinstance(doc, dict) and isinstance(doc.get("schema"), dict):
+            doc["schema"].update([{"Boolean": "1"}, {"": "1 + 1"}, {"l9": ""}][what % 3])
+        elif container is not None:
+            container[key] = copy.deepcopy(FRAGMENTS[what % len(FRAGMENTS)])
+    text = json.dumps(shuffled(doc, rng))
+    assert result(read_graph, text, validate) == result(reference_read, text, validate), text
+
+
+def vep_text(n):
+    """A graph on V: 1, E: V * V, P: V * String with n vertices, 2n edges
+    and n properties, as compact JSON."""
+    rng = random.Random(n)
+    elements = {f"v{i}": {"label": "V", "value": {"unit": {}}} for i in range(n)}
+    for j in range(2 * n):
+        elements[f"e{j}"] = {"label": "E", "value": {"pair": [
+            {"ref": f"v{rng.randrange(n)}"}, {"ref": f"v{rng.randrange(n)}"}]}}
+    for i in range(n):
+        elements[f"p{i}"] = {"label": "P", "value": {"pair": [
+            {"ref": f"v{rng.randrange(n)}"},
+            {"prim": {"type": "String", "value": "".join(rng.choices("abcdefgh", k=7))}}]}}
+    return json.dumps({"schema": {"V": "1", "E": "V * V", "P": "V * String"},
+                       "elements": elements}, sort_keys=True)
+
+
+def test_the_read_peaks_below_twice_the_graph_it_returns():
+    """Measured in bytes, not time: a read that held the whole JSON tree
+    beside the graph peaked near 3.7 times the graph."""
+    text = vep_text(4000)
+    tracemalloc.start()
+    try:
+        graph = read_graph(text)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.elements) == 16000
+    assert peak <= 2 * size, (peak, size)
