@@ -34,6 +34,7 @@ _IN_DOMAIN = {
     "double": lambda x: isinstance(x, float) and math.isfinite(x),
     "boolean": lambda x: isinstance(x, bool),
 }
+_NOWHERE = lambda x: False  # the domain of a name no registry holds
 
 
 class PrimRegistry:
@@ -63,11 +64,12 @@ class PrimRegistry:
 
     def check_literal(self, name: str, literal: object) -> bool:
         """True when the literal lies in the domain registered under name."""
-        return name in self._kinds and _IN_DOMAIN[self._kinds[name]](literal)
+        return self.domain(name)(literal)
 
     def domain(self, name: str) -> Callable[[object], bool]:
-        """check_literal for the registered name, looked up once."""
-        return _IN_DOMAIN[self._kinds[name]]
+        """The test of check_literal for name, looked up once; the domain of
+        an unregistered name is empty."""
+        return _IN_DOMAIN.get(self._kinds.get(name), _NOWHERE)
 
     def coerce(self, name: str, raw: object) -> object:
         """Normalize a literal fresh from JSON: ints are legal double text, but
@@ -736,21 +738,49 @@ def check_value(value: Value, expected: TypeExpr, schema, label_of) -> Mismatch 
     positions.  Returns None when the value inhabits the type.
     """
     look = label_of if callable(label_of) else label_of.get
-    return _check(value, expected, schema.registry, look)
+    return checker(expected, schema.registry)(value, look)
 
 
-def _under(step: str, miss: Mismatch | None) -> Mismatch | None:
-    """The mismatch one step further from the root; paths grow only here."""
-    return None if miss is None else Mismatch((step,) + miss.path, miss.message)
+def checker(t: TypeExpr, registry: PrimRegistry):
+    """The check of values against t, built once: check(v, look) is None
+    when v inhabits t, else the first Mismatch, written only then.  look(e)
+    is the label of element e, or None when there is none."""
+    if isinstance(t, Lbl):
+        name = t.name
+        return lambda v, look: (None if type(v) is Ref and look(v.element) == name
+                                else _mismatch(t, v, look))
+    if isinstance(t, Prim):
+        name, inside = t.name, registry.domain(t.name)
+        return lambda v, look: (None if type(v) is PrimVal and v.prim == name and inside(v.literal)
+                                else _mismatch(t, v, look))
+    if not isinstance(t, (Sum, Prod)):
+        return lambda v, look: None if type(v) is Unit and isinstance(t, One) else _mismatch(t, v, look)
+    left = checker(t.left, registry)  # one frame per level, as parse_type
+    right = checker(t.right, registry)
+    pair = isinstance(t, Prod)
+
+    def check(v, look):
+        kind = type(v)
+        if pair and kind is Pair:
+            step, miss = "fst", left(v.first, look)
+            if miss is None:
+                step, miss = "snd", right(v.second, look)
+        elif not pair and kind is Inl:
+            step, miss = "inl", left(v.inner, look)
+        elif not pair and kind is Inr:
+            step, miss = "inr", right(v.inner, look)
+        else:
+            return _mismatch(t, v, look)
+        return None if miss is None else Mismatch((step,) + miss.path, miss.message)
+    return check
 
 
-def _check(v: Value, t: TypeExpr, registry: PrimRegistry, look) -> Mismatch | None:
+def _mismatch(t: TypeExpr, v: Value, look) -> Mismatch:
+    """Why the node t refuses the value v, whose parts it has not checked."""
     if isinstance(t, Lbl):
         if not isinstance(v, Ref):
             return Mismatch((), f"expected a reference to {t.name}, found {_describe(v)}")
         target_label = look(v.element)
-        if target_label == t.name:
-            return None
         if target_label is None:
             return Mismatch((), f"reference to missing element {render_id(v.element)}")
         return Mismatch(
@@ -758,29 +788,14 @@ def _check(v: Value, t: TypeExpr, registry: PrimRegistry, look) -> Mismatch | No
             f"expected a reference to {t.name}, found one to "
             f"{render_id(v.element)} labeled {target_label}",
         )
-    if isinstance(t, Prod):
-        if isinstance(v, Pair):
-            miss = _check(v.first, t.left, registry, look)
-            if miss is not None:
-                return _under("fst", miss)
-            return _under("snd", _check(v.second, t.right, registry, look))
-        return Mismatch((), f"expected {render_type(t)}, found {_describe(v)}")
     if isinstance(t, Prim):
         if not isinstance(v, PrimVal):
             return Mismatch((), f"expected a {t.name} literal, found {_describe(v)}")
         if v.prim != t.name:
             return Mismatch((), f"expected a {t.name} literal, found a {v.prim} literal")
-        if not registry.check_literal(v.prim, v.literal):
-            return Mismatch((), f"literal {v.literal!r} is outside the {v.prim} domain")
-        return None
+        return Mismatch((), f"literal {v.literal!r} is outside the {v.prim} domain")
     if isinstance(t, One):
-        if isinstance(v, Unit):
-            return None
         return Mismatch((), f"expected (), found {_describe(v)}")
-    if isinstance(t, Sum):
-        if isinstance(v, Inl):
-            return _under("inl", _check(v.inner, t.left, registry, look))
-        if isinstance(v, Inr):
-            return _under("inr", _check(v.inner, t.right, registry, look))
+    if isinstance(t, (Sum, Prod)):
         return Mismatch((), f"expected {render_type(t)}, found {_describe(v)}")
     return Mismatch((), "no value inhabits the empty type 0")

@@ -177,8 +177,8 @@ def _cmd_export(args) -> int:
 
 def _cmd_import(args) -> int:
     schema = _read(args.schema, files.read_schema)
-    tables = bridges.read_tableset(args.directory)
-    _emit_graph(bridges.import_relational(tables, schema), args.out)
+    graph = bridges.import_relational(bridges.read_tableset(args.directory), schema)
+    _emit_graph(graph, args.out)  # the tables are freed before the write
     return 0
 
 

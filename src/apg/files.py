@@ -13,14 +13,16 @@ Missing top-level keys mean empty (and the default primitive registry), so
 indent, UTF-8 without escapes, trailing newline.
 
 Reading a graph builds each value while json.loads runs, as the parser
-closes its object, so no tree of the JSON document is held; a test built
-once from each label's type then checks the values, and the labels that
-references land on once every element is in.  A document that does not fit
-is decoded again the plain way, form by form, with validate_graph writing
-the report, so bad input fails as it always did.  Each distinct id text is
-parsed once and gets one Ref per document, whose element is the very object
-that keys the element.  Error locations ("elements.e1.value.snd.inl") are
-assembled only when a value is malformed, as the error unwinds.
+closes its object, so no tree of the JSON document is held; the graph's one
+conformance pass, each label's checker built once from its type, then
+checks the values and the labels their references land on.  A document
+that does not fit, or whose graph has any finding, is decoded again the
+plain way, form by form, with validate_graph writing the report, so bad
+input fails as it always did.  Each distinct id text is parsed once and
+gets one Ref per document, whose element is the very object that keys the
+element.  Error locations ("elements.e1.value.snd.inl") are assembled only
+when a value is malformed, as the error unwinds.  Reading a schema drops
+each element as the parser closes it.
 
 Morphism documents carry {"onLabels", "onElements"} and are interpreted
 against explicitly supplied source and target graphs.  Mapping documents
@@ -41,15 +43,10 @@ from .adt import (
     IdTable,
     Inl,
     Inr,
-    Lbl,
-    One,
     Pair,
-    Prim,
     PrimRegistry,
     PrimVal,
-    Prod,
     Ref,
-    Sum,
     Unit,
     Value,
     parse_id,
@@ -58,7 +55,7 @@ from .adt import (
     render_type,
 )
 from .errors import InvalidJSON, ParseError, ValidationFailure
-from .graph import Element, Graph, Schema, validate_graph, validate_schema
+from .graph import Element, Graph, Schema, conformance, validate_graph, validate_schema
 from .migrate import SchemaMapping, parse_term, render_term, typecheck_mapping
 from .morphism import Morphism, check_morphism
 
@@ -288,17 +285,15 @@ def graph_to_json(graph: Graph) -> dict:
 
 def graph_from_json(doc: dict, validate: bool = False, ids: IdTable | None = None) -> Graph:
     """The graph of a document load_json decoded, or, given ids, of one that
-    _builder built through ids, its values tested by their labels' _checker.
-    With validate, a graph that is not valid raises ValidationFailure with
-    the report of validate_graph, run on a built one only on a doubt."""
+    _builder built through ids, which raises ParseError unless it conforms (a
+    double's int literal, which the plain read makes a float, never does).
+    With validate, an invalid graph raises ValidationFailure."""
     _expect_object(doc, "graph document")
     schema = schema_from_json(doc)
     raw = doc.get("elements", {})
     if not isinstance(raw, dict):
         raise ParseError("elements must be an object")
     built, ids = ids is not None, IdTable() if ids is None else ids
-    wanted: dict[str, dict] = {}  # label -> the Refs that must land on it
-    checks = {label: _checker(t, schema.registry, wanted) for label, t in schema.labels.items()}
     elements = {}
     for id_text in sorted(raw):
         try:
@@ -312,41 +307,19 @@ def graph_from_json(doc: dict, validate: bool = False, ids: IdTable | None = Non
                 entry = Element(entry["label"], _value(entry["value"], schema.registry, ids))
             except _Malformed as bad:
                 raise bad.at(f"elements.{id_text}.value") from None
-        elif not (type(entry) is Element and entry.label in checks
-                  and checks[entry.label](entry.value)):
-            raise ParseError(f"elements.{id_text}: not a value of its label's type")
+        elif type(entry) is not Element:
+            raise ParseError(f"elements.{id_text}: not a well-formed entry")
         elements[e] = entry
     if len(elements) != len(raw):
         _reject_equal_ids(raw, "elements")
     graph = Graph(schema, elements)
-    if validate and (not built or not validate_schema(schema).ok or any(
-            getattr(elements.get(ref.element), "label", None) != label
-            for label, refs in wanted.items() for ref in refs.values())):
-        report = validate_graph(graph)
+    if built and conformance(graph):
+        raise ParseError("a built value does not conform")
+    if validate:
+        report = validate_schema(schema) if built else validate_graph(graph)
         if not report.ok:
             raise ValidationFailure(report)
     return graph
-
-
-def _checker(t, registry: PrimRegistry, wanted: dict):
-    """The test that a built value has type t.  Each Ref is noted under its
-    label in wanted, to be checked once every element is in.  A double's int
-    literal fails: the plain read makes it the float (canonical text has no
-    such literal, and a built PrimVal, a record, is not changed in place)."""
-    if isinstance(t, (Sum, Prod)):
-        left = _checker(t.left, registry, wanted)  # one frame per level, as parse_type
-        right = _checker(t.right, registry, wanted)
-    if isinstance(t, Prod):
-        return lambda v: type(v) is Pair and left(v.first) and right(v.second)
-    if isinstance(t, Sum):
-        return lambda v: left(v.inner) if type(v) is Inl else type(v) is Inr and right(v.inner)
-    if isinstance(t, Lbl):
-        refs = wanted.setdefault(t.name, {})  # by identity: the parse made one Ref per id text
-        return lambda v: type(v) is Ref and refs.setdefault(id(v), v) is v
-    if not isinstance(t, Prim):
-        return lambda v: type(v) is Unit and isinstance(t, One)
-    name, inside = t.name, registry.domain(t.name)
-    return lambda v: type(v) is PrimVal and v.prim == name and inside(v.literal)
 
 
 def _builder(ids: IdTable):
@@ -464,22 +437,24 @@ def write_graph(graph: Graph) -> str:
     return "".join(chunks)
 
 
-def _read_built(text: str, read):
-    """read(doc, ids) of text's document with its values built through ids;
-    where that raises, read(doc, None) of the plain document, whose result
-    or error stands (the hook's frame costs the built parse one level)."""
-    ids = IdTable()
+def _read_built(text: str, hook, read):
+    """read(doc, True) of text's document with each object passed through
+    hook; where that raises, read(doc, False) of the plain document, whose
+    result or error stands (the hook's frame costs the built parse one level)."""
     try:
-        return read(load_json(text, _builder(ids)), ids)
+        return read(load_json(text, hook), True)
     except (ParseError, RecursionError):
-        pass  # the built document is freed before the second read
-    return read(load_json(text), None)
+        hook = None  # the built document and the hook are freed before the second read
+    return read(load_json(text), False)
 
 
 def read_schema(text: str) -> Schema:
-    """The validated schema of a graph or schema document; elements are not read."""
-    schema = _read_built(text, lambda doc, ids: schema_from_json(
-        _expect_object(doc, "graph document")))
+    """The validated schema of a graph or schema document.  Its parse drops
+    each {"label", "value"} object, so no element is built; a schema object
+    of those two labels, dropped with them, takes the plain read."""
+    schema = _read_built(
+        text, lambda obj: None if len(obj) == 2 and "label" in obj and "value" in obj else obj,
+        lambda doc, built: schema_from_json(_expect_object(doc, "graph document")))
     report = validate_schema(schema)
     if not report.ok:
         raise ValidationFailure(report)
@@ -487,7 +462,9 @@ def read_schema(text: str) -> Schema:
 
 
 def read_graph(text: str, validate: bool = True) -> Graph:
-    return _read_built(text, lambda doc, ids: graph_from_json(doc, validate, ids))
+    ids = IdTable()
+    return _read_built(text, _builder(ids), lambda doc, built: graph_from_json(
+        doc, validate, ids if built else None))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ from .adt import (
     DEFAULT_REGISTRY,
     ElementId,
     Lbl,
+    Mismatch,
     One,
     Pair,
     Prim,
     Prod,
     Record,
     Value,
-    check_value,
+    checker,
     render_id,
     type_nodes,
 )
@@ -119,20 +120,26 @@ def validate_graph(graph: Graph) -> ValidationReport:
     its registered domain.
     """
     report = validate_schema(graph.schema)
-    labels = graph.schema.labels
-    label_of = {e: el.label for e, el in graph.elements.items()}
-    found = []
-    for e, el in graph.elements.items():
-        expected = labels.get(el.label)
-        if expected is None:
-            found.append(Finding(render_id(e), "", f"element has undeclared label {el.label!r}"))
-            continue
-        mismatch = check_value(el.value, expected, graph.schema, label_of)
-        if mismatch is not None:
-            found.append(Finding(render_id(e), mismatch.path_text(), mismatch.message))
-    found.sort(key=lambda finding: finding.subject)
-    report.findings.extend(found)
+    report.findings.extend(conformance(graph))
     return report
+
+
+def conformance(graph: Graph) -> list[Finding]:
+    """The finding of each element whose label is undeclared or whose value
+    does not inhabit its label's type, in id order; each label's checker is
+    built once, and references are looked up in graph.elements."""
+    elements = graph.elements
+    look = lambda e: getattr(elements.get(e), "label", None)
+    checks = {label: checker(t, graph.schema.registry) for label, t in graph.schema.labels.items()}
+    found = []
+    for e, el in elements.items():
+        check = checks.get(el.label)
+        miss = (Mismatch((), f"element has undeclared label {el.label!r}") if check is None
+                else check(el.value, look))
+        if miss is not None:
+            found.append(Finding(render_id(e), miss.path_text(), miss.message))
+    found.sort(key=lambda finding: finding.subject)
+    return found
 
 
 def group_by_key(graph: Graph, label: str, key) -> dict[Value, list[ElementId]]:

@@ -31,6 +31,7 @@ from apg.files import (
     read_graph,
     read_mapping,
     read_morphism,
+    read_schema,
     registry_from_json,
     registry_to_json,
     value_to_json,
@@ -416,3 +417,21 @@ def test_morphism_ids_that_parse_equal_are_rejected():
         read_morphism(text, g, g, validate=False)
     assert str(err.value) == (
         "onElements: ids 'E:x:Nat=1.0' and 'E:x:Nat=true' name the same element")
+
+
+def test_read_schema_reads_a_schema_whose_labels_are_label_and_value():
+    """Such a schema object is dropped with the elements by the schema read's
+    hook, so the schema comes from the plain read."""
+    doc = {"schema": {"label": "1", "value": "label * String"},
+           "elements": {"a": {"label": "label", "value": {"unit": {}}}}}
+    assert read_schema(json.dumps(doc)) == Schema(
+        {"label": One(), "value": Prod(Lbl("label"), Prim("String"))})
+    assert read_schema(json.dumps({"label": "x", "value": 1})) == Schema({})
+
+
+def test_read_schema_ignores_the_elements():
+    for name in FIXTURES:
+        assert read_schema(load(name)) == read_graph(load(name)).schema
+    doc = {"schema": {"V": "1"}, "elements": {"v": {"label": "V", "value": {"bogus": 1}},
+                                              "w": {"label": "V", "value": {"ref": "a b"}}}}
+    assert read_schema(json.dumps(doc)) == Schema({"V": One()})

@@ -52,7 +52,7 @@ from apg.migrate import (
     typecheck_mapping,
 )
 
-from .generators import random_graph, random_term, reachable_term_type, schema_of
+from .generators import graph_of, random_graph, random_term, reachable_term_type, schema_of
 
 
 def fixture(name):
@@ -388,3 +388,21 @@ def test_migrate_empty_graph_yields_unit_witnesses_only():
     g = fixture("mapping_input.apg")
     out = delta_migrate(shipped_mapping(), Graph(g.schema, {}))
     assert not out.elements
+
+
+def test_migrate_names_the_witness_a_reference_misses():
+    """Without the check of its input, a dangling edge reaches the reindex,
+    which names the witness and where in the source value it sits."""
+    g = graph_of({"Node": "1", "Edge": "Node * Node"}, {
+        "n1": ("Node", Unit()),
+        "e1": ("Edge", Pair(Ref(Atom("n1")), Ref(Atom("ghost")))),
+    })
+    m = SchemaMapping(
+        source=g.schema,
+        target=g.schema,
+        on_labels={"Node": Lbl("Node"), "Edge": Lbl("Edge")},
+        on_terms={"Node": parse_term("phi x"), "Edge": parse_term("phi x")},
+    )
+    with pytest.raises(PreconditionError) as err:
+        delta_migrate(m, g, validate=False)
+    assert str(err.value) == "no migrated element of 'Node' for witness @ghost (at .snd)"
