@@ -700,6 +700,60 @@ def _transport(v: Value, g: Callable[[ElementId], Value]) -> Value:
     return v if first is v.first and second is v.second else Pair(first, second)
 
 
+class ValueFault(Exception):
+    """A fault at a position inside a value.  steps names the path back to
+    the value's root, innermost first: each enclosing node appends its step
+    as the error passes through it, so the path is written only on a fault."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.steps: list[str] = []
+
+    def path_text(self) -> str:
+        return "".join("." + step for step in reversed(self.steps))
+
+
+def ref_plan(t: TypeExpr):
+    """The rebuild of values of t that changes only their reference
+    positions, made once per type: None when t is label-free, else
+    move(v, g), which is v with g(name, x) put at each position x where t
+    holds the label name, label-free parts kept as they are.  It recurses
+    one frame per type level, as checker, and trusts v to have t's shape:
+    a caller moves only values that fit t and transports any other whole
+    (transport_value).  A ValueFault raised by g gains each step on its way
+    out of the value."""
+    if isinstance(t, Lbl):
+        name = t.name
+        return lambda v, g: g(name, v)
+    if not isinstance(t, (Sum, Prod)):
+        return None
+    left, right = ref_plan(t.left), ref_plan(t.right)
+    if left is None and right is None:
+        return None
+    if isinstance(t, Prod):
+        def move(v, g):
+            step = "fst"
+            try:
+                first = v.first if left is None else left(v.first, g)
+                step = "snd"
+                return Pair(first, v.second if right is None else right(v.second, g))
+            except ValueFault as fault:
+                fault.steps.append(step)
+                raise
+        return move
+
+    def choose(v, g):
+        inl = type(v) is Inl
+        try:
+            if inl:
+                return v if left is None else Inl(left(v.inner, g))
+            return v if right is None else Inr(right(v.inner, g))
+        except ValueFault as fault:
+            fault.steps.append("inl" if inl else "inr")
+            raise
+    return choose
+
+
 # ---------------------------------------------------------------------------
 # Bidirectional value checking
 
@@ -716,18 +770,18 @@ class Mismatch(Record):
         return f"at {where}: {self.message}"
 
 
+_DESCRIBED = {Unit: "()", Pair: "a pair", Inl: "a left injection", Inr: "a right injection"}
+_IDS = (Atom, _Composite)  # the classes of ElementId
+
+
 def _describe(v: Value) -> str:
-    if isinstance(v, Unit):
-        return "()"
-    if isinstance(v, Pair):
-        return "a pair"
-    if isinstance(v, Inl):
-        return "a left injection"
-    if isinstance(v, Inr):
-        return "a right injection"
     if isinstance(v, PrimVal):
         return f"a {v.prim} literal"
-    return f"a reference to {render_id(v.element)}"
+    if isinstance(v, Ref):
+        e = v.element
+        return "a reference to " + (render_id(e) if isinstance(e, _IDS)
+                                    else f"a non-id {type(e).__name__}")
+    return _DESCRIBED.get(type(v), f"a non-value {type(v).__name__}")
 
 
 def check_value(value: Value, expected: TypeExpr, schema, label_of) -> Mismatch | None:
@@ -778,7 +832,7 @@ def checker(t: TypeExpr, registry: PrimRegistry):
 def _mismatch(t: TypeExpr, v: Value, look) -> Mismatch:
     """Why the node t refuses the value v, whose parts it has not checked."""
     if isinstance(t, Lbl):
-        if not isinstance(v, Ref):
+        if not isinstance(v, Ref) or not isinstance(v.element, _IDS):
             return Mismatch((), f"expected a reference to {t.name}, found {_describe(v)}")
         target_label = look(v.element)
         if target_label is None:

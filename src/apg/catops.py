@@ -9,6 +9,9 @@ union on that shared schema, which tags elements exactly as the coproduct
 does but leaves labels as they are.  The quotient runs its union-find over
 element positions, not ids.  Every pair id, tagged id or class is built once
 and shared by its element key, its leg images and the references to it.
+Stored references move along a plan made once per label (adt.ref_plan), which
+rebuilds only the positions where the label's type holds a label; a value
+that does not fit its type (unvalidated input only) is transported whole.
 
 Each construction returns the graph together with its legs (projections,
 injections, or the universal map onto the quotient).
@@ -35,7 +38,8 @@ from .adt import (
     Right,
     Sum,
     Unit,
-    label_free,
+    checker,
+    ref_plan,
     render_id,
     transport_type,
     transport_value,
@@ -93,8 +97,12 @@ def product(g1: Graph, g2: Graph) -> ConstructionResult:
     """Labels and elements are pairs; declared types and stored values are
     transported so that each reference pairs up with the fixed other half.
     Each pair id and its one Ref, shared by every value pointing to it, are
-    made once, in a grid over the sorted ids; a reference outside its graph
-    (unvalidated input only) gets a fresh pair id."""
+    made once, in a grid over the sorted ids.  References move along each
+    label's plan (adt.ref_plan): an element's references are resolved to
+    their grid rows (in g1) or columns (in g2) once, and each pair then
+    indexes those lines (see _halves).  A value that does not fit its type
+    (unvalidated input only) is transported whole for each pair, and its
+    references, outside its graph too, get fresh pair ids."""
     _require_same_registry(g1, g2)
     # The label maps depend on one label of the other side only.
     used1, used2 = ({*g.schema.labels, *(el.label for el in g.elements.values())} for g in (g1, g2))
@@ -114,24 +122,17 @@ def product(g1: Graph, g2: Graph) -> ConstructionResult:
             proj1_labels[name] = l1
             proj2_labels[name] = l2
     ids1, ids2 = g1.sorted_ids(), g2.sorted_ids()
-    at1 = {e: i for i, e in enumerate(ids1)}
-    at2 = {e: j for j, e in enumerate(ids2)}
     grid = [[Ref(PairId(e1, e2)) for e2 in ids2] for e1 in ids1]
-    elements: dict[ElementId, Element] = {}
-    proj1_elements: dict[ElementId, ElementId] = {}
-    proj2_elements: dict[ElementId, ElementId] = {}
-    for i, e1 in enumerate(ids1):
-        el1, row = g1.elements[e1], grid[i]
-        for j, e2 in enumerate(ids2):
-            el2 = g2.elements[e2]
-            value = Pair(
-                transport_value(lambda e: grid[at1[e]][j] if e in at1 else Ref(PairId(e, e2)),
-                                el1.value),
-                transport_value(lambda e: row[at2[e]] if e in at2 else Ref(PairId(e1, e)),
-                                el2.value),
-            )
-            eid = row[j].element
-            elements[eid] = Element(names[el1.label, el2.label], value)
+    # A reference to e1 reads its Ref off e1's grid row, one to e2 off e2's column.
+    at1 = _halves(g1, ids1, dict(zip(ids1, grid)), lambda e, j: Ref(PairId(e, ids2[j])))
+    at2 = _halves(g2, ids2, dict(zip(ids2, zip(*grid))), lambda e, i: Ref(PairId(ids1[i], e)))
+    elements, proj1_elements, proj2_elements = {}, {}, {}
+    labels2 = [g2.elements[e2].label for e2 in ids2]
+    for i, (e1, half1, row) in enumerate(zip(ids1, at1, grid)):
+        label1 = g1.elements[e1].label
+        for j, (e2, half2, label2, ref) in enumerate(zip(ids2, at2, labels2, row)):
+            eid = ref.element
+            elements[eid] = Element(names[label1, label2], Pair(half1(j), half2(i)))
             proj1_elements[eid] = e1
             proj2_elements[eid] = e2
     graph = Graph(Schema(labels, g1.schema.registry), elements)
@@ -142,6 +143,53 @@ def product(g1: Graph, g2: Graph) -> ConstructionResult:
             "proj2": Morphism(graph, g2, proj2_labels, proj2_elements),
         },
     )
+
+
+def _plan_of(graph: Graph, check_free: bool):
+    """plan_of(el): the plan that moves el's value, None when the value has
+    no reference to move, or False when it must be transported whole: its
+    label is undeclared or its value does not inhabit the label's type
+    (unvalidated input only).  A label-free value is checked only when
+    check_free."""
+    elements = graph.elements
+    look = lambda e: getattr(elements.get(e), "label", None)
+    plans = {l: (ref_plan(t), checker(t, graph.schema.registry))
+             for l, t in graph.schema.labels.items()}
+
+    def plan_of(el):
+        plan, check = plans.get(el.label, (False, None))
+        if plan is None and not check_free or check and check(el.value, look) is None:
+            return plan
+        return False
+    return plan_of
+
+
+def _halves(graph: Graph, ids: list, lines: dict, pair_ref) -> list:
+    """For each id, at(k): its element's value in the pair at index k of its
+    line, each reference to e becoming pair_ref(e, k), which is lines[e][k].
+    A value that fits its type is moved onto its lines once, along its
+    label's plan, so that at(k) only indexes; any other is transported whole
+    by each call."""
+    plan_of, halves = _plan_of(graph, True), []
+    for e in ids:
+        v, plan = graph.elements[e].value, plan_of(graph.elements[e])
+        if plan is False:
+            halves.append(lambda k, v=v: transport_value(lambda x: pair_ref(x, k), v))
+        elif plan is None:
+            halves.append(lambda k, v=v: v)
+        else:
+            moved = plan(v, lambda _, ref: lines[ref.element])
+            halves.append(lambda k, plan=plan, moved=moved: plan(moved, lambda _, line: line[k]))
+    return halves
+
+
+def _relink(graph: Graph, refs: dict):
+    """relink(el): el's value with each reference to e replaced by refs[e]
+    (see _plan_of).  A label-free value is kept as it is, so an unvalidated
+    graph's reference there still names an input element."""
+    plan_of, resolve = _plan_of(graph, False), lambda _, ref: refs[ref.element]
+    return lambda el: (el.value if (plan := plan_of(el)) is None
+                       else plan(el.value, resolve) if plan else transport_value(refs, el.value))
 
 
 def pair(f: Morphism, g: Morphism) -> Morphism:
@@ -160,14 +208,6 @@ def pair(f: Morphism, g: Morphism) -> Morphism:
 # ---------------------------------------------------------------------------
 # Coproduct
 
-def _mover(schema: Schema, refs: dict):
-    """An element's value with its references sent through refs, walked only
-    where the label's declared type holds a label: an unvalidated graph's
-    reference under a label-free type is kept, naming an input element."""
-    free = {l for l, t in schema.labels.items() if label_free(t)}
-    return lambda el: el.value if el.label in free else transport_value(refs, el.value)
-
-
 def _tagged_union(g1: Graph, g2: Graph, schema: Schema, left_prefix: str,
                   right_prefix: str) -> ConstructionResult:
     """Elements of g1 tagged Left and of g2 tagged Right, over schema.
@@ -181,10 +221,10 @@ def _tagged_union(g1: Graph, g2: Graph, schema: Schema, left_prefix: str,
         # One tagged id per element: the element key, the leg image and the
         # target of every Ref to it are the same object.
         on_elements = {e: tag(e) for e in g.sorted_ids()}
-        move = _mover(g.schema, {e: Ref(t) for e, t in on_elements.items()})
+        relink = _relink(g, {e: Ref(t) for e, t in on_elements.items()})
         for e, t in on_elements.items():
             el = g.elements[e]
-            elements[t] = Element(prefix + el.label, move(el))
+            elements[t] = Element(prefix + el.label, relink(el))
         sides.append((g, {l: prefix + l for l in g.schema.labels}, on_elements))
     graph = Graph(schema, elements)
     inj1, inj2 = (Morphism(g, graph, on_labels, on_elements)
@@ -309,8 +349,8 @@ def _quotient(graph: Graph, pairs: Iterable[tuple[int, int]]):
             ref_of[ids[i]] = ref
         reps.append(rep)
     reps.sort(key=names.__getitem__)
-    move = _mover(graph.schema, ref_of)
-    elements = {class_of[r]: Element(els[r].label, move(els[r])) for r in reps}
+    relink = _relink(graph, ref_of)
+    elements = {class_of[r]: Element(els[r].label, relink(els[r])) for r in reps}
     quotient = Graph(graph.schema, elements)
     leg = Morphism(graph, quotient, {l: l for l in graph.schema.labels}, dict(zip(ids, class_of)))
     return quotient, leg
@@ -343,7 +383,7 @@ def pushout(f: Morphism, g: Morphism) -> ConstructionResult:
     labels.  The result is the disjoint union of the targets with f(e) and
     g(e) identified for every apex element e; its legs are the two composites
     through the union.  An unvalidated target's reference under a
-    label-free type is copied as it is (see _mover).
+    label-free type is copied as it is (see _relink).
     """
     if f.source != g.source:
         raise PreconditionError("pushout needs a span with a common source")

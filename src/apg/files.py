@@ -49,6 +49,7 @@ from .adt import (
     Ref,
     Unit,
     Value,
+    ValueFault,
     parse_id,
     parse_type,
     render_id,
@@ -175,65 +176,50 @@ def value_to_json(v: Value):
     return {"ref": render_id(v.element)}
 
 
-class _Malformed(Exception):
-    """A malformed value node.  steps names the path back to the value's
-    root, innermost first; each enclosing node appends its step as the
-    error passes through it."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-        self.steps: list[str] = []
-
-    def at(self, where: str) -> ParseError:
-        path = "".join("." + step for step in reversed(self.steps))
-        return ParseError(f"{where}{path}: {self.message}")
-
-
 def _value(raw, registry: PrimRegistry, ids: IdTable) -> Value:
     if not isinstance(raw, dict) or len(raw) != 1:
-        raise _Malformed("a value is an object with exactly one of unit/pair/inl/inr/prim/ref")
+        raise ValueFault("a value is an object with exactly one of unit/pair/inl/inr/prim/ref")
     (form, body), = raw.items()
     if form == "ref":
         if not isinstance(body, str):
-            raise _Malformed("ref carries an id string")
+            raise ValueFault("ref carries an id string")
         try:
             return Ref(ids[body])
         except ParseError as err:
-            raise _Malformed(str(err)) from None
+            raise ValueFault(str(err)) from None
     if form == "pair":
         if not isinstance(body, list) or len(body) != 2:
-            raise _Malformed("pair carries a two-element list")
+            raise ValueFault("pair carries a two-element list")
         try:
             first = _value(body[0], registry, ids)
-        except _Malformed as bad:
+        except ValueFault as bad:
             bad.steps.append("fst")
             raise
         try:
             second = _value(body[1], registry, ids)
-        except _Malformed as bad:
+        except ValueFault as bad:
             bad.steps.append("snd")
             raise
         return Pair(first, second)
     if form == "prim":
         if not isinstance(body, dict) or len(body) != 2 or "type" not in body or "value" not in body:
-            raise _Malformed('prim carries {"type", "value"}')
+            raise ValueFault('prim carries {"type", "value"}')
         name = body["type"]
         if not isinstance(name, str):
-            raise _Malformed("primitive type name must be a string")
+            raise ValueFault("primitive type name must be a string")
         return PrimVal(name, registry.coerce(name, body["value"]))
     if form == "unit":
         if body != {}:
-            raise _Malformed("unit carries an empty object")
+            raise ValueFault("unit carries an empty object")
         return Unit()
     if form == "inl" or form == "inr":
         try:
             inner = _value(body, registry, ids)
-        except _Malformed as bad:
+        except ValueFault as bad:
             bad.steps.append(form)
             raise
         return Inl(inner) if form == "inl" else Inr(inner)
-    raise _Malformed(f"unknown value form {form!r}")
+    raise ValueFault(f"unknown value form {form!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +291,9 @@ def graph_from_json(doc: dict, validate: bool = False, ids: IdTable | None = Non
             _reject_entry(entry, f"elements.{id_text}")
             try:
                 entry = Element(entry["label"], _value(entry["value"], schema.registry, ids))
-            except _Malformed as bad:
-                raise bad.at(f"elements.{id_text}.value") from None
+            except ValueFault as bad:
+                where = f"elements.{id_text}.value{bad.path_text()}"
+                raise ParseError(f"{where}: {bad}") from None
         elif type(entry) is not Element:
             raise ParseError(f"elements.{id_text}: not a well-formed entry")
         elements[e] = entry

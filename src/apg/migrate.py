@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from operator import attrgetter, itemgetter
 from typing import Mapping, TypeAlias, Union, get_args
 
 from .adt import (
@@ -36,9 +37,11 @@ from .adt import (
     TypeExpr,
     Unit,
     Value,
+    ValueFault,
     Zero,
     _Scanner,
     labels_in,
+    ref_plan,
     render_id,
     render_type,
     render_value,
@@ -479,53 +482,73 @@ def _enumerate(t: TypeExpr, refs: dict[str, list[Ref]]) -> list[Value]:
     return [Pair(a, b) for a in left for b in right]
 
 
+def compile_term(t: Term, graph: Graph):
+    """t as a function of the witness bound to x, compiled once: each form
+    is a closure, each variable an index into the tuple of bound values, and
+    a fault raises its PreconditionError only when it is reached."""
+    go = _compile(t, graph.elements, ("x",))
+    return lambda binding: go((binding,))
+
+
 def eval_term(t: Term, binding: Value, graph: Graph) -> Value:
     """Evaluate a closed-but-for-x term against a witness over a graph."""
+    return compile_term(t, graph)(binding)
 
-    def go(t: Term, env: dict[str, Value]) -> Value:
-        if isinstance(t, Var):
-            if t.name not in env:
-                raise PreconditionError(f"unbound variable {t.name!r}")
-            return env[t.name]
-        if isinstance(t, UnitT):
-            return Unit()
-        if isinstance(t, Lit):
-            return PrimVal(t.prim, t.literal)
-        if isinstance(t, PairT):
-            return Pair(go(t.first, env), go(t.second, env))
-        if isinstance(t, InlT):
-            return Inl(go(t.inner, env))
-        if isinstance(t, InrT):
-            return Inr(go(t.inner, env))
-        if isinstance(t, Fst):
-            inner = go(t.inner, env)
-            if not isinstance(inner, Pair):
-                raise PreconditionError("fst of a non-pair value")
-            return inner.first
-        if isinstance(t, Snd):
-            inner = go(t.inner, env)
-            if not isinstance(inner, Pair):
-                raise PreconditionError("snd of a non-pair value")
-            return inner.second
-        if isinstance(t, Phi):
-            inner = go(t.inner, env)
-            if not isinstance(inner, Ref):
+
+def _compile(t: Term, elements, scope: tuple):
+    """The closure of t over env, the values bound to scope's names in order."""
+    if isinstance(t, Var):
+        if t.name in scope:
+            return itemgetter(len(scope) - 1 - scope[::-1].index(t.name))  # the innermost binding
+        return _fault(f"unbound variable {t.name!r}")
+    if isinstance(t, (UnitT, Lit)):
+        value = Unit() if isinstance(t, UnitT) else PrimVal(t.prim, t.literal)
+        return lambda env: value
+    if isinstance(t, PairT):
+        first, second = _compile(t.first, elements, scope), _compile(t.second, elements, scope)
+        return lambda env: Pair(first(env), second(env))
+    if isinstance(t, CaseT):
+        scrutinee = _compile(t.scrutinee, elements, scope)
+        branches = {Inl: _compile(t.left_body, elements, scope + (t.left_name,)),
+                    Inr: _compile(t.right_body, elements, scope + (t.right_name,))}
+
+        def case(env):
+            v = scrutinee(env)
+            branch = branches.get(type(v))
+            if branch is None:
+                raise PreconditionError("case of a non-injection value")
+            return branch(env + (v.inner,))
+        return case
+    if not isinstance(t, (InlT, InrT, Fst, Snd, Phi)):
+        return _fault(f"cannot evaluate {t!r}")
+    inner = _compile(t.inner, elements, scope)
+    if isinstance(t, (InlT, InrT)):
+        make = Inl if isinstance(t, InlT) else Inr
+        return lambda env: make(inner(env))
+    if isinstance(t, Phi):
+        def deref(env):
+            v = inner(env)
+            if not isinstance(v, Ref):
                 raise PreconditionError("phi of a non-reference value")
-            if inner.element not in graph.elements:
-                raise PreconditionError(
-                    f"phi dereferences missing element {render_id(inner.element)}"
-                )
-            return graph.elements[inner.element].value
-        if isinstance(t, CaseT):
-            scrutinee = go(t.scrutinee, env)
-            if isinstance(scrutinee, Inl):
-                return go(t.left_body, {**env, t.left_name: scrutinee.inner})
-            if isinstance(scrutinee, Inr):
-                return go(t.right_body, {**env, t.right_name: scrutinee.inner})
-            raise PreconditionError("case of a non-injection value")
-        raise PreconditionError(f"cannot evaluate {t!r}")
+            if v.element not in elements:
+                raise PreconditionError(f"phi dereferences missing element {render_id(v.element)}")
+            return elements[v.element].value
+        return deref
+    word, part = _KEYWORD_OF[type(t)], attrgetter("first" if isinstance(t, Fst) else "second")
 
-    return go(t, {"x": binding})
+    def project(env):
+        v = inner(env)
+        if not isinstance(v, Pair):
+            raise PreconditionError(f"{word} of a non-pair value")
+        return part(v)
+    return project
+
+
+def _fault(message: str):
+    """The closure of a term that cannot run: it raises when it is reached."""
+    def fault(env):
+        raise PreconditionError(message)
+    return fault
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +558,13 @@ def delta_migrate(m: SchemaMapping, graph: Graph, validate: bool = True) -> Grap
     """Pull a target graph back through a mapping, yielding a source graph.
 
     For each source label l and each witness w of its mapped type, the term
-    for l runs with x bound to w; positions that the source type declares as
-    label references are then reindexed onto the elements minted for those
-    witnesses.  Each witness's Enc id and Ref are made once: the Enc keys the
-    element and every reference to it is that Ref.  validate=False skips the
-    check of graph, for a caller that has validated it (read_graph does).
+    for l, compiled once, runs with x bound to w; the result then moves along
+    the plan of l's source type (adt.ref_plan), which puts at each label
+    position the element minted for the witness found there.  A witness
+    with no element is named with its path in the value, written only then.
+    Each witness's Enc id and Ref are made once: the Enc keys the element and
+    every reference to it is that Ref.  validate=False skips the check of
+    graph, for a caller that has validated it (read_graph does).
     """
     report = typecheck_mapping(m)
     if not report.ok:
@@ -561,30 +586,20 @@ def delta_migrate(m: SchemaMapping, graph: Graph, validate: bool = True) -> Grap
     minted = {label: {w: Ref(Enc(label, w)) for w in _enumerate(m.on_labels[label], refs)}
               for label in m.source.sorted_labels()}
 
-    def reindex(v: Value, t: TypeExpr, path: tuple[str, ...]) -> Value:
-        if isinstance(t, Lbl):
-            ref = minted[t.name].get(v)
-            if ref is None:
-                where = "".join("." + step for step in path) or "root"
-                raise PreconditionError(
-                    f"no migrated element of {t.name!r} for witness {render_value(v)} (at {where})"
-                )
-            return ref
-        if isinstance(t, Prod):
-            return Pair(
-                reindex(v.first, t.left, path + ("fst",)),
-                reindex(v.second, t.right, path + ("snd",)),
-            )
-        if isinstance(t, Sum):
-            if isinstance(v, Inl):
-                return Inl(reindex(v.inner, t.left, path + ("inl",)))
-            return Inr(reindex(v.inner, t.right, path + ("inr",)))
-        return v
+    def minted_ref(name: str, w: Value) -> Ref:
+        ref = minted[name].get(w)
+        if ref is None:
+            raise ValueFault(f"no migrated element of {name!r} for witness {render_value(w)}")
+        return ref
 
     elements = {}
     for label in m.source.sorted_labels():
-        term = m.on_terms[label]
+        run, plan = compile_term(m.on_terms[label], graph), ref_plan(m.source.labels[label])
         for w, ref in minted[label].items():
-            raw = eval_term(term, w, graph)
-            elements[ref.element] = Element(label, reindex(raw, m.source.labels[label], ()))
+            try:
+                value = run(w) if plan is None else plan(run(w), minted_ref)
+            except ValueFault as miss:
+                where = miss.path_text() or "root"
+                raise PreconditionError(f"{miss} (at {where})") from None
+            elements[ref.element] = Element(label, value)
     return Graph(m.source, elements)

@@ -170,6 +170,23 @@ def test_an_unregistered_primitive_is_reported_not_raised():
     ]
 
 
+def test_a_value_that_is_not_a_value_is_reported_not_raised():
+    """A library caller can store anything; the checker names its class."""
+    schema = Schema({"X": One(), "E": Prod(Lbl("X"), Prim("String")), "S": Sum(One(), Lbl("X"))})
+    graph = Graph(schema, {Atom("x"): Element("X", 5),
+                           Atom("e"): Element("E", Pair(Ref(Atom("x")), None)),
+                           Atom("f"): Element("E", Pair(Ref(5), Ref(7))),
+                           Atom("s"): Element("S", [Unit()])})
+    assert [str(f) for f in validate_graph(graph)] == [
+        "error: e.snd: expected a String literal, found a non-value NoneType",
+        "error: f.fst: expected a reference to X, found a reference to a non-id int",
+        "error: s: expected 1 + X, found a non-value list",
+        "error: x: expected (), found a non-value int",
+    ]
+    assert str(check_value(5.0, Lbl("X"), schema, {})) == (
+        "at root: expected a reference to X, found a non-value float")
+
+
 def test_a_900_deep_sum_with_a_bad_leaf_is_one_finding(tmp_path):
     """The read falls back to the plain decoder and validate_graph, and
     both reach 900 levels in a fresh process."""

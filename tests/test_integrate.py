@@ -95,12 +95,15 @@ def test_merge_collapses_the_shared_plate():
 
 
 def test_merge_walks_no_value_for_references(monkeypatch):
-    """merge_by_key takes label-free types only, so the pushout copies each
-    value as it is; a type that holds a label is still walked."""
+    """merge_by_key takes label-free types only, so the pushout has no plan
+    and copies each value as it is; a type that holds a label is still
+    walked, along its plan."""
     walked = []
-    transport = catops.transport_value
+    transport, plan = catops.transport_value, catops.ref_plan
     monkeypatch.setattr(catops, "transport_value",
                         lambda refs, v: walked.append(v) or transport(refs, v))
+    monkeypatch.setattr(catops, "ref_plan", lambda t: (move := plan(t)) and (
+        lambda v, g: walked.append(v) or move(v, g)))
     merge_by_key(fixture("plates1.apg"), fixture("plates2.apg"))
     assert walked == []
     edges = fixture("edges.apg")

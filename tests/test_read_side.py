@@ -13,10 +13,10 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-from apg.adt import Enc, IdTable, Inl, Inr, Left, Pair, PairId, Ref, render_id, transport_value
+from apg.adt import (Enc, IdTable, Inl, Inr, Left, Pair, PairId, Ref, ValueFault, render_id,
+                     transport_value)
 from apg.errors import ParseError, ValidationFailure
 from apg.files import (
-    _Malformed,
     _expect_object,
     _reject_entry,
     _reject_equal_ids,
@@ -50,8 +50,8 @@ def reference_graph_from_json(doc):
             _reject_entry(entry, f"elements.{id_text}")
         try:
             value = _value(entry["value"], schema.registry, ids)
-        except _Malformed as bad:
-            raise bad.at(f"elements.{id_text}.value") from None
+        except ValueFault as bad:
+            raise ParseError(f"elements.{id_text}.value{bad.path_text()}: {bad}") from None
         elements[e] = Element(entry["label"], value)
     if len(elements) != len(raw):
         _reject_equal_ids(raw, "elements")

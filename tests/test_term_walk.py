@@ -1,10 +1,13 @@
 """The rewriting functions of migrate, built on one structural walk over term
-fields, checked against a reference: the per-form functions they replaced."""
+fields, checked against a reference: the per-form functions they replaced.
+Also the compiled evaluator, checked against the interpreter it replaced."""
 
 import itertools
 import json
 import random
 
+from apg.adt import Atom, Inl, Inr, Pair, PrimVal, Ref, Unit, render_id
+from apg.errors import PreconditionError
 from apg.migrate import (
     CaseT,
     Fst,
@@ -17,6 +20,7 @@ from apg.migrate import (
     Snd,
     UnitT,
     Var,
+    eval_term,
     free_vars,
     has_redex,
     normalize_term,
@@ -26,7 +30,7 @@ from apg.migrate import (
     term_size,
 )
 
-from .generators import random_graph, random_term, reachable_term_type
+from .generators import random_graph, random_term, random_value, reachable_term_type
 
 
 def reference_render_term(t):
@@ -242,3 +246,130 @@ def test_substitution_renames_nested_binders_as_the_reference():
         "case x of { inl a_1 -> case a_1 of { inl a_1_1 -> (a_1, a_1_1) ; inr b -> a } ;"
         " inr b -> (b, a) }")
 
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator
+
+def reference_eval_term(t, binding, graph):
+    """Evaluate a closed-but-for-x term against a witness over a graph."""
+
+    def go(t, env):
+        if isinstance(t, Var):
+            if t.name not in env:
+                raise PreconditionError(f"unbound variable {t.name!r}")
+            return env[t.name]
+        if isinstance(t, UnitT):
+            return Unit()
+        if isinstance(t, Lit):
+            return PrimVal(t.prim, t.literal)
+        if isinstance(t, PairT):
+            return Pair(go(t.first, env), go(t.second, env))
+        if isinstance(t, InlT):
+            return Inl(go(t.inner, env))
+        if isinstance(t, InrT):
+            return Inr(go(t.inner, env))
+        if isinstance(t, Fst):
+            inner = go(t.inner, env)
+            if not isinstance(inner, Pair):
+                raise PreconditionError("fst of a non-pair value")
+            return inner.first
+        if isinstance(t, Snd):
+            inner = go(t.inner, env)
+            if not isinstance(inner, Pair):
+                raise PreconditionError("snd of a non-pair value")
+            return inner.second
+        if isinstance(t, Phi):
+            inner = go(t.inner, env)
+            if not isinstance(inner, Ref):
+                raise PreconditionError("phi of a non-reference value")
+            if inner.element not in graph.elements:
+                raise PreconditionError(
+                    f"phi dereferences missing element {render_id(inner.element)}"
+                )
+            return graph.elements[inner.element].value
+        if isinstance(t, CaseT):
+            scrutinee = go(t.scrutinee, env)
+            if isinstance(scrutinee, Inl):
+                return go(t.left_body, {**env, t.left_name: scrutinee.inner})
+            if isinstance(scrutinee, Inr):
+                return go(t.right_body, {**env, t.right_name: scrutinee.inner})
+            raise PreconditionError("case of a non-injection value")
+        raise PreconditionError(f"cannot evaluate {t!r}")
+
+    return go(t, {"x": binding})
+
+
+def untyped_term(rng, depth, bound):
+    """A term of any form, typed or not: variables bound by enclosing cases
+    (a and b, x again when shadowed) or unbound (y), projections and phi of
+    whatever comes, and phi x over references that may dangle."""
+    forms = ["var", "var", "unit", "lit"] + ["pair", "inl", "inr", "fst", "snd", "phi",
+                                             "case", "case"] * (depth > 0)
+    form = rng.choice(forms)
+    if form == "var":
+        return Var(rng.choice(bound + ["y"] * (rng.random() < 0.1)))
+    if form == "unit":
+        return UnitT()
+    if form == "lit":
+        return Lit("Nat", rng.randrange(3))
+    if form == "pair":
+        return PairT(untyped_term(rng, depth - 1, bound), untyped_term(rng, depth - 1, bound))
+    if form == "case":
+        left, right = rng.choice(["a", "x"]), rng.choice(["b", "x", "a"])
+        return CaseT(untyped_term(rng, depth - 1, bound),
+                     left, untyped_term(rng, depth - 1, bound + [left]),
+                     right, untyped_term(rng, depth - 1, bound + [right]))
+    if form == "phi" and rng.random() < 0.5:
+        return Phi(Var(rng.choice(bound)))
+    ctor = {"inl": InlT, "inr": InrT, "fst": Fst, "snd": Snd, "phi": Phi}[form]
+    return ctor(untyped_term(rng, depth - 1, bound))
+
+
+def random_binding(rng, graph):
+    """A value of some label's type over the graph, or a bare or wrapped
+    reference to an element that may be missing."""
+    pick = rng.randrange(5)
+    if pick == 4 and graph.elements:
+        label = graph.elements[rng.choice(list(graph.elements))].label
+        return random_value(rng, graph.schema.labels[label], graph)
+    ids = list(graph.elements) + [Atom("ghost")]
+    ref = Ref(rng.choice(ids))
+    return [ref, Inl(ref), Pair(ref, Inr(Ref(rng.choice(ids)))), Unit(), ref][pick]
+
+
+def evaluated(evaluate, t, binding, graph):
+    try:
+        return evaluate(t, binding, graph)
+    except PreconditionError as err:
+        return f"PreconditionError: {err}"
+
+
+def test_the_compiled_evaluator_matches_the_interpreter_on_random_terms():
+    rng = random.Random("compiled terms")
+    faults, values = set(), 0
+    for i in range(300):
+        graph = random_graph(rng)
+        if i % 3 == 0:  # a well-typed term, so faults stay rare
+            x_type = graph.schema.labels[rng.choice(graph.schema.sorted_labels())]
+            try:
+                t = random_term(rng, reachable_term_type(rng, x_type, graph.schema, 2), x_type,
+                                graph.schema, rng.randrange(4))
+                binding = next(random_value(rng, x_type, graph)
+                               for el in graph.elements.values()
+                               if graph.schema.labels[el.label] == x_type)
+            except (ValueError, StopIteration):
+                continue
+        else:
+            t, binding = untyped_term(rng, rng.randrange(1, 6), ["x"]), random_binding(rng, graph)
+        expected = evaluated(reference_eval_term, t, binding, graph)
+        assert evaluated(eval_term, t, binding, graph) == expected
+        if isinstance(expected, str):
+            faults.add(expected.split(" of ")[0].split(" element ")[0].split(" '")[0])
+        values += not isinstance(expected, str)
+    assert values > 150
+    # each fault text the interpreter writes, and a non-term where a term belongs
+    assert faults == {f"PreconditionError: {text}" for text in (
+        "unbound variable", "fst", "snd", "phi", "phi dereferences missing", "case")}
+    assert evaluated(eval_term, PairT(UnitT(), "junk"), Unit(), graph) == (
+        evaluated(reference_eval_term, PairT(UnitT(), "junk"), Unit(), graph))

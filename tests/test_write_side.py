@@ -2,10 +2,14 @@
 delta_migrate as they were before each id and Ref was made once, with
 enumerate_values re-enumerating the right factor of a product per left value.
 Also pins the sharing itself: one Ref per referenced element, the very id
-object that keys it."""
+object that keys it; that references move along per-label plans, with values
+that do not fit their type transported whole as before; and the work done,
+counted: no value transport in a validated product, one compiled term per
+source label in a migration."""
 
 import random
 
+from apg import catops, migrate
 from apg.adt import (
     Atom,
     Enc,
@@ -21,17 +25,32 @@ from apg.adt import (
     Sum,
     Unit,
     Zero,
+    label_free,
     render_type,
     render_value,
     transport_type,
     transport_value,
     type_nodes,
 )
-from apg.catops import ConstructionResult, _pair_label, _require_same_registry, product
+from apg.catops import (
+    ConstructionResult,
+    _pair_label,
+    _require_same_registry,
+    coproduct,
+    product,
+    pushout,
+)
 from apg.errors import PreconditionError
 from apg.files import write_graph
 from apg.graph import Element, Graph, Schema, validate_graph
-from apg.migrate import delta_migrate, enumerate_values, eval_term, typecheck_mapping
+from apg.migrate import (
+    SchemaMapping,
+    delta_migrate,
+    enumerate_values,
+    eval_term,
+    parse_term,
+    typecheck_mapping,
+)
 from apg.morphism import Morphism
 
 from .generators import random_graph, random_mapping
@@ -126,6 +145,13 @@ def reference_delta_migrate(m, graph):
             raw = eval_term(m.on_terms[label], w, graph)
             elements[Enc(label, w)] = Element(label, reindex(raw, m.source.labels[label], ()))
     return Graph(m.source, elements)
+
+
+def reference_relink(graph, refs):
+    """How coproduct and pushout moved values before plans: a label-free
+    label's value is kept as it is, any other is transported whole."""
+    free = {l for l, t in graph.schema.labels.items() if label_free(t)}
+    return lambda el: el.value if el.label in free else transport_value(refs, el.value)
 
 
 def outcome(graph_or_result):
@@ -265,3 +291,75 @@ def test_enumerating_a_product_scans_the_graph_once_per_label():
     ScanCounter.scans = 0
     enumerate_values(Sum(Prod(Lbl("V"), Lbl("W")), Lbl("W")), graph)
     assert ScanCounter.scans <= 2
+
+
+# ---------------------------------------------------------------------------
+# values that do not fit their type (unvalidated input)
+
+EDGE_SCHEMA = Schema({"V": One(), "E": Prod(Lbl("V"), Lbl("V"))})
+
+
+def edge_graph(value, *extra):
+    """V elements v and w, and one E element e holding value."""
+    elements = {Atom("v"): Element("V", Unit()), Atom("w"): Element("V", Unit()),
+                Atom("e"): Element("E", value)}
+    elements.update(extra)
+    return Graph(EDGE_SCHEMA, elements)
+
+
+def test_unvalidated_shapes_move_as_the_value_directed_references(monkeypatch):
+    v, w = Ref(Atom("v")), Ref(Atom("w"))
+    fitting = edge_graph(Pair(v, w))
+    apex = Graph(EDGE_SCHEMA, {Atom("v"): Element("V", Unit())})
+    misfits = [edge_graph(Unit()), edge_graph(Inl(v)), edge_graph(Pair(v, Inr(w))),
+               edge_graph(Pair(v, Ref(Atom("ghost")))),
+               edge_graph(Pair(v, w), (Atom("s"), Element("V", w))),  # a reference in a 1
+               edge_graph(Pair(v, w), (Atom("t"), Element("Stray", Pair(v, w))))]
+    for g in misfits:
+        assert not validate_graph(g).ok
+        cases = [(product, g, fitting), (product, fitting, g), (coproduct, g, fitting)]
+        legs = [Morphism(apex, target, {l: l for l in EDGE_SCHEMA.labels},
+                         {e: e for e in apex.elements}) for target in (g, fitting)]
+        cases.append((pushout, *legs))
+        got = [attempt(construct, *args) for construct, *args in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(catops, "_relink", reference_relink)
+            expected = [attempt(reference_product, g, fitting),
+                        attempt(reference_product, fitting, g)]
+            expected += [attempt(construct, *args) for construct, *args in cases[2:]]
+        assert got == expected
+    assert attempt(coproduct, misfits[3], fitting) == "element ghost outside the transport domain"
+    odd = edge_graph(Pair(v, Ref(5)))  # a reference to what is not an id
+    assert product(odd, fitting).graph.elements == reference_product(odd, fitting).graph.elements
+
+
+# ---------------------------------------------------------------------------
+# work, counted
+
+def test_a_validated_product_transports_no_value(monkeypatch):
+    transported = []
+    real = transport_value
+    monkeypatch.setattr(catops, "transport_value", lambda g, v: transported.append(v) or real(g, v))
+    rng = random.Random("no transport")
+    for _ in range(100):
+        product(random_graph(rng), random_graph(rng))
+    assert transported == []
+    product(edge_graph(Inl(Ref(Atom("v")))), edge_graph(Unit()))  # misfits are transported
+    assert sorted(map(repr, transported)) == [repr(Inl(Ref(Atom("v"))))] * 3 + [repr(Unit())] * 3
+
+
+def test_delta_migrate_compiles_each_term_once(monkeypatch):
+    compiled = []
+    real = migrate.compile_term
+    monkeypatch.setattr(migrate, "compile_term", lambda t, g: compiled.append(t) or real(t, g))
+    m = SchemaMapping(Schema({"Node": One(), "Link": Prod(Lbl("Node"), Lbl("Node"))}), EDGE_SCHEMA,
+                      {"Node": Lbl("V"), "Link": Lbl("E")},
+                      {"Node": parse_term("()"), "Link": parse_term("phi x")})
+    for n in (1, 40, 400):
+        ids = [Atom(f"v{i}") for i in range(n)]
+        g = Graph(EDGE_SCHEMA, {**{e: Element("V", Unit()) for e in ids},
+                                **{Atom(f"e{i}"): Element("E", Pair(Ref(e), Ref(ids[0])))
+                                   for i, e in enumerate(ids)}})
+        compiled.clear()
+        assert len(delta_migrate(m, g).elements) == 2 * n
+        assert sorted(map(str, compiled)) == sorted(map(str, m.on_terms.values()))
