@@ -718,40 +718,54 @@ def ref_plan(t: TypeExpr):
     positions, made once per type: None when t is label-free, else
     move(v, g), which is v with g(name, x) put at each position x where t
     holds the label name, label-free parts kept as they are.  It recurses
-    one frame per type level, as checker, and trusts v to have t's shape:
-    a caller moves only values that fit t and transports any other whole
-    (transport_value).  A ValueFault raised by g gains each step on its way
-    out of the value."""
+    one frame per type level, as checker, and checks only the shape it
+    walks: a node whose class disagrees with t, or a label-free part that
+    transport_value would change (see keep), raises a ValueFault, so that
+    a caller can transport such a value (unvalidated input) whole.  A
+    ValueFault, also one raised by g, gains each step on its way out."""
     if isinstance(t, Lbl):
         name = t.name
         return lambda v, g: g(name, v)
     if not isinstance(t, (Sum, Prod)):
         return None
-    left, right = ref_plan(t.left), ref_plan(t.right)
-    if left is None and right is None:
+    left, right = ref_plan(t.left) or keep, ref_plan(t.right) or keep
+    if left is keep and right is keep:
         return None
     if isinstance(t, Prod):
         def move(v, g):
+            if type(v) is not Pair:
+                raise ValueFault(f"expected a pair, found {_describe(v)}")
             step = "fst"
             try:
-                first = v.first if left is None else left(v.first, g)
+                first = left(v.first, g)
                 step = "snd"
-                return Pair(first, v.second if right is None else right(v.second, g))
+                return Pair(first, right(v.second, g))
             except ValueFault as fault:
                 fault.steps.append(step)
                 raise
         return move
 
     def choose(v, g):
-        inl = type(v) is Inl
+        kind = type(v)
+        if kind is not Inl and kind is not Inr:
+            raise ValueFault(f"expected an injection, found {_describe(v)}")
         try:
-            if inl:
-                return v if left is None else Inl(left(v.inner, g))
-            return v if right is None else Inr(right(v.inner, g))
+            inner = (left if kind is Inl else right)(v.inner, g)
         except ValueFault as fault:
-            fault.steps.append("inl" if inl else "inr")
+            fault.steps.append("inl" if kind is Inl else "inr")
             raise
+        return v if inner is v.inner else kind(inner)
     return choose
+
+
+def keep(v: Value, g=None) -> Value:
+    """The move of a label-free part: v itself, or a ValueFault at a
+    reference in it, which transport_value would change."""
+    return _transport(v, _refuse)
+
+
+def _refuse(e: ElementId):
+    raise ValueFault("expected a label-free value, found a reference")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ from .adt import (
     Right,
     Sum,
     Unit,
-    checker,
+    ValueFault,
+    keep,
     ref_plan,
     render_id,
     transport_type,
@@ -125,7 +126,8 @@ def product(g1: Graph, g2: Graph) -> ConstructionResult:
     grid = [[Ref(PairId(e1, e2)) for e2 in ids2] for e1 in ids1]
     # A reference to e1 reads its Ref off e1's grid row, one to e2 off e2's column.
     at1 = _halves(g1, ids1, dict(zip(ids1, grid)), lambda e, j: Ref(PairId(e, ids2[j])))
-    at2 = _halves(g2, ids2, dict(zip(ids2, zip(*grid))), lambda e, i: Ref(PairId(ids1[i], e)))
+    columns = zip(*grid) if grid else [()] * len(ids2)
+    at2 = _halves(g2, ids2, dict(zip(ids2, columns)), lambda e, i: Ref(PairId(ids1[i], e)))
     elements, proj1_elements, proj2_elements = {}, {}, {}
     labels2 = [g2.elements[e2].label for e2 in ids2]
     for i, (e1, half1, row) in enumerate(zip(ids1, at1, grid)):
@@ -145,51 +147,54 @@ def product(g1: Graph, g2: Graph) -> ConstructionResult:
     )
 
 
-def _plan_of(graph: Graph, check_free: bool):
-    """plan_of(el): the plan that moves el's value, None when the value has
-    no reference to move, or False when it must be transported whole: its
-    label is undeclared or its value does not inhabit the label's type
-    (unvalidated input only).  A label-free value is checked only when
-    check_free."""
-    elements = graph.elements
-    look = lambda e: getattr(elements.get(e), "label", None)
-    plans = {l: (ref_plan(t), checker(t, graph.schema.registry))
-             for l, t in graph.schema.labels.items()}
-
-    def plan_of(el):
-        plan, check = plans.get(el.label, (False, None))
-        if plan is None and not check_free or check and check(el.value, look) is None:
-            return plan
-        return False
-    return plan_of
+def _resolver(table: dict):
+    """The g of a plan that puts table[e] at a reference to e, and raises a
+    ValueFault at a reference outside table or a position that holds none."""
+    def resolve(_, x):
+        if type(x) is Ref:
+            entry = table.get(x.element)
+            if entry is not None:
+                return entry
+        raise ValueFault("expected a reference into the graph")
+    return resolve
 
 
 def _halves(graph: Graph, ids: list, lines: dict, pair_ref) -> list:
     """For each id, at(k): its element's value in the pair at index k of its
     line, each reference to e becoming pair_ref(e, k), which is lines[e][k].
-    A value that fits its type is moved onto its lines once, along its
-    label's plan, so that at(k) only indexes; any other is transported whole
-    by each call."""
-    plan_of, halves = _plan_of(graph, True), []
+    A value that fits its label's plan is moved onto its lines once, so that
+    at(k) only indexes; any other (see ref_plan) is transported whole by
+    each call.  A value of a label-free or undeclared label fits if it holds
+    no reference (adt.keep)."""
+    plans = {l: ref_plan(t) or keep for l, t in graph.schema.labels.items()}
+    resolve, halves = _resolver(lines), []
     for e in ids:
-        v, plan = graph.elements[e].value, plan_of(graph.elements[e])
-        if plan is False:
+        el = graph.elements[e]
+        v, plan = el.value, plans.get(el.label, keep)
+        try:
+            moved = plan(v, resolve)
+        except ValueFault:
             halves.append(lambda k, v=v: transport_value(lambda x: pair_ref(x, k), v))
-        elif plan is None:
-            halves.append(lambda k, v=v: v)
         else:
-            moved = plan(v, lambda _, ref: lines[ref.element])
-            halves.append(lambda k, plan=plan, moved=moved: plan(moved, lambda _, line: line[k]))
+            halves.append((lambda k, v=v: v) if plan is keep else
+                          lambda k, plan=plan, moved=moved: plan(moved, lambda _, line: line[k]))
     return halves
 
 
 def _relink(graph: Graph, refs: dict):
-    """relink(el): el's value with each reference to e replaced by refs[e]
-    (see _plan_of).  A label-free value is kept as it is, so an unvalidated
-    graph's reference there still names an input element."""
-    plan_of, resolve = _plan_of(graph, False), lambda _, ref: refs[ref.element]
-    return lambda el: (el.value if (plan := plan_of(el)) is None
-                       else plan(el.value, resolve) if plan else transport_value(refs, el.value))
+    """relink(el): el's value with each reference to e replaced by refs[e],
+    moved as in _halves, except that a label-free label's value is kept as
+    it is, so an unvalidated graph's reference there still names an input
+    element."""
+    plans = {l: ref_plan(t) or (lambda v, g: v) for l, t in graph.schema.labels.items()}
+    resolve = _resolver(refs)
+
+    def relink(el):
+        try:
+            return plans.get(el.label, keep)(el.value, resolve)
+        except ValueFault:
+            return transport_value(refs, el.value)
+    return relink
 
 
 def pair(f: Morphism, g: Morphism) -> Morphism:

@@ -561,7 +561,9 @@ def delta_migrate(m: SchemaMapping, graph: Graph, validate: bool = True) -> Grap
     for l, compiled once, runs with x bound to w; the result then moves along
     the plan of l's source type (adt.ref_plan), which puts at each label
     position the element minted for the witness found there.  A witness
-    with no element is named with its path in the value, written only then.
+    with no element, or a result that does not fit the type (from an
+    unvalidated graph only), is named with its path in the value, written
+    only then.
     Each witness's Enc id and Ref are made once: the Enc keys the element and
     every reference to it is that Ref.  validate=False skips the check of
     graph, for a caller that has validated it (read_graph does).

@@ -19,6 +19,7 @@ from apg.catops import coproduct, product
 from apg.cli import _SLICE, main
 from apg.files import read_graph, write_graph, write_morphism
 from apg.fixtures import load, path
+from apg.graph import Graph
 from apg.morphism import identity, Morphism
 
 from .generators import random_graph
@@ -101,6 +102,16 @@ def test_op_product_writes_a_graph(capsys):
     assert code == 0
     g = read_graph(out)
     assert len(g.elements) == 4
+
+
+def test_op_product_with_an_empty_graph_is_empty(tmp_path, capsys):
+    edges = fixture_path("edges.apg")
+    empty = tmp_path / "empty.apg"
+    empty.write_text(write_graph(Graph(read_graph(load("edges.apg")).schema, {})), encoding="utf-8")
+    for args in ((str(empty), edges), (edges, str(empty))):
+        code, out, err = run(capsys, "op", "product", *args)
+        assert (code, err) == (0, "")
+        assert read_graph(out).elements == {}
 
 
 def test_op_arity_errors(capsys, stdin):

@@ -37,8 +37,11 @@ from apg.catops import (
     _pair_label,
     _require_same_registry,
     coproduct,
+    initial_graph,
+    pair,
     product,
     pushout,
+    unique_morphism,
 )
 from apg.errors import PreconditionError
 from apg.files import write_graph
@@ -51,7 +54,7 @@ from apg.migrate import (
     parse_term,
     typecheck_mapping,
 )
-from apg.morphism import Morphism
+from apg.morphism import Morphism, identity
 
 from .generators import random_graph, random_mapping
 
@@ -240,6 +243,21 @@ def test_a_product_of_unvalidated_graphs_matches_the_reference():
     assert result.graph.elements[PairId(Atom("s"), Atom("f"))].label == "(Stray,E)"
 
 
+def test_a_product_with_an_empty_side_has_no_elements():
+    """Either side empty, over the other side's schema or none: no element
+    of the other side has a line of pairs to move its references onto."""
+    rng = random.Random("empty side")
+    for _ in range(30):
+        g = random_graph(rng)
+        for empty in (Graph(g.schema, {}), initial_graph(g.schema.registry)):
+            for g1, g2 in ((empty, g), (g, empty)):
+                result = product(g1, g2)
+                assert result.graph.elements == {}
+                assert outcome(result) == outcome(reference_product(g1, g2))
+        f = unique_morphism(g, "from-initial")
+        assert pair(identity(f.source), f).on_elements == {}
+
+
 # ---------------------------------------------------------------------------
 # one object per id
 
@@ -296,7 +314,7 @@ def test_enumerating_a_product_scans_the_graph_once_per_label():
 # ---------------------------------------------------------------------------
 # values that do not fit their type (unvalidated input)
 
-EDGE_SCHEMA = Schema({"V": One(), "E": Prod(Lbl("V"), Lbl("V"))})
+EDGE_SCHEMA = Schema({"V": One(), "E": Prod(Lbl("V"), Lbl("V")), "P": Prod(Lbl("V"), One())})
 
 
 def edge_graph(value, *extra):
@@ -309,12 +327,17 @@ def edge_graph(value, *extra):
 
 def test_unvalidated_shapes_move_as_the_value_directed_references(monkeypatch):
     v, w = Ref(Atom("v")), Ref(Atom("w"))
-    fitting = edge_graph(Pair(v, w))
+    fitting = edge_graph(Pair(v, w), (Atom("p"), Element("P", Pair(w, Unit()))))
     apex = Graph(EDGE_SCHEMA, {Atom("v"): Element("V", Unit())})
     misfits = [edge_graph(Unit()), edge_graph(Inl(v)), edge_graph(Pair(v, Inr(w))),
                edge_graph(Pair(v, Ref(Atom("ghost")))),
                edge_graph(Pair(v, w), (Atom("s"), Element("V", w))),  # a reference in a 1
-               edge_graph(Pair(v, w), (Atom("t"), Element("Stray", Pair(v, w))))]
+               edge_graph(Pair(v, w), (Atom("t"), Element("Stray", Pair(v, w)))),
+               # in a label-free part of a type that holds a label: a reference,
+               # one deeper down, and a misfit that holds none
+               edge_graph(Pair(v, w), (Atom("p"), Element("P", Pair(v, w)))),
+               edge_graph(Pair(v, w), (Atom("p"), Element("P", Pair(v, Inl(Pair(Unit(), w)))))),
+               edge_graph(Pair(v, w), (Atom("p"), Element("P", Pair(v, Inr(Unit())))))]
     for g in misfits:
         assert not validate_graph(g).ok
         cases = [(product, g, fitting), (product, fitting, g), (coproduct, g, fitting)]
@@ -331,6 +354,19 @@ def test_unvalidated_shapes_move_as_the_value_directed_references(monkeypatch):
     assert attempt(coproduct, misfits[3], fitting) == "element ghost outside the transport domain"
     odd = edge_graph(Pair(v, Ref(5)))  # a reference to what is not an id
     assert product(odd, fitting).graph.elements == reference_product(odd, fitting).graph.elements
+
+
+def test_a_migrated_value_that_does_not_fit_names_its_position():
+    """Only an unvalidated graph, read without the check, can give a term a
+    value that does not fit the source type."""
+    m = SchemaMapping(Schema({"Node": One(), "Link": Prod(Lbl("Node"), Lbl("Node"))}), EDGE_SCHEMA,
+                      {"Node": Lbl("V"), "Link": Lbl("E")},
+                      {"Node": parse_term("()"), "Link": parse_term("phi x")})
+    for value, message in ((Unit(), "expected a pair, found () (at root)"),
+                           (Pair(Ref(Atom("v")), Unit()),
+                            "no migrated element of 'Node' for witness () (at .snd)")):
+        g = edge_graph(value)
+        assert attempt(delta_migrate, m, g, False) == message
 
 
 # ---------------------------------------------------------------------------
