@@ -374,7 +374,9 @@ def render_id(e: ElementId) -> str:
         return "R:" + render_id(e.inner)
     if isinstance(e, Class):
         return "C:" + render_id(e.rep)
-    return f"E:{e.label}:{render_value(e.witness)}"
+    if isinstance(e, Enc):
+        return f"E:{e.label}:{render_value(e.witness)}"
+    raise PreconditionError(f"cannot render a non-id {type(e).__name__} as an element id")
 
 
 def render_value(v: Value) -> str:
@@ -689,13 +691,14 @@ def transport_value(
 
 def _transport(v: Value, g: Callable[[ElementId], Value]) -> Value:
     """v itself when no reference below it changes, so nothing is rebuilt."""
-    if isinstance(v, Ref):
+    kind = type(v)
+    if kind is Ref:
         return g(v.element)
-    if isinstance(v, (Unit, PrimVal)):
+    if kind is Unit or kind is PrimVal:
         return v
-    if isinstance(v, (Inl, Inr)):
+    if kind is Inl or kind is Inr:
         inner = _transport(v.inner, g)
-        return v if inner is v.inner else type(v)(inner)
+        return v if inner is v.inner else kind(inner)
     first, second = _transport(v.first, g), _transport(v.second, g)
     return v if first is v.first and second is v.second else Pair(first, second)
 
@@ -719,17 +722,16 @@ def ref_plan(t: TypeExpr):
     move(v, g), which is v with g(name, x) put at each position x where t
     holds the label name, label-free parts kept as they are.  It recurses
     one frame per type level, as checker, and checks only the shape it
-    walks: a node whose class disagrees with t, or a label-free part that
-    transport_value would change (see keep), raises a ValueFault, so that
-    a caller can transport such a value (unvalidated input) whole.  A
-    ValueFault, also one raised by g, gains each step on its way out."""
+    walks: a node whose class disagrees with t, or a reference in a
+    label-free part (see _keep), raises a ValueFault.  A ValueFault, also
+    one raised by g, gains each step on its way out."""
     if isinstance(t, Lbl):
         name = t.name
         return lambda v, g: g(name, v)
     if not isinstance(t, (Sum, Prod)):
         return None
-    left, right = ref_plan(t.left) or keep, ref_plan(t.right) or keep
-    if left is keep and right is keep:
+    left, right = ref_plan(t.left) or _keep, ref_plan(t.right) or _keep
+    if left is _keep and right is _keep:
         return None
     if isinstance(t, Prod):
         def move(v, g):
@@ -758,9 +760,9 @@ def ref_plan(t: TypeExpr):
     return choose
 
 
-def keep(v: Value, g=None) -> Value:
+def _keep(v: Value, g=None) -> Value:
     """The move of a label-free part: v itself, or a ValueFault at a
-    reference in it, which transport_value would change."""
+    reference in it."""
     return _transport(v, _refuse)
 
 

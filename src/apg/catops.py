@@ -9,9 +9,10 @@ union on that shared schema, which tags elements exactly as the coproduct
 does but leaves labels as they are.  The quotient runs its union-find over
 element positions, not ids.  Every pair id, tagged id or class is built once
 and shared by its element key, its leg images and the references to it.
-Stored references move along a plan made once per label (adt.ref_plan), which
-rebuilds only the positions where the label's type holds a label; a value
-that does not fit its type (unvalidated input only) is transported whole.
+Stored references move by one walk of each value, directed by the value
+alone: the product walks each input value once for its whole line of pairs
+(_spread), and the coproduct and pushout transport each value whose label's
+type holds a label.
 
 Each construction returns the graph together with its legs (projections,
 injections, or the universal map onto the quotient).
@@ -32,15 +33,14 @@ from .adt import (
     One,
     Pair,
     PairId,
+    PrimVal,
     Prod,
     Record,
     Ref,
     Right,
     Sum,
     Unit,
-    ValueFault,
-    keep,
-    ref_plan,
+    label_free,
     render_id,
     transport_type,
     transport_value,
@@ -98,12 +98,10 @@ def product(g1: Graph, g2: Graph) -> ConstructionResult:
     """Labels and elements are pairs; declared types and stored values are
     transported so that each reference pairs up with the fixed other half.
     Each pair id and its one Ref, shared by every value pointing to it, are
-    made once, in a grid over the sorted ids.  References move along each
-    label's plan (adt.ref_plan): an element's references are resolved to
-    their grid rows (in g1) or columns (in g2) once, and each pair then
-    indexes those lines (see _halves).  A value that does not fit its type
-    (unvalidated input only) is transported whole for each pair, and its
-    references, outside its graph too, get fresh pair ids."""
+    made once, in a grid over the sorted ids.  Each input value is walked
+    once (_spread) for all its pairs: a reference to e1 reads its Refs off
+    e1's grid row, one to e2 off e2's column, and a reference outside its
+    graph (unvalidated input only) gets a fresh line of pair ids."""
     _require_same_registry(g1, g2)
     # The label maps depend on one label of the other side only.
     used1, used2 = ({*g.schema.labels, *(el.label for el in g.elements.values())} for g in (g1, g2))
@@ -124,17 +122,20 @@ def product(g1: Graph, g2: Graph) -> ConstructionResult:
             proj2_labels[name] = l2
     ids1, ids2 = g1.sorted_ids(), g2.sorted_ids()
     grid = [[Ref(PairId(e1, e2)) for e2 in ids2] for e1 in ids1]
-    # A reference to e1 reads its Ref off e1's grid row, one to e2 off e2's column.
-    at1 = _halves(g1, ids1, dict(zip(ids1, grid)), lambda e, j: Ref(PairId(e, ids2[j])))
-    columns = zip(*grid) if grid else [()] * len(ids2)
-    at2 = _halves(g2, ids2, dict(zip(ids2, columns)), lambda e, i: Ref(PairId(ids1[i], e)))
+    rows, columns = dict(zip(ids1, grid)), dict(zip(ids2, zip(*grid)))
+    row = lambda e: rows[e] if e in rows else [Ref(PairId(e, e2)) for e2 in ids2]
+    column = lambda e: columns[e] if e in columns else [Ref(PairId(e1, e)) for e1 in ids1]
+    els2 = [g2.elements[e] for e in ids2]
+    spread2 = [_spread(el.value, column) for el in els2]
     elements, proj1_elements, proj2_elements = {}, {}, {}
-    labels2 = [g2.elements[e2].label for e2 in ids2]
-    for i, (e1, half1, row) in enumerate(zip(ids1, at1, grid)):
-        label1 = g1.elements[e1].label
-        for j, (e2, half2, label2, ref) in enumerate(zip(ids2, at2, labels2, row)):
+    for i, (e1, refs) in enumerate(zip(ids1, grid)):
+        el1 = g1.elements[e1]
+        v1, halves1 = el1.value, _spread(el1.value, row)
+        for j, (e2, el2, halves2, ref) in enumerate(zip(ids2, els2, spread2, refs)):
             eid = ref.element
-            elements[eid] = Element(names[label1, label2], Pair(half1(j), half2(i)))
+            elements[eid] = Element(names[el1.label, el2.label], Pair(
+                v1 if halves1 is None else halves1[j],
+                el2.value if halves2 is None else halves2[i]))
             proj1_elements[eid] = e1
             proj2_elements[eid] = e2
     graph = Graph(Schema(labels, g1.schema.registry), elements)
@@ -147,54 +148,33 @@ def product(g1: Graph, g2: Graph) -> ConstructionResult:
     )
 
 
-def _resolver(table: dict):
-    """The g of a plan that puts table[e] at a reference to e, and raises a
-    ValueFault at a reference outside table or a position that holds none."""
-    def resolve(_, x):
-        if type(x) is Ref:
-            entry = table.get(x.element)
-            if entry is not None:
-                return entry
-        raise ValueFault("expected a reference into the graph")
-    return resolve
-
-
-def _halves(graph: Graph, ids: list, lines: dict, pair_ref) -> list:
-    """For each id, at(k): its element's value in the pair at index k of its
-    line, each reference to e becoming pair_ref(e, k), which is lines[e][k].
-    A value that fits its label's plan is moved onto its lines once, so that
-    at(k) only indexes; any other (see ref_plan) is transported whole by
-    each call.  A value of a label-free or undeclared label fits if it holds
-    no reference (adt.keep)."""
-    plans = {l: ref_plan(t) or keep for l, t in graph.schema.labels.items()}
-    resolve, halves = _resolver(lines), []
-    for e in ids:
-        el = graph.elements[e]
-        v, plan = el.value, plans.get(el.label, keep)
-        try:
-            moved = plan(v, resolve)
-        except ValueFault:
-            halves.append(lambda k, v=v: transport_value(lambda x: pair_ref(x, k), v))
-        else:
-            halves.append((lambda k, v=v: v) if plan is keep else
-                          lambda k, plan=plan, moved=moved: plan(moved, lambda _, line: line[k]))
-    return halves
+def _spread(v, line):
+    """None when v holds no reference; else v's images along a line of
+    pairs, the k-th with each reference to e replaced by line(e)[k].  The
+    walk is directed by v alone, one frame per value level, as
+    transport_value's."""
+    kind = type(v)
+    if kind is Ref:
+        return line(v.element)
+    if kind is Unit or kind is PrimVal:
+        return None
+    if kind is Inl or kind is Inr:
+        inner = _spread(v.inner, line)
+        return None if inner is None else [kind(x) for x in inner]
+    first, second = _spread(v.first, line), _spread(v.second, line)
+    if first is None:
+        return None if second is None else [Pair(v.first, b) for b in second]
+    if second is None:
+        return [Pair(a, v.second) for a in first]
+    return [Pair(a, b) for a, b in zip(first, second)]
 
 
 def _relink(graph: Graph, refs: dict):
-    """relink(el): el's value with each reference to e replaced by refs[e],
-    moved as in _halves, except that a label-free label's value is kept as
-    it is, so an unvalidated graph's reference there still names an input
-    element."""
-    plans = {l: ref_plan(t) or (lambda v, g: v) for l, t in graph.schema.labels.items()}
-    resolve = _resolver(refs)
-
-    def relink(el):
-        try:
-            return plans.get(el.label, keep)(el.value, resolve)
-        except ValueFault:
-            return transport_value(refs, el.value)
-    return relink
+    """relink(el): el's value with each reference to e replaced by refs[e].
+    A label-free label's value is kept as it is, so an unvalidated graph's
+    reference there still names an input element."""
+    free = {l for l, t in graph.schema.labels.items() if label_free(t)}
+    return lambda el: el.value if el.label in free else transport_value(refs, el.value)
 
 
 def pair(f: Morphism, g: Morphism) -> Morphism:

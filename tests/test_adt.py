@@ -195,6 +195,12 @@ def test_id_rendering_shapes():
     assert render_id(Enc("record", Ref(Atom("e1")))) == "E:record:@e1"
 
 
+def test_render_id_names_what_is_not_an_id():
+    for value, kind in ((5, "int"), (Ref(Atom("e1")), "Ref"), (None, "NoneType")):
+        with pytest.raises(PreconditionError, match=f"cannot render a non-id {kind} "):
+            render_id(value)
+
+
 @given(st.integers(0, 2 ** 32))
 def test_id_render_parse_round_trip(seed):
     i = random_id(random.Random(seed), 3)

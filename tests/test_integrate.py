@@ -95,15 +95,12 @@ def test_merge_collapses_the_shared_plate():
 
 
 def test_merge_walks_no_value_for_references(monkeypatch):
-    """merge_by_key takes label-free types only, so the pushout has no plan
-    and copies each value as it is; a type that holds a label is still
-    walked, along its plan."""
+    """merge_by_key takes label-free types only, so the pushout copies each
+    value as it is; a type that holds a label is still walked."""
     walked = []
-    transport, plan = catops.transport_value, catops.ref_plan
+    transport = catops.transport_value
     monkeypatch.setattr(catops, "transport_value",
                         lambda refs, v: walked.append(v) or transport(refs, v))
-    monkeypatch.setattr(catops, "ref_plan", lambda t: (move := plan(t)) and (
-        lambda v, g: walked.append(v) or move(v, g)))
     merge_by_key(fixture("plates1.apg"), fixture("plates2.apg"))
     assert walked == []
     edges = fixture("edges.apg")

@@ -2,12 +2,14 @@
 delta_migrate as they were before each id and Ref was made once, with
 enumerate_values re-enumerating the right factor of a product per left value.
 Also pins the sharing itself: one Ref per referenced element, the very id
-object that keys it; that references move along per-label plans, with values
-that do not fit their type transported whole as before; and the work done,
-counted: no value transport in a validated product, one compiled term per
-source label in a migration."""
+object that keys it; that values which do not fit their type move as the
+value-directed references say; and the work done, counted: one walk of each
+input value in a product, whatever the number of pairs, and one compiled
+term per source label in a migration."""
 
 import random
+
+import pytest
 
 from apg import catops, migrate
 from apg.adt import (
@@ -372,16 +374,48 @@ def test_a_migrated_value_that_does_not_fit_names_its_position():
 # ---------------------------------------------------------------------------
 # work, counted
 
-def test_a_validated_product_transports_no_value(monkeypatch):
-    transported = []
-    real = transport_value
-    monkeypatch.setattr(catops, "transport_value", lambda g, v: transported.append(v) or real(g, v))
-    rng = random.Random("no transport")
-    for _ in range(100):
-        product(random_graph(rng), random_graph(rng))
+def nodes_in(v):
+    if isinstance(v, Pair):
+        return 1 + nodes_in(v.first) + nodes_in(v.second)
+    if isinstance(v, (Inl, Inr)):
+        return 1 + nodes_in(v.inner)
+    return 1
+
+
+def test_a_product_walks_each_input_value_once(monkeypatch):
+    """The product's walk of values is bounded by the nodes of its input
+    values, not by its number of pairs, and it transports no value per pair."""
+    walked, transported = [], []
+    spread, transport = catops._spread, catops.transport_value
+    monkeypatch.setattr(catops, "_spread", lambda v, line: walked.append(v) or spread(v, line))
+    monkeypatch.setattr(catops, "transport_value",
+                        lambda g, v: transported.append(v) or transport(g, v))
+
+    def graph_of(n):
+        ids = [Atom(f"x{i:03}") for i in range(n)]
+        kinds = [("V", lambda e: Unit()), ("E", lambda e: Pair(Ref(ids[0]), Ref(e))),
+                 ("P", lambda e: Pair(Ref(e), Unit()))]
+        return Graph(EDGE_SCHEMA, {e: Element(label, value(e))
+                                   for e, (label, value) in zip(ids, kinds * n)})
+
+    for n1, n2 in ((1, 400), (400, 1), (40, 40)):
+        g1, g2 = graph_of(n1), graph_of(n2)
+        walked.clear()
+        result = product(g1, g2)
+        assert len(result.graph.elements) == n1 * n2
+        nodes = sum(nodes_in(el.value) for g in (g1, g2) for el in g.elements.values())
+        assert 0 < len(walked) <= nodes
+        assert outcome(result) == outcome(reference_product(g1, g2))
+    assert nodes < n1 * n2  # at 40 x 40 the bound is below the number of pairs
     assert transported == []
-    product(edge_graph(Inl(Ref(Atom("v")))), edge_graph(Unit()))  # misfits are transported
-    assert sorted(map(repr, transported)) == [repr(Inl(Ref(Atom("v"))))] * 3 + [repr(Unit())] * 3
+
+
+def test_a_reference_to_a_non_id_is_refused_when_written():
+    """Only a programmatic, unvalidated graph can hold one; the product pairs
+    it up as any reference outside its graph, and the writer names it."""
+    graph = product(edge_graph(Pair(Ref(Atom("v")), Ref(5))), edge_graph(Unit())).graph
+    with pytest.raises(PreconditionError, match="non-id int"):
+        write_graph(graph)
 
 
 def test_delta_migrate_compiles_each_term_once(monkeypatch):
