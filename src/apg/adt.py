@@ -716,60 +716,6 @@ class ValueFault(Exception):
         return "".join("." + step for step in reversed(self.steps))
 
 
-def ref_plan(t: TypeExpr):
-    """The rebuild of values of t that changes only their reference
-    positions, made once per type: None when t is label-free, else
-    move(v, g), which is v with g(name, x) put at each position x where t
-    holds the label name, label-free parts kept as they are.  It recurses
-    one frame per type level, as checker, and checks only the shape it
-    walks: a node whose class disagrees with t, or a reference in a
-    label-free part (see _keep), raises a ValueFault.  A ValueFault, also
-    one raised by g, gains each step on its way out."""
-    if isinstance(t, Lbl):
-        name = t.name
-        return lambda v, g: g(name, v)
-    if not isinstance(t, (Sum, Prod)):
-        return None
-    left, right = ref_plan(t.left) or _keep, ref_plan(t.right) or _keep
-    if left is _keep and right is _keep:
-        return None
-    if isinstance(t, Prod):
-        def move(v, g):
-            if type(v) is not Pair:
-                raise ValueFault(f"expected a pair, found {_describe(v)}")
-            step = "fst"
-            try:
-                first = left(v.first, g)
-                step = "snd"
-                return Pair(first, right(v.second, g))
-            except ValueFault as fault:
-                fault.steps.append(step)
-                raise
-        return move
-
-    def choose(v, g):
-        kind = type(v)
-        if kind is not Inl and kind is not Inr:
-            raise ValueFault(f"expected an injection, found {_describe(v)}")
-        try:
-            inner = (left if kind is Inl else right)(v.inner, g)
-        except ValueFault as fault:
-            fault.steps.append("inl" if kind is Inl else "inr")
-            raise
-        return v if inner is v.inner else kind(inner)
-    return choose
-
-
-def _keep(v: Value, g=None) -> Value:
-    """The move of a label-free part: v itself, or a ValueFault at a
-    reference in it."""
-    return _transport(v, _refuse)
-
-
-def _refuse(e: ElementId):
-    raise ValueFault("expected a label-free value, found a reference")
-
-
 # ---------------------------------------------------------------------------
 # Bidirectional value checking
 

@@ -37,14 +37,11 @@ from .adt import (
     TypeExpr,
     Unit,
     Value,
-    ValueFault,
     Zero,
     _Scanner,
     labels_in,
-    ref_plan,
     render_id,
     render_type,
-    render_value,
     transport_type,
     type_nodes,
 )
@@ -558,15 +555,14 @@ def delta_migrate(m: SchemaMapping, graph: Graph, validate: bool = True) -> Grap
     """Pull a target graph back through a mapping, yielding a source graph.
 
     For each source label l and each witness w of its mapped type, the term
-    for l, compiled once, runs with x bound to w; the result then moves along
-    the plan of l's source type (adt.ref_plan), which puts at each label
-    position the element minted for the witness found there.  A witness
-    with no element, or a result that does not fit the type (from an
-    unvalidated graph only), is named with its path in the value, written
-    only then.
-    Each witness's Enc id and Ref are made once: the Enc keys the element and
+    for l, compiled once, runs with x bound to w; at each label position of
+    its result, the minting of l's source type (_minting, built once per
+    label) puts the element minted for the witness found there.  Each
+    witness's Enc id and Ref are made once: the Enc keys the element and
     every reference to it is that Ref.  validate=False skips the check of
-    graph, for a caller that has validated it (read_graph does).
+    graph, for a caller that has validated it (read_graph does); a result
+    that does not fit its type, which only an invalid graph can give, is
+    then reported by the validator, as validate=True would report it.
     """
     report = typecheck_mapping(m)
     if not report.ok:
@@ -574,9 +570,7 @@ def delta_migrate(m: SchemaMapping, graph: Graph, validate: bool = True) -> Grap
     if graph.schema != m.target:
         raise PreconditionError("graph is not on the mapping's target schema")
     if validate:
-        data_report = validate_graph(graph)
-        if not data_report.ok:
-            raise PreconditionError(f"input graph is not valid:\n{data_report}")
+        _require_valid(graph)
     for label in m.source.sorted_labels():
         if any(isinstance(node, Prim) for node in type_nodes(m.on_labels[label])):
             raise PreconditionError(
@@ -587,21 +581,44 @@ def delta_migrate(m: SchemaMapping, graph: Graph, validate: bool = True) -> Grap
     refs = _refs_by_label(graph, set().union(*map(labels_in, m.on_labels.values())))
     minted = {label: {w: Ref(Enc(label, w)) for w in _enumerate(m.on_labels[label], refs)}
               for label in m.source.sorted_labels()}
-
-    def minted_ref(name: str, w: Value) -> Ref:
-        ref = minted[name].get(w)
-        if ref is None:
-            raise ValueFault(f"no migrated element of {name!r} for witness {render_value(w)}")
-        return ref
-
     elements = {}
     for label in m.source.sorted_labels():
-        run, plan = compile_term(m.on_terms[label], graph), ref_plan(m.source.labels[label])
+        run, mint = compile_term(m.on_terms[label], graph), _minting(m.source.labels[label], minted)
         for w, ref in minted[label].items():
-            try:
-                value = run(w) if plan is None else plan(run(w), minted_ref)
-            except ValueFault as miss:
-                where = miss.path_text() or "root"
-                raise PreconditionError(f"{miss} (at {where})") from None
+            value = run(w)
+            if mint is not None:
+                try:
+                    value = mint(value)
+                except (KeyError, AttributeError, TypeError):
+                    _require_valid(graph)
+                    raise
             elements[ref.element] = Element(label, value)
     return Graph(m.source, elements)
+
+
+def _require_valid(graph: Graph):
+    report = validate_graph(graph)
+    if not report.ok:
+        raise PreconditionError(f"input graph is not valid:\n{report}") from None
+
+
+def _minting(t: TypeExpr, minted: dict):
+    """v with minted[name][x] put at each position x where t holds the label
+    name, as a function of v, or None when t is label-free; label-free parts
+    are kept as they are.  Only a value that does not fit t makes it raise:
+    a KeyError, AttributeError or TypeError."""
+    if isinstance(t, Lbl):
+        return minted[t.name].__getitem__
+    if not isinstance(t, (Sum, Prod)):
+        return None
+    left, right = _minting(t.left, minted), _minting(t.right, minted)
+    if left is None and right is None:
+        return None
+    left, right = left or _kept, right or _kept
+    if isinstance(t, Prod):
+        return lambda v: Pair(left(v.first), right(v.second))
+    return lambda v: Inl(left(v.inner)) if type(v) is Inl else Inr(right(v.inner))
+
+
+def _kept(v: Value) -> Value:
+    return v

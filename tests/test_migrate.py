@@ -391,8 +391,9 @@ def test_migrate_empty_graph_yields_unit_witnesses_only():
 
 
 def test_migrate_names_the_witness_a_reference_misses():
-    """Without the check of its input, a dangling edge reaches the reindex,
-    which names the witness and where in the source value it sits."""
+    """Without the check of its input, a dangling edge reaches the minting of
+    its reference, which finds no element; the validator then names the
+    missing element and where it sits, as the check would have."""
     g = graph_of({"Node": "1", "Edge": "Node * Node"}, {
         "n1": ("Node", Unit()),
         "e1": ("Edge", Pair(Ref(Atom("n1")), Ref(Atom("ghost")))),
@@ -403,6 +404,8 @@ def test_migrate_names_the_witness_a_reference_misses():
         on_labels={"Node": Lbl("Node"), "Edge": Lbl("Edge")},
         on_terms={"Node": parse_term("phi x"), "Edge": parse_term("phi x")},
     )
-    with pytest.raises(PreconditionError) as err:
-        delta_migrate(m, g, validate=False)
-    assert str(err.value) == "no migrated element of 'Node' for witness @ghost (at .snd)"
+    message = "input graph is not valid:\nerror: e1.snd: reference to missing element ghost"
+    for validate in (False, True):
+        with pytest.raises(PreconditionError) as err:
+            delta_migrate(m, g, validate=validate)
+        assert str(err.value) == message

@@ -2,10 +2,11 @@
 delta_migrate as they were before each id and Ref was made once, with
 enumerate_values re-enumerating the right factor of a product per left value.
 Also pins the sharing itself: one Ref per referenced element, the very id
-object that keys it; that values which do not fit their type move as the
-value-directed references say; and the work done, counted: one walk of each
-input value in a product, whatever the number of pairs, and one compiled
-term per source label in a migration."""
+object that keys it; that values which do not fit their type move as
+test-local oracles say, and that a migration leaves their report to the
+validator; and the work done, counted: one walk of each input value in a
+product, whatever the number of pairs, and one compiled term and one minting
+plan per source label in a migration."""
 
 import random
 
@@ -14,20 +15,24 @@ import pytest
 from apg import catops, migrate
 from apg.adt import (
     Atom,
+    Class,
     Enc,
     Inl,
     Inr,
     Lbl,
+    Left,
     One,
     Pair,
     PairId,
     Prim,
     Prod,
     Ref,
+    Right,
     Sum,
     Unit,
     Zero,
     label_free,
+    render_id,
     render_type,
     render_value,
     transport_type,
@@ -153,10 +158,56 @@ def reference_delta_migrate(m, graph):
 
 
 def reference_relink(graph, refs):
-    """How coproduct and pushout moved values before plans: a label-free
-    label's value is kept as it is, any other is transported whole."""
+    """How coproduct and pushout move values: a label-free label's value is
+    kept as it is, any other is transported whole."""
     free = {l for l, t in graph.schema.labels.items() if label_free(t)}
     return lambda el: el.value if el.label in free else transport_value(refs, el.value)
+
+
+def reference_moves(graph, image):
+    """Each element's value, in id order, with each reference to e moved to
+    Ref(image[e]); the first reference outside the graph raises."""
+    relink = reference_relink(graph, {e: Ref(image[e]) for e in graph.elements})
+    return {e: relink(graph.elements[e]) for e in graph.sorted_ids()}
+
+
+def reference_coproduct(g1, g2):
+    """The tagged union, written out: no code of catops runs but the result record."""
+    labels, elements, sides = {}, {}, []
+    for g, tag, prefix in ((g1, Left, "L:"), (g2, Right, "R:")):
+        tagged = {m: Lbl(prefix + m) for m in g.schema.labels}
+        for l in g.schema.sorted_labels():
+            labels[prefix + l] = transport_type(tagged, g.schema.labels[l])
+        image = {e: tag(e) for e in g.sorted_ids()}
+        for e, value in reference_moves(g, image).items():
+            elements[image[e]] = Element(prefix + g.elements[e].label, value)
+        sides.append((g, {l: prefix + l for l in g.schema.labels}, image))
+    graph = Graph(Schema(labels, g1.schema.registry), elements)
+    inj1, inj2 = (Morphism(g, graph, on_labels, image) for g, on_labels, image in sides)
+    return ConstructionResult(graph, {"inj1": inj1, "inj2": inj2})
+
+
+def reference_pushout(f, g):
+    """The targets' tagged union glued along the apex, written out for spans
+    whose classes keep to one label: each class is named by its least member
+    and listed in that order."""
+    sides = ((f.target, Left), (g.target, Right))
+    members = {tag(e): {tag(e)} for side, tag in sides for e in side.elements}
+    for a in f.source.elements:
+        merged = members[Left(f.on_elements[a])] | members[Right(g.on_elements[a])]
+        for t in merged:
+            members[t] = merged
+    name = {t: Class(min(group, key=render_id)) for t, group in members.items()}
+    moved = {}
+    for side, tag in sides:
+        for e, value in reference_moves(side, {e: name[tag(e)] for e in side.elements}).items():
+            moved[tag(e)] = Element(side.elements[e].label, value)
+    elements = {name[t]: moved[t] for t in sorted(moved, key=render_id) if name[t].rep == t}
+    graph = Graph(f.target.schema, elements)
+    labels = {l: l for l in graph.schema.labels}
+    return ConstructionResult(graph, {
+        role: Morphism(m.target, graph, dict(labels), {e: name[tag(e)] for e in m.target.sorted_ids()})
+        for role, m, tag in (("left", f, Left), ("right", g, Right))})
 
 
 def outcome(graph_or_result):
@@ -327,48 +378,92 @@ def edge_graph(value, *extra):
     return Graph(EDGE_SCHEMA, elements)
 
 
-def test_unvalidated_shapes_move_as_the_value_directed_references(monkeypatch):
+def edge_misfits():
+    """Graphs on EDGE_SCHEMA that the validator refuses, one misfit each."""
+    v, w = Ref(Atom("v")), Ref(Atom("w"))
+    return [edge_graph(Unit()), edge_graph(Inl(v)), edge_graph(Pair(v, Inr(w))),
+            edge_graph(Pair(v, Ref(Atom("ghost")))),
+            edge_graph(Pair(v, w), (Atom("s"), Element("V", w))),  # a reference in a 1
+            edge_graph(Pair(v, w), (Atom("t"), Element("Stray", Pair(v, w)))),
+            # in a label-free part of a type that holds a label: a reference,
+            # one deeper down, and a misfit that holds none
+            edge_graph(Pair(v, w), (Atom("p"), Element("P", Pair(v, w)))),
+            edge_graph(Pair(v, w), (Atom("p"), Element("P", Pair(v, Inl(Pair(Unit(), w)))))),
+            edge_graph(Pair(v, w), (Atom("p"), Element("P", Pair(v, Inr(Unit())))))]
+
+
+def test_unvalidated_shapes_move_as_the_value_directed_references():
     v, w = Ref(Atom("v")), Ref(Atom("w"))
     fitting = edge_graph(Pair(v, w), (Atom("p"), Element("P", Pair(w, Unit()))))
     apex = Graph(EDGE_SCHEMA, {Atom("v"): Element("V", Unit())})
-    misfits = [edge_graph(Unit()), edge_graph(Inl(v)), edge_graph(Pair(v, Inr(w))),
-               edge_graph(Pair(v, Ref(Atom("ghost")))),
-               edge_graph(Pair(v, w), (Atom("s"), Element("V", w))),  # a reference in a 1
-               edge_graph(Pair(v, w), (Atom("t"), Element("Stray", Pair(v, w)))),
-               # in a label-free part of a type that holds a label: a reference,
-               # one deeper down, and a misfit that holds none
-               edge_graph(Pair(v, w), (Atom("p"), Element("P", Pair(v, w)))),
-               edge_graph(Pair(v, w), (Atom("p"), Element("P", Pair(v, Inl(Pair(Unit(), w)))))),
-               edge_graph(Pair(v, w), (Atom("p"), Element("P", Pair(v, Inr(Unit())))))]
+    misfits = edge_misfits()
     for g in misfits:
         assert not validate_graph(g).ok
-        cases = [(product, g, fitting), (product, fitting, g), (coproduct, g, fitting)]
         legs = [Morphism(apex, target, {l: l for l in EDGE_SCHEMA.labels},
                          {e: e for e in apex.elements}) for target in (g, fitting)]
-        cases.append((pushout, *legs))
-        got = [attempt(construct, *args) for construct, *args in cases]
-        with monkeypatch.context() as patch:
-            patch.setattr(catops, "_relink", reference_relink)
-            expected = [attempt(reference_product, g, fitting),
-                        attempt(reference_product, fitting, g)]
-            expected += [attempt(construct, *args) for construct, *args in cases[2:]]
-        assert got == expected
+        got = [attempt(product, g, fitting), attempt(product, fitting, g),
+               attempt(coproduct, g, fitting), attempt(pushout, *legs)]
+        assert got == [attempt(reference_product, g, fitting),
+                       attempt(reference_product, fitting, g),
+                       attempt(reference_coproduct, g, fitting), attempt(reference_pushout, *legs)]
     assert attempt(coproduct, misfits[3], fitting) == "element ghost outside the transport domain"
     odd = edge_graph(Pair(v, Ref(5)))  # a reference to what is not an id
     assert product(odd, fitting).graph.elements == reference_product(odd, fitting).graph.elements
 
 
+def test_the_oracles_agree_with_the_constructions_on_random_graphs():
+    rng = random.Random("oracles")
+    for _ in range(100):
+        g1, g2 = random_graph(rng), random_graph(rng)
+        assert outcome(coproduct(g1, g2)) == outcome(reference_coproduct(g1, g2))
+        legs = [identity(g1), identity(g1)]
+        assert outcome(pushout(*legs)) == outcome(reference_pushout(*legs))
+
+
+# Node, Link and Dot read V, E and V; Tagged reads P, whose 1 is label-free.
+EDGE_MAPPING = SchemaMapping(
+    Schema({"Node": One(), "Link": Prod(Lbl("Node"), Lbl("Node")),
+            "Tagged": Prod(Lbl("Node"), One()), "Dot": One()}),
+    EDGE_SCHEMA,
+    {"Node": Lbl("V"), "Link": Lbl("E"), "Tagged": Lbl("P"), "Dot": Lbl("V")},
+    {"Node": parse_term("()"), "Link": parse_term("phi x"), "Tagged": parse_term("phi x"),
+     "Dot": parse_term("phi x")})
+
+
 def test_a_migrated_value_that_does_not_fit_names_its_position():
     """Only an unvalidated graph, read without the check, can give a term a
-    value that does not fit the source type."""
-    m = SchemaMapping(Schema({"Node": One(), "Link": Prod(Lbl("Node"), Lbl("Node"))}), EDGE_SCHEMA,
-                      {"Node": Lbl("V"), "Link": Lbl("E")},
-                      {"Node": parse_term("()"), "Link": parse_term("phi x")})
-    for value, message in ((Unit(), "expected a pair, found () (at root)"),
-                           (Pair(Ref(Atom("v")), Unit()),
-                            "no migrated element of 'Node' for witness () (at .snd)")):
-        g = edge_graph(value)
-        assert attempt(delta_migrate, m, g, False) == message
+    value that does not fit the source type; the validator then names it, in
+    the words validate=True uses."""
+    v = Ref(Atom("v"))
+    for value, message in ((Unit(), "error: e: expected V * V, found ()"),
+                           (Pair(v, Unit()), "error: e.snd: expected a reference to V, found ()"),
+                           (Pair(v, Ref(Atom("ghost"))),
+                            "error: e.snd: reference to missing element ghost")):
+        assert attempt(delta_migrate, EDGE_MAPPING, edge_graph(value), False) == (
+            "input graph is not valid:\n" + message)
+    raised = 0
+    for g in edge_misfits():
+        got = attempt(delta_migrate, EDGE_MAPPING, g, False)
+        if isinstance(got, str):
+            raised += 1
+            assert got == attempt(delta_migrate, EDGE_MAPPING, g)
+            assert got == attempt(reference_delta_migrate, EDGE_MAPPING, g)
+    assert raised == 4  # the misfits of E; the rest sit in label-free parts or unmapped labels
+
+
+def test_an_unvalidated_reference_in_a_label_free_part_is_kept():
+    """The minting rebuilds only label positions: a reference that an
+    invalid graph holds in a label-free part comes out as it went in."""
+    v, w = Ref(Atom("v")), Ref(Atom("w"))
+    for stored in (Pair(v, w), Pair(v, Inl(Pair(Unit(), w)))):
+        g = edge_graph(Pair(v, w), (Atom("p"), Element("P", stored)))
+        value = delta_migrate(EDGE_MAPPING, g, validate=False).elements[
+            Enc("Tagged", Ref(Atom("p")))].value
+        assert value == Pair(Ref(Enc("Node", v)), stored.second)
+        assert value.second is stored.second
+    g = edge_graph(Pair(v, w), (Atom("s"), Element("V", w)))  # a label-free label: kept whole
+    assert delta_migrate(EDGE_MAPPING, g, validate=False).elements[
+        Enc("Dot", Ref(Atom("s")))].value is w
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +528,40 @@ def test_delta_migrate_compiles_each_term_once(monkeypatch):
         compiled.clear()
         assert len(delta_migrate(m, g).elements) == 2 * n
         assert sorted(map(str, compiled)) == sorted(map(str, m.on_terms.values()))
+
+
+def test_delta_migrate_builds_one_minting_plan_per_label(monkeypatch):
+    """The minting of each source type is built once, whatever the number of
+    witnesses; a label-free label gets none, so its values are the very
+    values its term returned."""
+    built = []
+    real = migrate._minting
+    monkeypatch.setattr(migrate, "_minting",
+                        lambda t, minted: built.append((t, real(t, minted))) or built[-1][1])
+    target = Schema({"V": One(), "W": Prod(One(), Sum(One(), One())),
+                     "E": Prod(Lbl("V"), Lbl("V"))})
+    source = Schema({"Node": One(), "Pad": Prod(One(), Sum(One(), One())),
+                     "Link": Prod(Lbl("Node"), Lbl("Node"))})
+    m = SchemaMapping(source, target, {"Node": Lbl("V"), "Pad": Lbl("W"), "Link": Lbl("E")},
+                      {"Node": parse_term("()"), "Pad": parse_term("phi x"),
+                       "Link": parse_term("phi x")})
+    counts = set()
+    for n in (1, 40, 400):
+        ids = [Atom(f"v{i}") for i in range(n)]
+        g = Graph(target, {**{e: Element("V", Unit()) for e in ids},
+                           **{Atom(f"w{i}"): Element("W", Pair(Unit(), Inr(Unit())))
+                              for i in range(n)},
+                           **{Atom(f"e{i}"): Element("E", Pair(Ref(e), Ref(ids[0])))
+                              for i, e in enumerate(ids)}})
+        built.clear()
+        out = delta_migrate(m, g)
+        assert len(out.elements) == 3 * n
+        roots = {label: [made for t, made in built if t is source.labels[label]]
+                 for label in source.labels}
+        assert [len(made) for made in roots.values()] == [1, 1, 1]
+        assert roots["Node"] == roots["Pad"] == [None] and roots["Link"] != [None]
+        counts.add(len(built))
+        for i in range(n):
+            stored = g.elements[Atom(f"w{i}")].value
+            assert out.elements[Enc("Pad", Ref(Atom(f"w{i}")))].value is stored
+    assert len(counts) == 1  # the same builds at 1, 40 and 400 witnesses a label
