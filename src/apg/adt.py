@@ -626,21 +626,22 @@ def parse_type(text: str, labels, registry: PrimRegistry = DEFAULT_REGISTRY) -> 
 
 def render_type(t: TypeExpr) -> str:
     """Render with minimal parentheses; parse_type round-trips the output."""
+    return _render_type(t, 0)
 
-    def go(t: TypeExpr, level: int) -> str:
-        if isinstance(t, Zero):
-            return "0"
-        if isinstance(t, One):
-            return "1"
-        if isinstance(t, (Prim, Lbl)):
-            return t.name
-        if isinstance(t, Sum):
-            s = f"{go(t.left, 1)} + {go(t.right, 0)}"
-            return f"({s})" if level > 0 else s
-        s = f"{go(t.left, 2)} * {go(t.right, 1)}"
-        return f"({s})" if level > 1 else s
 
-    return go(t, 0)
+def _render_type(t: TypeExpr, level: int) -> str:
+    """t rendered inside a context that binds at level: 1 under +, 2 under *."""
+    if isinstance(t, Zero):
+        return "0"
+    if isinstance(t, One):
+        return "1"
+    if isinstance(t, (Prim, Lbl)):
+        return t.name
+    if isinstance(t, Sum):
+        s = f"{_render_type(t.left, 1)} + {_render_type(t.right, 0)}"
+        return f"({s})" if level > 0 else s
+    s = f"{_render_type(t.left, 2)} * {_render_type(t.right, 1)}"
+    return f"({s})" if level > 1 else s
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ constructions), merge, migrate, export, import, fmt.  File arguments accept
 success, 1 when data fails validation, 2 for usage or parse problems (input
 nested deeper than the interpreter's recursion limit among them); diagnostics
 go to stderr and data to stdout.
+
+main runs with CPython's cyclic garbage collector off (files.collector_paused)
+and gives the caller's setting back however it ends.  Values, ids and graphs
+are trees whose references name elements by id, so the collector would only
+walk them and find no cycles; what garbage a verb does leave (argparse's
+parser, a little per schema label) does not grow with the number of elements.
 """
 
 from __future__ import annotations
@@ -192,7 +198,8 @@ def _cmd_fmt(args) -> int:
 # Argument wiring
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="apg", description=__doc__)
+    parser = argparse.ArgumentParser(  # the docstring's last paragraph is not for users
+        prog="apg", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def out_flag(p):
@@ -252,23 +259,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    try:
-        if _stdin_inputs(args) > 1:
-            raise ParseError("standard input can be read once: give '-' for one input at most")
-        return args.run(args)
-    except ValidationFailure as err:
-        print(err.report, file=sys.stderr)
-        return 1
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ApgError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("error: input is nested too deeply to process", file=sys.stderr)
-        return 2
+    with files.collector_paused():  # see the last paragraph of the module docstring
+        args = _parser().parse_args(argv)
+        try:
+            if _stdin_inputs(args) > 1:
+                raise ParseError("standard input can be read once: give '-' for one input at most")
+            return args.run(args)
+        except ValidationFailure as err:
+            print(err.report, file=sys.stderr)
+            return 1
+        except ParseError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        except ApgError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        except RecursionError:
+            print("error: input is nested too deeply to process", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

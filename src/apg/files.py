@@ -75,16 +75,33 @@ def decode_utf8(data: bytes, where: str) -> str:
         raise ParseError(f"{where}: not UTF-8 text at byte {err.start}: {err.reason}") from None
 
 
+class collector_paused:
+    """A with-block that runs with CPython's cyclic garbage collector off and
+    restores the caller's setting on every way out.  apg's values, ids and
+    graphs are finite trees, whose references name elements by id, so they
+    hold no reference cycles: the collector's passes over them find nothing.
+    A class, not a generator, because it is entered once per table cell."""
+
+    __slots__ = ("collecting",)
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self.collecting:
+            gc.enable()
+
+
 def load_json(text: str, hook=None):
     """The document of a JSON text, each object passed through hook when
     given.  Its strings must hold Unicode text, as I-JSON (RFC 7493)
     asks: no UTF-8 output can hold a lone surrogate such as "\\ud800", so
     one is rejected here, by the line and column of its string.  Only a
     text with a surrogate escape has its strings decoded one by one."""
-    collecting = gc.isenabled()
-    gc.disable()  # a parse makes no reference cycles
     try:
-        doc = json.loads(text, object_hook=hook)
+        with collector_paused():
+            doc = json.loads(text, object_hook=hook)
         if _SURROGATE_ESCAPE.search(text):
             for string in _STRING.finditer(text):
                 if _SURROGATE.search(json.loads(string.group())):
@@ -97,9 +114,6 @@ def load_json(text: str, hook=None):
     except ValueError:  # CPython's limit on the digits of an int
         raise InvalidJSON(f"invalid JSON: an integer has more than "
                           f"{sys.get_int_max_str_digits()} digits") from None
-    finally:
-        if collecting:
-            gc.enable()
     return doc
 
 

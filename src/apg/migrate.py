@@ -560,9 +560,10 @@ def delta_migrate(m: SchemaMapping, graph: Graph, validate: bool = True) -> Grap
     label) puts the element minted for the witness found there.  Each
     witness's Enc id and Ref are made once: the Enc keys the element and
     every reference to it is that Ref.  validate=False skips the check of
-    graph, for a caller that has validated it (read_graph does); a result
-    that does not fit its type, which only an invalid graph can give, is
-    then reported by the validator, as validate=True would report it.
+    graph, for a caller that has validated it (read_graph does); a fault in
+    the term or a result that does not fit its type, which only an invalid
+    graph can give, is then reported by the validator, as validate=True
+    would report it.
     """
     report = typecheck_mapping(m)
     if not report.ok:
@@ -582,17 +583,15 @@ def delta_migrate(m: SchemaMapping, graph: Graph, validate: bool = True) -> Grap
     minted = {label: {w: Ref(Enc(label, w)) for w in _enumerate(m.on_labels[label], refs)}
               for label in m.source.sorted_labels()}
     elements = {}
-    for label in m.source.sorted_labels():
-        run, mint = compile_term(m.on_terms[label], graph), _minting(m.source.labels[label], minted)
-        for w, ref in minted[label].items():
-            value = run(w)
-            if mint is not None:
-                try:
-                    value = mint(value)
-                except (KeyError, AttributeError, TypeError):
-                    _require_valid(graph)
-                    raise
-            elements[ref.element] = Element(label, value)
+    try:
+        for label in m.source.sorted_labels():
+            run, mint = compile_term(m.on_terms[label], graph), _minting(m.source.labels[label], minted)
+            for w, ref in minted[label].items():
+                value = run(w) if mint is None else mint(run(w))
+                elements[ref.element] = Element(label, value)
+    except (PreconditionError, KeyError, AttributeError, TypeError):
+        _require_valid(graph)
+        raise
     return Graph(m.source, elements)
 
 

@@ -1,6 +1,8 @@
-"""Prints one PASS/FAIL line per acceptance check after the run, and
-gives tests a standard input to feed."""
+"""Prints one PASS/FAIL line per acceptance check after the run, gives
+tests a standard input to feed, and fails a test that leaves the cyclic
+garbage collector off."""
 
+import gc
 import io
 
 import pytest
@@ -37,3 +39,13 @@ def stdin(monkeypatch):
         monkeypatch.setattr("sys.stdin", stream)
         return stream
     return feed
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """apg pauses the cyclic collector; a pause that leaked out of a test
+    would change every test after it, so the test that leaks it fails."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")

@@ -1,0 +1,139 @@
+"""apg runs its verbs with the cyclic garbage collector off.  These tests pin
+the two things that makes safe: cli.main gives the caller's setting back
+however it ends, and a verb leaves the same number of unreachable objects
+whatever the size of its input, so with no collector nothing piles up."""
+
+import contextlib
+import gc
+import io
+import json
+import random
+
+import pytest
+
+from apg import cli
+from apg.fixtures import path
+
+from .test_read_side import vep_text
+
+
+def deep_id_document(tmp_path):
+    doc = {"schema": {"V": "1"}, "elements": {"L:" * 5000 + "a": {"label": "V", "value": {"unit": {}}}}}
+    (tmp_path / "deep.apg").write_text(json.dumps(doc))
+    return ["validate", str(tmp_path / "deep.apg")]
+
+
+def invalid_document(tmp_path):
+    doc = {"schema": {"V": "1"}, "elements": {"v": {"label": "V", "value": {"inl": {"unit": {}}}}}}
+    (tmp_path / "bad.apg").write_text(json.dumps(doc))
+    return ["validate", str(tmp_path / "bad.apg")]
+
+
+def raise_from_the_verb(tmp_path, monkeypatch):
+    def verb(args):
+        raise RuntimeError("a verb that fails")
+    monkeypatch.setattr(cli, "_cmd_validate", verb)
+    return ["validate", str(path("trips.apg"))]
+
+
+# way out -> (argv from tmp_path and monkeypatch, what main returns or raises)
+WAYS_OUT = {
+    "exit 0": (lambda tmp, mp: ["validate", str(path("trips.apg"))], 0),
+    "exit 1": (lambda tmp, mp: invalid_document(tmp), 1),
+    "exit 2": (lambda tmp, mp: ["validate", str(tmp / "missing.apg")], 2),
+    "usage error": (lambda tmp, mp: ["validate"], SystemExit),
+    "nested too deeply": (lambda tmp, mp: deep_id_document(tmp), 2),
+    "escaping exception": (raise_from_the_verb, RuntimeError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("way_out", WAYS_OUT)
+def test_main_restores_the_collector_setting(tmp_path, monkeypatch, capsys, way_out, enabled):
+    argv, expected = WAYS_OUT[way_out]
+    argv = argv(tmp_path, monkeypatch)
+    gc.enable() if enabled else gc.disable()
+    try:
+        if isinstance(expected, int):
+            assert cli.main(argv) == expected
+        else:
+            with pytest.raises(expected):
+                cli.main(argv)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    if way_out == "nested too deeply":
+        assert capsys.readouterr().err == "error: input is nested too deeply to process\n"
+
+
+def plates_text(n, seed):
+    """n elements of P: String * String whose first components repeat."""
+    rng = random.Random(seed)
+    elements = {f"p{i}": {"label": "P", "value": {"pair": [
+        {"prim": {"type": "String", "value": f"k{rng.randrange(n // 2)}"}},
+        {"prim": {"type": "String", "value": rng.choice("abc")}}]}} for i in range(n)}
+    return json.dumps({"schema": {"P": "String * String"}, "elements": elements})
+
+
+def summary_text(n):
+    """n elements of the shipped mapping's target label, summary: Nat * String."""
+    elements = {f"s{i}": {"label": "summary", "value": {"pair": [
+        {"prim": {"type": "Nat", "value": i}},
+        {"prim": {"type": "String", "value": f"s{i}"}}]}} for i in range(n)}
+    return json.dumps({"schema": {"summary": "Nat * String"}, "elements": elements})
+
+
+def run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Two directories of inputs, of 4 * n graph elements for n = 4 and 16."""
+    made = []
+    for n in (4, 16):
+        d = tmp_path_factory.mktemp(f"n{n}")
+        (d / "g.apg").write_text(vep_text(n))
+        (d / "a.apg").write_text(plates_text(4 * n, 1))
+        (d / "b.apg").write_text(plates_text(4 * n, 2))
+        (d / "s.apg").write_text(summary_text(4 * n))
+        assert run_quietly(["export", "relational", str(d / "g.apg"), "-o", str(d / "tables")]) == 0
+        made.append(d)
+    return made
+
+
+VERBS = {  # {d} is the directory of inputs
+    "validate": ["validate", "{d}/g.apg"],
+    "fmt": ["fmt", "{d}/g.apg", "-o", "{d}/out"],
+    "classify": ["classify", "{d}/g.apg", "-o", "{d}/out"],
+    "export rdf": ["export", "rdf", "{d}/g.apg", "-o", "{d}/out"],
+    "export relational": ["export", "relational", "{d}/g.apg", "-o", "{d}/out.d"],
+    "export kv": ["export", "kv", "{d}/s.apg", "--label", "summary", "-o", "{d}/out"],
+    "import relational": ["import", "relational", "{d}/tables", "--schema", "{d}/g.apg",
+                          "-o", "{d}/out"],
+    "op product": ["op", "product", "{d}/g.apg", "{d}/g.apg", "-o", "{d}/out"],
+    "op coproduct": ["op", "coproduct", "{d}/g.apg", "{d}/g.apg", "-o", "{d}/out"],
+    "merge": ["merge", "--key", "fst", "{d}/a.apg", "{d}/b.apg", "-o", "{d}/out"],
+    "migrate": ["migrate", str(path("mapping.apgm")), "{d}/s.apg", "-o", "{d}/out"],
+}
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_garbage_left_by_a_verb_does_not_grow_with_its_input(inputs, verb):
+    """gc.collect() after the verb counts the unreachable objects the verb
+    left; the count is the same at both sizes.  The collector is held off
+    around the verb, so that no collection frees any of them before the
+    count.  The first run compiles what is compiled once per process, so it
+    is not counted."""
+    def leftover(d):
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_quietly([word.format(d=d) for word in VERBS[verb]]) == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+    small, large = inputs
+    leftover(small)
+    assert leftover(large) == leftover(small)

@@ -409,3 +409,42 @@ def test_migrate_names_the_witness_a_reference_misses():
         with pytest.raises(PreconditionError) as err:
             delta_migrate(m, g, validate=validate)
         assert str(err.value) == message
+
+
+def case_over_a_sum():
+    """N: 1 + 1 pulled back from V: 1 + 1 by a case on the referenced value,
+    over a graph whose one element of V holds () where the sum is declared."""
+    g = graph_of({"V": "1 + 1"}, {"v": ("V", Unit())})
+    m = SchemaMapping(
+        source=schema_of({"N": "1 + 1"}),
+        target=g.schema,
+        on_labels={"N": Lbl("V")},
+        on_terms={"N": parse_term("case phi x of { inl a -> inl () ; inr b -> inr () }")},
+    )
+    return m, g
+
+
+def test_a_fault_in_the_term_is_named_by_the_validator():
+    """Without the check of its input, the term itself meets the misfit
+    first; the validator then names the element and what it holds, as the
+    check would have."""
+    m, g = case_over_a_sum()
+    message = "input graph is not valid:\nerror: v: expected 1 + 1, found ()"
+    for validate in (False, True):
+        with pytest.raises(PreconditionError) as err:
+            delta_migrate(m, g, validate=validate)
+        assert str(err.value) == message
+
+
+def test_a_fault_on_a_valid_graph_keeps_its_own_text(monkeypatch):
+    """When the validator finds nothing, the term's fault is raised as it was."""
+    m, _ = case_over_a_sum()
+    g = graph_of({"V": "1 + 1"}, {"v": ("V", Inl(Unit()))})
+
+    def failing(t, graph):
+        def run(w):
+            raise PreconditionError("case of a non-injection value")
+        return run
+    monkeypatch.setattr("apg.migrate.compile_term", failing)
+    with pytest.raises(PreconditionError, match="^case of a non-injection value$"):
+        delta_migrate(m, g, validate=False)
