@@ -398,8 +398,10 @@ _JSON = json.JSONDecoder()
 
 
 class _Scanner:
-    """The cursor every parser of concrete syntax reads with: ids and values
-    here, and type expressions and terms, which lex one token at a time."""
+    """The cursor every parser of concrete syntax reads with.  It reads ids
+    and values; a grammar that lexes by token() subclasses it with a TOKEN
+    pattern, a bad_token hook and its rules as methods: _TypeScanner here for
+    type expressions, migrate._TermScanner for terms."""
 
     def __init__(self, text: str):
         self.text = text
@@ -408,8 +410,31 @@ class _Scanner:
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def token(self) -> tuple[str, str, int]:
+        """The next token as (kind, text, position); kind is the name of the
+        group of TOKEN that matched, else the symbol's own text, or "end".
+        Text at `at` that starts no token raises bad_token(start, at), where
+        start is where the previous token ended."""
+        start = self.pos
+        at = self.skip()
+        m = self.TOKEN.match(self.text, at)
+        if m:
+            self.pos = m.end()
+            return m.lastgroup or m.group(), m.group(), at
+        if at == len(self.text):
+            return "end", "", at
+        raise self.bad_token(start, at)
+
+    def unexpected(self, word: str, at: int, what: str) -> ParseError:
+        """The error for a token that cannot start a `what` here."""
+        return ParseError(f"expected a {what}, found {word!r}" if word else f"unexpected end of {what}", at)
+
+    def whole(self, result, what: str):
+        """result, which must be the whole `what`: a token after it is refused."""
+        kind, rest, at = self.token()
+        if kind != "end":
+            raise ParseError(f"trailing characters {rest!r} in {what}", at)
+        return result
 
     def skip(self) -> int:
         """Move past whitespace and return the new position."""
@@ -454,8 +479,7 @@ class _Scanner:
         return literal
 
     def id_(self) -> ElementId:
-        c = self.peek()
-        if c == "(":
+        if self.text.startswith("(", self.pos):
             self.take("(")
             first = self.id_()
             self.take(",")
@@ -468,32 +492,30 @@ class _Scanner:
                 return ctor(self.id_())
         if self.text.startswith("E:", self.pos):
             self.pos += 2
-            label = self.name()
+            label = self.label_name()
             self.take(":")
             return Enc(label, self.value())
         return _atom(self.atom_run())
 
-    def name(self) -> str:
+    def label_name(self) -> str:
         """A label name: an atom run, a prefixed name, or a comma pair."""
-        c = self.peek()
-        if c == "(":
+        if self.text.startswith("(", self.pos):
             self.take("(")
-            first = self.name()
+            first = self.label_name()
             self.take(",")
-            second = self.name()
+            second = self.label_name()
             self.take(")")
             return f"({first},{second})"
         for prefix in ("L:", "R:", "C:"):
             if self.text.startswith(prefix, self.pos):
                 self.pos += 2
-                return prefix + self.name()
+                return prefix + self.label_name()
         return self.atom_run()
 
     def value(self) -> Value:
-        c = self.peek()
-        if c == "(":
+        if self.text.startswith("(", self.pos):
             self.take("(")
-            if self.peek() == ")":
+            if self.text.startswith(")", self.pos):
                 self.take(")")
                 return Unit()
             first = self.value()
@@ -501,19 +523,15 @@ class _Scanner:
             second = self.value()
             self.take(")")
             return Pair(first, second)
-        if c == "@":
+        if self.text.startswith("@", self.pos):
             self.take("@")
             return Ref(self.id_())
-        if self.text.startswith("inl(", self.pos):
-            self.take("inl(")
-            inner = self.value()
-            self.take(")")
-            return Inl(inner)
-        if self.text.startswith("inr(", self.pos):
-            self.take("inr(")
-            inner = self.value()
-            self.take(")")
-            return Inr(inner)
+        for word, ctor in (("inl(", Inl), ("inr(", Inr)):
+            if self.text.startswith(word, self.pos):
+                self.pos += 4
+                inner = self.value()
+                self.take(")")
+                return ctor(inner)
         name = self.atom_run()
         self.take("=")
         return PrimVal(name, self.literal())
@@ -545,16 +563,69 @@ class IdTable(dict):
 # ---------------------------------------------------------------------------
 # Type expression syntax
 #
-#   type := prod ('+' type)?          (right associative, lowest precedence)
+#   sum  := prod ('+' sum)?           (right associative, lowest precedence)
 #   prod := atom ('*' prod)?          (binds tighter than '+')
-#   atom := '0' | '1' | NAME | '(' type ')'
+#   atom := '0' | '1' | NAME | '(' sum ')'
 #
 # NAME is an identifier, resolved against the schema's labels first and the
 # primitive registry second.  Graphs produced by the categorical operations
-# carry structured label names ("L:driver", "(knows,⊤)"), so the lexer also
-# reads prefixed names and whitespace-free parenthesized pairs as one token.
+# carry structured label names ("L:driver", "(knows,⊤)"), so the token() of
+# _TypeScanner, whose methods are the rules, reads prefixed names and
+# whitespace-free parenthesized pairs as one name before it tries TOKEN.
 
-_IDENT_RE = re.compile(r"[A-Za-z_⊤][A-Za-z0-9_⊤]*")
+
+class _TypeScanner(_Scanner):
+    """The scanner of one type expression and of the names that resolve it."""
+
+    TOKEN = re.compile(r"(?P<name>[A-Za-z_⊤][A-Za-z0-9_⊤]*)|[+*()]|[01](?!\w)")
+
+    def __init__(self, text: str, labels, registry: PrimRegistry):
+        super().__init__(text)
+        self.labels, self.registry = labels, registry
+
+    def token(self) -> tuple[str, str, int]:
+        at = self.skip()
+        if self.text.startswith(("(", "L:", "R:", "C:"), at):
+            try:
+                return "name", self.label_name(), at
+            except ParseError:
+                if self.text[at] != "(":
+                    raise
+                self.pos = at  # a plain parenthesis, which TOKEN reads
+        return super().token()
+
+    def bad_token(self, start: int, at: int) -> ParseError:
+        c = self.text[at]
+        if c in "01":  # TOKEN refuses a 0 or 1 run into a word character, as in 0x
+            return ParseError(f"bad token starting at {self.text[at:at + 8]!r}", at)
+        return ParseError(f"unexpected character {c!r}", at)
+
+    def sum(self) -> TypeExpr:
+        t = self.prod()
+        return Sum(t, self.sum()) if self.sym("+") else t
+
+    def prod(self) -> TypeExpr:
+        t = self.atom()
+        return Prod(t, self.prod()) if self.sym("*") else t
+
+    def atom(self) -> TypeExpr:
+        kind, word, at = self.token()
+        if kind == "0":
+            return Zero()
+        if kind == "1":
+            return One()
+        if kind == "name":
+            if word in self.labels:
+                return Lbl(word)
+            if word in self.registry:
+                return Prim(word)
+            raise ParseError(f"unknown type name {word!r}", at)
+        if kind == "(":
+            t = self.sum()
+            if not self.sym(")"):
+                raise ParseError("expected ')'", self.token()[2])
+            return t
+        raise self.unexpected(word, at, "type")
 
 
 def parse_type(text: str, labels, registry: PrimRegistry = DEFAULT_REGISTRY) -> TypeExpr:
@@ -563,65 +634,8 @@ def parse_type(text: str, labels, registry: PrimRegistry = DEFAULT_REGISTRY) -> 
     labels is the set (or mapping) of label names in scope.  A name that is
     neither a label nor a registered primitive is a parse error.
     """
-    s = _Scanner(text)
-
-    def token() -> tuple[str, str, int]:
-        """The next token as (kind, text, position); kind is "name", "end",
-        or the symbol itself."""
-        at = s.skip()
-        c = s.peek()
-        if c == "(" or text.startswith(("L:", "R:", "C:"), at):
-            try:
-                return "name", s.name(), at
-            except ParseError:
-                if c != "(":
-                    raise  # else a plain parenthesis, read below
-        m = _IDENT_RE.match(text, at)
-        if m:
-            s.pos = m.end()
-            return "name", m.group(), at
-        if not c:
-            return "end", "", at
-        if c not in "+*()01":
-            raise ParseError(f"unexpected character {c!r}", at)
-        follow = text[at + 1:at + 2]
-        if c in "01" and (follow.isalnum() or follow == "_"):
-            raise ParseError(f"bad token starting at {text[at:at + 8]!r}", at)
-        s.pos = at + 1
-        return c, c, at
-
-    def type_() -> TypeExpr:
-        t = prod()
-        return Sum(t, type_()) if s.sym("+") else t
-
-    def prod() -> TypeExpr:
-        t = atom()
-        return Prod(t, prod()) if s.sym("*") else t
-
-    def atom() -> TypeExpr:
-        kind, word, at = token()
-        if kind == "0":
-            return Zero()
-        if kind == "1":
-            return One()
-        if kind == "name":
-            if word in labels:
-                return Lbl(word)
-            if word in registry:
-                return Prim(word)
-            raise ParseError(f"unknown type name {word!r}", at)
-        if kind == "(":
-            t = type_()
-            if not s.sym(")"):
-                raise ParseError("expected ')'", token()[2])
-            return t
-        raise ParseError(f"expected a type, found {word!r}" if word else "unexpected end of type", at)
-
-    result = type_()
-    kind, rest, at = token()
-    if kind != "end":
-        raise ParseError(f"trailing characters {rest!r} in type expression", at)
-    return result
+    s = _TypeScanner(text, labels, registry)
+    return s.whole(s.sum(), "type expression")
 
 
 def render_type(t: TypeExpr) -> str:

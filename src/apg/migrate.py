@@ -118,86 +118,77 @@ class RewriteLimit(ApgError):
 _WRAPPERS = {"fst": Fst, "snd": Snd, "inl": InlT, "inr": InrT, "phi": Phi}
 _KEYWORD_OF = {cls: word for word, cls in _WRAPPERS.items()}
 _KEYWORDS = {*_WRAPPERS, "case", "of"}
-_TOKEN_RE = re.compile(
-    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
-    r'|(?P<string>"(?:[^"\\]|\\.)*")'
-    r"|->|[(){};,]"
-)
 
 
-def parse_term(text: str) -> Term:
-    s = _Scanner(text)
+class _TermScanner(_Scanner):
+    """The scanner of one term; each rule of the grammar above is a method."""
 
-    def token() -> tuple[str | None, str, int]:
-        """The next token as (kind, text, position); kind is ident, number,
-        string, end, or None for punctuation.  A bad token is reported from
-        where the previous token ended."""
-        start = s.pos
-        m = _TOKEN_RE.match(text, s.skip())
-        if m:
-            s.pos = m.end()
-            return m.lastgroup, m.group(), m.start()
-        if s.pos < len(text):
-            raise ParseError(f"bad token {text[start:start + 8]!r}", start)
-        return "end", "", s.pos
+    TOKEN = re.compile(
+        r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+        r"|(?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
+        r'|(?P<string>"(?:[^"\\]|\\.)*")'
+        r"|->|[(){};,]"
+    )
 
-    def expect(word: str):
-        _, got, at = token()
+    def bad_token(self, start: int, at: int) -> ParseError:
+        """A bad token is reported from where the previous token ended."""
+        return ParseError(f"bad token {self.text[start:start + 8]!r}", start)
+
+    def expect(self, word: str):
+        _, got, at = self.token()
         if got != word:
             raise ParseError(f"expected {word!r}, found {got!r}", at)
 
-    def name() -> str:
-        kind, got, at = token()
+    def name(self) -> str:
+        kind, got, at = self.token()
         if kind != "ident" or got in _KEYWORDS:
             raise ParseError(f"expected a name, found {got!r}", at)
         return got
 
-    def branch(*words: str) -> tuple[str, Term]:
+    def branch(self, *words: str) -> tuple[str, Term]:
         """The words, then one case branch: NAME '->' term."""
         for word in words:
-            expect(word)
-        bound = name()
-        expect("->")
-        return bound, term()
+            self.expect(word)
+        bound = self.name()
+        self.expect("->")
+        return bound, self.term()
 
-    def term() -> Term:
-        kind, word, at = token()
+    def term(self) -> Term:
+        kind, word, at = self.token()
         if word == "case":
-            scrutinee = term()
-            left = branch("of", "{", "inl")
-            right = branch(";", "inr")
-            expect("}")
+            scrutinee = self.term()
+            left = self.branch("of", "{", "inl")
+            right = self.branch(";", "inr")
+            self.expect("}")
             return CaseT(scrutinee, *left, *right)
         if word in _WRAPPERS:
-            return _WRAPPERS[word](term())
+            return _WRAPPERS[word](self.term())
         if word == "(":
-            if s.sym(")"):
+            if self.sym(")"):
                 return UnitT()
-            first = term()
-            _, got, at = token()
+            first = self.term()
+            _, got, at = self.token()
             if got == ")":
                 return first
             if got == ",":
-                second = term()
-                expect(")")
+                second = self.term()
+                self.expect(")")
                 return PairT(first, second)
             raise ParseError(f"expected ',' or ')', found {got!r}", at)
         if kind == "ident" and word not in _KEYWORDS:
-            mark = s.pos
-            kind, got, at = token()
+            mark = self.pos
+            kind, got, at = self.token()
             if kind in ("number", "string") or got in ("true", "false"):
-                s.pos = at  # the token must be one JSON scalar: not 01, not "\x"
-                return Lit(word, s.literal(at + len(got)))
-            s.pos = mark
+                self.pos = at  # the token must be one JSON scalar: not 01, not "\x"
+                return Lit(word, self.literal(at + len(got)))
+            self.pos = mark
             return Var(word)
-        raise ParseError(f"expected a term, found {word!r}" if word else "unexpected end of term", at)
+        raise self.unexpected(word, at, "term")
 
-    result = term()
-    kind, rest, at = token()
-    if kind != "end":
-        raise ParseError(f"trailing characters {rest!r} in term", at)
-    return result
+
+def parse_term(text: str) -> Term:
+    s = _TermScanner(text)
+    return s.whole(s.term(), "term")
 
 
 def render_term(t: Term) -> str:
@@ -380,23 +371,18 @@ def normalize_term(t: Term, step_limit: int | None = None) -> Term:
     The optional step limit bounds the number of contractions; exceeding it
     raises RewriteLimit instead of looping.
     """
-    steps = 0
+    return _norm(t, step_limit, itertools.count(1))
 
-    def spend():
-        nonlocal steps
-        steps += 1
-        if step_limit is not None and steps > step_limit:
-            raise RewriteLimit(f"no normal form within {step_limit} steps")
 
-    def norm(t: Term) -> Term:
-        t = _remake(t, [norm(part) for part in _parts(t)])
-        reduced = _reduce_root(t)
-        if reduced is None:
-            return t
-        spend()
-        return norm(reduced)
-
-    return norm(t)
+def _norm(t: Term, step_limit: int | None, steps: itertools.count) -> Term:
+    """normalize_term of t; next(steps) numbers the contractions made so far."""
+    t = _remake(t, [_norm(part, step_limit, steps) for part in _parts(t)])
+    reduced = _reduce_root(t)
+    if reduced is None:
+        return t
+    if step_limit is not None and next(steps) > step_limit:
+        raise RewriteLimit(f"no normal form within {step_limit} steps")
+    return _norm(reduced, step_limit, steps)
 
 
 # ---------------------------------------------------------------------------

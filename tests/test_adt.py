@@ -103,6 +103,10 @@ def test_parse_reports_position():
     ("1 1", "trailing characters '1' in type expression (at 2)"),
     ("1 * 0x", "bad token starting at '0x' (at 4)"),
     ("1 + $", "unexpected character '$' (at 4)"),
+    ("L:", "expected a name (at 2)"),
+    ("(User,", "unexpected character ',' (at 5)"),
+    ("1 * 0é", "bad token starting at '0é' (at 4)"),
+    ("1²", "bad token starting at '1²' (at 0)"),
 ])
 def test_each_type_syntax_error_names_its_position(text, message):
     with pytest.raises(ParseError) as err:

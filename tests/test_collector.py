@@ -1,7 +1,8 @@
 """apg runs its verbs with the cyclic garbage collector off.  These tests pin
 the two things that makes safe: cli.main gives the caller's setting back
 however it ends, and a verb leaves the same number of unreachable objects
-whatever the size of its input, so with no collector nothing piles up."""
+whatever the size of its input or the number of its schema labels, so with
+no collector nothing piles up."""
 
 import contextlib
 import gc
@@ -12,7 +13,9 @@ import random
 import pytest
 
 from apg import cli
+from apg.adt import parse_type
 from apg.fixtures import path
+from apg.migrate import normalize_term, parse_term
 
 from .test_read_side import vep_text
 
@@ -137,3 +140,82 @@ def test_garbage_left_by_a_verb_does_not_grow_with_its_input(inputs, verb):
     small, large = inputs
     leftover(small)
     assert leftover(large) == leftover(small)
+
+
+def chain_text(n):
+    """A chain schema of n labels, V0: 1 and Vi: V(i-1) * String, with one
+    element per label."""
+    elements = {"v0": {"label": "V0", "value": {"unit": {}}}}
+    for i in range(1, n):
+        elements[f"v{i}"] = {"label": f"V{i}", "value": {"pair": [
+            {"ref": f"v{i - 1}"}, {"prim": {"type": "String", "value": "s"}}]}}
+    return json.dumps({"schema": {"V0": "1", **{f"V{i}": f"V{i - 1} * String" for i in range(1, n)}},
+                       "elements": elements})
+
+
+def chain_mapping_text(n):
+    """The identity mapping of the chain schema: each label to itself, by phi x."""
+    schema = json.loads(chain_text(n))["schema"]
+    return json.dumps({"onLabels": {label: label for label in schema},
+                       "onTerms": {label: "phi x" for label in schema},
+                       "source": {"schema": schema}, "target": {"schema": schema}})
+
+
+@pytest.fixture(scope="module")
+def chains(tmp_path_factory):
+    """Two directories of chain inputs, of 5 and 80 labels."""
+    made = []
+    for n in (5, 80):
+        d = tmp_path_factory.mktemp(f"chain{n}")
+        (d / "g.apg").write_text(chain_text(n))
+        (d / "m.apgm").write_text(chain_mapping_text(n))
+        made.append(d)
+    return made
+
+
+CHAIN_VERBS = {  # {d} is the directory of chain inputs
+    "validate": ["validate", "{d}/g.apg"],
+    "fmt": ["fmt", "{d}/g.apg", "-o", "{d}/out"],
+    "op product": ["op", "product", "{d}/g.apg", "{d}/g.apg", "-o", "{d}/out"],
+    "migrate": ["migrate", "{d}/m.apgm", "{d}/g.apg", "-o", "{d}/out"],
+}
+
+
+def unreachable_after(run) -> int:
+    """The unreachable objects run() leaves, with the collector held off
+    around it so that no collection frees any of them before the count."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("verb", CHAIN_VERBS)
+def test_garbage_left_by_a_verb_does_not_grow_with_its_labels(chains, verb):
+    """The parsers of types and terms leave nothing per label they read."""
+    def leftover(d):
+        codes = []
+        count = unreachable_after(
+            lambda: codes.append(run_quietly([word.format(d=d) for word in CHAIN_VERBS[verb]])))
+        assert codes == [0]
+        return count
+    small, large = chains
+    leftover(small)
+    assert leftover(large) == leftover(small)
+
+
+PARSES = {
+    "parse_type": lambda: parse_type("(User + 1) * (String + 0) * User", {"User"}),
+    "parse_term": lambda: parse_term("case x of { inl a -> (fst a, Integer 0) ; inr b -> phi b }"),
+    "normalize_term": lambda: normalize_term(parse_term("fst (case inl x of { inl a -> (a, a) ; "
+                                                        "inr b -> (b, b) }, ())"), 10),
+}
+
+
+@pytest.mark.parametrize("parse", PARSES)
+def test_a_parse_leaves_no_garbage(parse):
+    PARSES[parse]()  # what is compiled once per process is not counted
+    assert unreachable_after(PARSES[parse]) == 0

@@ -100,6 +100,8 @@ def test_parse_rejects_junk():
     ("snd  ", "unexpected end of term (at 5)"),
     ("x y", "trailing characters 'y' in term (at 2)"),
     ("(x,  $)", "bad token '  $)' (at 3)"),
+    ("x 01", "bad literal (at 2)"),
+    ('x "\\q"', "bad literal (at 2)"),
 ])
 def test_each_term_syntax_error_names_its_position(text, message):
     with pytest.raises(ParseError) as err:

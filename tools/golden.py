@@ -70,7 +70,8 @@ BAD_DOCUMENTS = {
     "300-level sum": ('{"schema": {"D": "%s"}, "elements": {"d1": {"label": "D", "value": %s}}}'
                       % (" + ".join(["1"] * 301), '{"inr": ' * 300 + '{"unit": {}}' + "}" * 300)),
 }
-BAD_TERMS = {"leading zero": "Nat 01", "bad escape": 'String "\\x"', "number past a double": "Double 1e999"}
+BAD_TERMS = {"leading zero": "Nat 01", "bad escape": 'String "\\x"',
+             "number past a double": "Double 1e999"}
 READ_VERBS = [["validate"], ["fmt"], ["fmt", "--no-validate"], ["export", "rdf"],
               ["export", "relational"]]
 DEEP_VERBS = [["validate"], ["fmt"], ["classify"], ["export", "rdf"], ["export", "relational"]]
@@ -221,11 +222,12 @@ def run(c: Corpus) -> dict[str, str]:
     digests = {}
     for name, (cwd, argv, outputs) in c.cases.items():
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.chdir(cwd), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.chdir(cwd), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
             code = cli.main(argv)
         h = hashlib.sha256()
-        for part in (str(code).encode(), *(_normal(s.getvalue(), c.work).encode() for s in (out, err)),
-                     *_written(cwd, outputs)):
+        texts = (_normal(s.getvalue(), c.work).encode() for s in (out, err))
+        for part in (str(code).encode(), *texts, *_written(cwd, outputs)):
             h.update(b"%d:" % len(part))
             h.update(part)
         digests[name] = h.hexdigest()
@@ -238,7 +240,8 @@ def _normal(text: str, work: Path) -> str:
 
 def differences(recorded: dict[str, str], digests: dict[str, str]) -> list[str]:
     """Each command whose digest differs from the recorded one, or that only one side has."""
-    return [f"{name}: {'missing' if name not in digests else 'new' if name not in recorded else 'changed'}"
+    return [f"{name}: " + ("missing" if name not in digests else "new" if name not in recorded
+                           else "changed")
             for name in sorted(recorded.keys() | digests.keys())
             if recorded.get(name) != digests.get(name)]
 
