@@ -384,10 +384,8 @@ def render_value(v: Value) -> str:
         return "()"
     if isinstance(v, Pair):
         return f"({render_value(v.first)},{render_value(v.second)})"
-    if isinstance(v, Inl):
-        return f"inl({render_value(v.inner)})"
-    if isinstance(v, Inr):
-        return f"inr({render_value(v.inner)})"
+    if isinstance(v, (Inl, Inr)):
+        return f"{'inl' if isinstance(v, Inl) else 'inr'}({render_value(v.inner)})"
     if isinstance(v, PrimVal):
         return f"{v.prim}={json.dumps(v.literal)}"
     return "@" + render_id(v.element)
@@ -582,10 +580,19 @@ class _TypeScanner(_Scanner):
     def __init__(self, text: str, labels, registry: PrimRegistry):
         super().__init__(text)
         self.labels, self.registry = labels, registry
+        self.unnamed = set()  # starts where label_name failed, so each is tried once
+
+    def label_name(self) -> str:
+        start = self.pos
+        try:
+            return super().label_name()
+        except ParseError:
+            self.unnamed.add(start)
+            raise
 
     def token(self) -> tuple[str, str, int]:
         at = self.skip()
-        if self.text.startswith(("(", "L:", "R:", "C:"), at):
+        if at not in self.unnamed and self.text.startswith(("(", "L:", "R:", "C:"), at):
             try:
                 return "name", self.label_name(), at
             except ParseError:
@@ -672,10 +679,8 @@ def transport_type(f: Mapping[str, TypeExpr], t: TypeExpr) -> TypeExpr:
             return f[t.name]
         except KeyError:
             raise PreconditionError(f"label {t.name!r} outside the transport domain") from None
-    if isinstance(t, Sum):
-        return Sum(transport_type(f, t.left), transport_type(f, t.right))
-    if isinstance(t, Prod):
-        return Prod(transport_type(f, t.left), transport_type(f, t.right))
+    if isinstance(t, (Sum, Prod)):
+        return type(t)(transport_type(f, t.left), transport_type(f, t.right))
     return t
 
 

@@ -23,7 +23,6 @@ import csv
 import json
 import urllib.parse
 from itertools import zip_longest
-from typing import get_args
 
 from .adt import (
     ElementId,
@@ -42,6 +41,7 @@ from .adt import (
     Unit,
     Value,
     Zero,
+    _IDS,
     parse_id,
     render_id,
 )
@@ -125,9 +125,6 @@ class TableSet(Record, frozen=False):
     __slots__ = {"tables": "dict[str, Table]"}
 
 
-_ID_TYPES = get_args(ElementId)
-
-
 def _layout(t: TypeExpr, name: str, label: str, registry, iri=_element_iri):
     """(columns, shred, rebuild, triples) for values of type t whose cells
     start at name; iri(e) is the IRI a reference leaf to e is written as.
@@ -167,7 +164,7 @@ def _layout(t: TypeExpr, name: str, label: str, registry, iri=_element_iri):
             if isinstance(t, Lbl):
                 if isinstance(cell, str):
                     cell = parse_id(cell)
-                if not isinstance(cell, _ID_TYPES):
+                if not isinstance(cell, _IDS):
                     raise ParseError(f"cell {spot} of {label!r} is not an element id")
                 return Ref(cell)
             literal = registry.coerce(t.name, cell)
@@ -201,12 +198,9 @@ def _layout(t: TypeExpr, name: str, label: str, registry, iri=_element_iri):
     disc = name + "#"
 
     def shred(v, cells):
-        if isinstance(v, Inl):
-            cells[disc] = "l"
-            shred_left(v.inner, cells)
-        else:
-            cells[disc] = "r"
-            shred_right(v.inner, cells)
+        left = isinstance(v, Inl)
+        cells[disc] = "l" if left else "r"
+        (shred_left if left else shred_right)(v.inner, cells)
 
     def rebuild(cells, used):
         if disc not in cells:
@@ -220,10 +214,7 @@ def _layout(t: TypeExpr, name: str, label: str, registry, iri=_element_iri):
         raise ParseError(f"discriminator {disc} of {label!r} must be 'l' or 'r', not {side!r}")
 
     def triples(v, subject, lines):
-        if isinstance(v, Inl):
-            triples_left(v.inner, subject, lines)
-        else:
-            triples_right(v.inner, subject, lines)
+        (triples_left if isinstance(v, Inl) else triples_right)(v.inner, subject, lines)
     return [Column(disc, "disc")] + left_columns + right_columns, shred, rebuild, triples
 
 

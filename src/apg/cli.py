@@ -20,15 +20,15 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from . import bridges, catops, files, integrate, migrate, taxonomy
 from .errors import ApgError, InvalidJSON, ParseError, ValidationFailure
 from .graph import Graph
 
 
-def _name(path: str) -> str:
-    return "standard input" if path == "-" else path
+def _name(path: str, stream: str = "input") -> str:
+    return f"standard {stream}" if path == "-" else path
 
 
 def _read_text(path: str) -> str:
@@ -52,11 +52,20 @@ _SLICE = 1 << 16  # characters encoded per write, so no second full copy of the 
 
 
 def _write_text(path: str, text: str):
-    """Write text whole; a file is opened only now, once its text exists."""
-    with (nullcontext(sys.stdout) if path == "-" or path is None
-          else open(path, "w", encoding="utf-8")) as handle:
-        for start in range(0, len(text), _SLICE):
-            handle.write(text[start:start + _SLICE])
+    """Write text whole; a file is opened only now, once its text exists.  A
+    failed write raises ParseError, as a failed read does."""
+    if path == "-" and sys.stdout is None:  # Python started with descriptor 1 closed
+        raise ParseError("cannot write standard output: it is closed")
+    try:
+        with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as handle:
+            for start in range(0, len(text), _SLICE):
+                handle.write(text[start:start + _SLICE])
+            handle.flush()
+    except OSError as err:
+        if path == "-":  # what stays buffered goes nowhere, so the flush at exit cannot fail
+            with suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ParseError(f"cannot write {_name(path, 'output')}: {err.strerror}") from None
 
 
 def _read(path: str, read, *args):
@@ -91,7 +100,7 @@ def _emit_graph(graph: Graph, out: str):
 
 def _cmd_validate(args) -> int:
     _read_graph(args.graph)  # a failing report reaches main as ValidationFailure
-    print("ok")
+    _write_text("-", "ok\n")
     return 0
 
 
@@ -110,33 +119,31 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# operation -> (the words of its usage error, how many graphs come first,
+#               the (source, target) graph index of each morphism read after them)
+_OPS = {
+    "product": ("two graph files", 2, ()),
+    "coproduct": ("two graph files", 2, ()),
+    "equalizer": ("SOURCE TARGET H J", 2, ((0, 1), (0, 1))),
+    "coequalizer": ("SOURCE TARGET H J", 2, ((0, 1), (0, 1))),
+    "pushout": ("APEX LEFT RIGHT F G", 3, ((0, 1), (0, 2))),
+}
+
+
+def _construct(operation: str, inputs: list) -> Graph:
+    """The graph the construction builds from its input files; the inputs and
+    the construction's legs are freed once it returns, before the write."""
+    words, count, legs = _OPS[operation]
+    if len(inputs) != count + len(legs):
+        raise ParseError(f"op {operation} takes {words}")
+    graphs = [_read_graph(path) for path in inputs[:count]]
+    morphisms = [_read(path, files.read_morphism, graphs[source], graphs[target])
+                 for path, (source, target) in zip(inputs[count:], legs)]
+    return getattr(catops, operation)(*(morphisms or graphs)).graph  # looked up now: a tracer swaps it
+
+
 def _cmd_op(args) -> int:
-    if args.operation in ("product", "coproduct"):
-        if len(args.inputs) != 2:
-            raise ParseError(f"op {args.operation} takes two graph files")
-        g1 = _read_graph(args.inputs[0])
-        g2 = _read_graph(args.inputs[1])
-        run = catops.product if args.operation == "product" else catops.coproduct
-        result = run(g1, g2)
-    elif args.operation in ("equalizer", "coequalizer"):
-        if len(args.inputs) != 4:
-            raise ParseError(f"op {args.operation} takes SOURCE TARGET H J")
-        source = _read_graph(args.inputs[0])
-        target = _read_graph(args.inputs[1])
-        h = _read(args.inputs[2], files.read_morphism, source, target)
-        j = _read(args.inputs[3], files.read_morphism, source, target)
-        run = catops.equalizer if args.operation == "equalizer" else catops.coequalizer
-        result = run(h, j)
-    else:
-        if len(args.inputs) != 5:
-            raise ParseError("op pushout takes APEX LEFT RIGHT F G")
-        apex = _read_graph(args.inputs[0])
-        left = _read_graph(args.inputs[1])
-        right = _read_graph(args.inputs[2])
-        f = _read(args.inputs[3], files.read_morphism, apex, left)
-        g = _read(args.inputs[4], files.read_morphism, apex, right)
-        result = catops.pushout(f, g)
-    _emit_graph(result.graph, args.out)
+    _emit_graph(_construct(args.operation, args.inputs), args.out)
     return 0
 
 
@@ -163,7 +170,11 @@ def _cmd_export(args) -> int:
     elif args.format == "relational":
         if args.out in (None, "-"):
             raise ParseError("export relational writes a directory; give --out DIR")
-        bridges.write_tableset(bridges.export_relational(graph), args.out)
+        tables = bridges.export_relational(graph)
+        try:
+            bridges.write_tableset(tables, args.out)
+        except OSError as err:
+            raise ParseError(f"cannot write {err.filename or args.out}: {err.strerror}") from None
     else:
         if args.label is None:
             raise ParseError("export kv needs --label")
@@ -216,8 +227,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("op", help="categorical constructions")
-    p.add_argument("operation",
-                   choices=["product", "coproduct", "equalizer", "coequalizer", "pushout"])
+    p.add_argument("operation", choices=list(_OPS))
     p.add_argument("inputs", nargs="*",
                    help="graphs, then morphism files where the operation needs them")
     out_flag(p)

@@ -181,10 +181,8 @@ def value_to_json(v: Value):
         return {"unit": {}}
     if isinstance(v, Pair):
         return {"pair": [value_to_json(v.first), value_to_json(v.second)]}
-    if isinstance(v, Inl):
-        return {"inl": value_to_json(v.inner)}
-    if isinstance(v, Inr):
-        return {"inr": value_to_json(v.inner)}
+    if isinstance(v, (Inl, Inr)):
+        return {"inl" if isinstance(v, Inl) else "inr": value_to_json(v.inner)}
     if isinstance(v, PrimVal):
         return {"prim": {"type": v.prim, "value": v.literal}}
     return {"ref": render_id(v.element)}
@@ -471,15 +469,11 @@ def read_graph(text: str, validate: bool = True) -> Graph:
 # ---------------------------------------------------------------------------
 # Morphisms
 
-def morphism_to_json(h: Morphism) -> dict:
-    return {
+def write_morphism(h: Morphism) -> str:
+    return _dump({
         "onLabels": dict(h.on_labels),
         "onElements": {render_id(e): render_id(h.on_elements[e]) for e in h.on_elements},
-    }
-
-
-def write_morphism(h: Morphism) -> str:
-    return _dump(morphism_to_json(h))
+    })
 
 
 def read_morphism(text: str, source: Graph, target: Graph, validate: bool = True) -> Morphism:
@@ -516,17 +510,13 @@ def read_morphism(text: str, source: Graph, target: Graph, validate: bool = True
 # ---------------------------------------------------------------------------
 # Schema mappings
 
-def mapping_to_json(m: SchemaMapping) -> dict:
-    return {
+def write_mapping(m: SchemaMapping) -> str:
+    return _dump({
         "source": schema_to_json(m.source),
         "target": schema_to_json(m.target),
         "onLabels": {l: render_type(t) for l, t in m.on_labels.items()},
         "onTerms": {l: render_term(t) for l, t in m.on_terms.items()},
-    }
-
-
-def write_mapping(m: SchemaMapping) -> str:
-    return _dump(mapping_to_json(m))
+    })
 
 
 def read_mapping(text: str, validate: bool = True) -> SchemaMapping:

@@ -229,16 +229,11 @@ def infer_term(t: Term, env: Mapping[str, TypeExpr], schema: Schema) -> TypeExpr
         return Prim(t.prim)
     if isinstance(t, PairT):
         return Prod(infer_term(t.first, env, schema), infer_term(t.second, env, schema))
-    if isinstance(t, Fst):
+    if isinstance(t, (Fst, Snd)):
         inner = infer_term(t.inner, env, schema)
         if not isinstance(inner, Prod):
-            raise TermTypeError(f"fst applied to {render_type(inner)}")
-        return inner.left
-    if isinstance(t, Snd):
-        inner = infer_term(t.inner, env, schema)
-        if not isinstance(inner, Prod):
-            raise TermTypeError(f"snd applied to {render_type(inner)}")
-        return inner.right
+            raise TermTypeError(f"{_KEYWORD_OF[type(t)]} applied to {render_type(inner)}")
+        return inner.left if isinstance(t, Fst) else inner.right
     if isinstance(t, Phi):
         inner = infer_term(t.inner, env, schema)
         if not isinstance(inner, Lbl):
@@ -258,15 +253,11 @@ def infer_term(t: Term, env: Mapping[str, TypeExpr], schema: Schema) -> TypeExpr
 
 def check_term(t: Term, expected: TypeExpr, env: Mapping[str, TypeExpr], schema: Schema):
     """Check t against expected, raising TermTypeError on the first problem."""
-    if isinstance(t, InlT):
+    if isinstance(t, (InlT, InrT)):
         if not isinstance(expected, Sum):
-            raise TermTypeError(f"inl produces a sum, but {render_type(expected)} was expected")
-        check_term(t.inner, expected.left, env, schema)
-        return
-    if isinstance(t, InrT):
-        if not isinstance(expected, Sum):
-            raise TermTypeError(f"inr produces a sum, but {render_type(expected)} was expected")
-        check_term(t.inner, expected.right, env, schema)
+            raise TermTypeError(
+                f"{_KEYWORD_OF[type(t)]} produces a sum, but {render_type(expected)} was expected")
+        check_term(t.inner, expected.left if isinstance(t, InlT) else expected.right, env, schema)
         return
     if isinstance(t, PairT):
         if not isinstance(expected, Prod):

@@ -159,7 +159,22 @@ def random_id(rng: random.Random, depth: int) -> ElementId:
         return Right(random_id(rng, depth - 1))
     if pick == 4:
         return Class(random_id(rng, depth - 1))
-    return Enc("lbl", Pair(PrimVal("Nat", rng.randrange(9)), Ref(random_id(rng, depth - 1))))
+    return Enc("lbl", random_witness(rng, depth - 1))
+
+
+def random_witness(rng: random.Random, depth: int) -> Value:
+    """A value of every shape, as the witness of an E: id; its parts and the
+    ids it references nest up to depth."""
+    pick = rng.randrange(0, 6 if depth else 2)
+    if pick == 0:
+        return Unit()
+    if pick == 1:
+        return PrimVal(*rng.choice([("Nat", rng.randrange(9)), ("String", "a)b,c")]))
+    if pick == 2:
+        return Ref(random_id(rng, depth - 1))
+    if pick == 3:
+        return Pair(random_witness(rng, depth - 1), random_witness(rng, depth - 1))
+    return (Inl if pick == 4 else Inr)(random_witness(rng, depth - 1))
 
 
 def random_graph(rng: random.Random, max_labels: int = 4, max_elements: int = 8) -> Graph:

@@ -6,6 +6,7 @@ import typing
 import pytest
 from hypothesis import given, strategies as st
 
+from apg import adt
 from apg.adt import (
     Atom,
     Class,
@@ -112,6 +113,15 @@ def test_each_type_syntax_error_names_its_position(text, message):
     with pytest.raises(ParseError) as err:
         t(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_each_start_of_a_label_name_is_read_at_most_once(monkeypatch, n):
+    calls = []
+    read = adt._Scanner.label_name
+    monkeypatch.setattr(adt._Scanner, "label_name", lambda s: calls.append(s.pos) or read(s))
+    assert parse_type("(" * n + "1" + ")" * n, set()) == One()
+    assert len(calls) <= 2 * n + 2
 
 
 def test_render_minimal_parens():

@@ -42,6 +42,7 @@ from apg.graph import Element, Graph, Schema, validate_graph
 from apg.morphism import Morphism, check_morphism, compose, identity
 
 from .generators import (
+    graph_of,
     parallel_pair,
     permutation_morphism,
     random_graph,
@@ -272,6 +273,20 @@ def test_equalizer_equalizes_random():
         r = equalizer(h, j)
         assert validate_graph(r.graph).ok
         assert same_maps(compose(h, r.legs["eq"]), compose(j, r.legs["eq"]))
+
+
+def test_equalizer_keeps_unit_for_a_reference_into_a_dropped_label():
+    g = graph_of({"A": "1", "B": "A"}, {"a": ("A", Unit()), "b": ("B", Ref(Atom("a")))})
+    target = graph_of({"A": "1", "A2": "1", "B": "A"},
+                      {"a": ("A", Unit()), "a2": ("A2", Unit()), "b": ("B", Ref(Atom("a")))})
+    b = {Atom("b"): Atom("b")}
+    h = Morphism(g, target, {"A": "A", "B": "B"}, {Atom("a"): Atom("a"), **b})
+    j = Morphism(g, target, {"A": "A2", "B": "B"}, {Atom("a"): Atom("a2"), **b})
+    assert check_morphism(h).ok and check_morphism(j).ok
+    r = equalizer(h, j)  # A's images differ, so only B survives, and its type A becomes 1
+    assert r.graph.schema.labels == {"B": One()}
+    assert r.graph.elements[Atom("b")].value == Unit()
+    assert validate_graph(r.graph).ok
 
 
 def test_equalizer_needs_a_parallel_pair():

@@ -1,3 +1,5 @@
+import errno
+import gc
 import json
 import os
 import random
@@ -122,11 +124,30 @@ def test_op_arity_errors(capsys, stdin):
     code, out, err = run(capsys, "op", "pushout", v)
     assert code == 2
     assert "APEX LEFT RIGHT F G" in err
+    for operation in ("equalizer", "coequalizer"):
+        assert run(capsys, "op", operation, v, v) == (
+            2, "", f"error: op {operation} takes SOURCE TARGET H J\n")
     # The count is checked before any graph is read, standard input included.
     stdin("")
     for inputs in ([], ["missing.apg"]):
         assert run(capsys, "op", "coproduct", *inputs) == (
             2, "", "error: op coproduct takes two graph files\n")
+
+
+def test_op_product_frees_its_inputs_and_legs_before_the_write(capsys, monkeypatch):
+    seen = set(map(id, filter(lambda o: isinstance(o, Morphism), gc.get_objects())))
+    alive = []
+
+    def write(graph):
+        alive.extend(o for o in gc.get_objects() if isinstance(o, Morphism) and id(o) not in seen)
+        return write_graph(graph)
+
+    monkeypatch.setattr(files, "write_graph", write)
+    code, out, err = run(capsys, "op", "product", fixture_path("edges.apg"),
+                         fixture_path("vertices.apg"))
+    assert (code, err, alive) == (0, "", [])
+    assert out == write_graph(product(read_graph(load("edges.apg")),
+                                      read_graph(load("vertices.apg"))).graph)
 
 
 def test_op_coequalizer_with_morphism_files(tmp_path, capsys):
@@ -253,6 +274,15 @@ def test_migrate_rejects_entries_for_undeclared_source_labels(tmp_path, capsys):
     assert err == (
         "error: ghost: onLabels entry for a label the source schema does not declare\n"
         "error: ghost: onTerms entry for a label the source schema does not declare\n")
+
+
+def test_migrate_reports_a_finding_of_the_target_schema(tmp_path, capsys):
+    doc = json.loads(load("mapping.apgm"))
+    doc["target"]["schema"]["String"] = "1"
+    mapping = tmp_path / "shadow.apgm"
+    mapping.write_text(json.dumps(doc))
+    assert run(capsys, "migrate", str(mapping), fixture_path("mapping_input.apg")) == (
+        1, "", "error: String: label shadows a primitive type name\n")
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +623,53 @@ def test_long_output_is_written_in_slices_with_the_same_bytes(tmp_path, capsys):
     proc = subprocess.run([sys.executable, "-m", "apg", "fmt", str(source)],
                           capture_output=True, env={**os.environ, "PYTHONIOENCODING": "utf-8"})
     assert (proc.returncode, proc.stdout) == (0, text.encode())
+
+
+@pytest.mark.parametrize("case", ["missing directory", "rdf to a directory",
+                                  "tables to a file", "full device"])
+def test_a_failed_write_ends_in_one_line(tmp_path, capsys, case):
+    edges = fixture_path("edges.apg")
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    argv, target, code = {
+        "missing directory": (["fmt", edges], tmp_path / "missing" / "x.apg", errno.ENOENT),
+        "rdf to a directory": (["export", "rdf", edges], tmp_path, errno.EISDIR),
+        "tables to a file": (["export", "relational", edges], taken, errno.EEXIST),
+        "full device": (["fmt", edges], "/dev/full", errno.ENOSPC),
+    }[case]
+    if case == "full device" and not os.path.exists(target):
+        pytest.skip("no /dev/full on this system")
+    assert run(capsys, *argv, "-o", str(target)) == (
+        2, "", f"error: cannot write {target}: {os.strerror(code)}\n")
+
+
+def test_a_closed_standard_output_ends_in_one_line():
+    proc = subprocess.run(["sh", "-c", '"$0" -m apg fmt "$1" >&-', sys.executable,
+                           fixture_path("edges.apg")], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write standard output: it is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_validate_on_a_full_standard_output_ends_in_one_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "apg", "validate", fixture_path("edges.apg")],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_a_reader_that_stops_early_ends_the_write_in_one_line(tmp_path):
+    big = tmp_path / "big.apg"  # its output outgrows any pipe buffer
+    big.write_text(json.dumps({"schema": {"V": "1"}, "elements": {
+        f"v{i}": {"label": "V", "value": {"unit": {}}} for i in range(40000)}}))
+    proc = subprocess.Popen([sys.executable, "-m", "apg", "fmt", str(big)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert (proc.wait(), head, err) == (
+        2, b'{\n  "eleme', f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n")
 
 
 def test_a_failing_command_leaves_its_output_file_untouched(tmp_path, capsys):
