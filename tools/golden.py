@@ -16,8 +16,9 @@ The corpus: every fixture through each read and export verb; ordered fixture
 pairs through op product, op coproduct and merge; identity morphisms through
 op equalizer, coequalizer and pushout; the shipped migrate; an import
 relational round trip per fixture; the bad documents that tests/test_cli.py
-feeds the verbs; a 300-level sum; and the tiny benchmark workloads of two
-seeds.  Deeper nesting is left out: how close to the recursion limit an
+feeds the verbs; a 300-level sum; fmt, op product, migrate and export rdf
+with -o naming their own input, a file in a missing directory, a directory
+and an existing file; and the tiny benchmark workloads of two seeds.  Deeper nesting is left out: how close to the recursion limit an
 in-process run may go depends on its caller's stack.
 """
 
@@ -135,8 +136,32 @@ def build(work: Path) -> Corpus:
         c.add(f"merge --key fst {a} {b}", "merge", "--key", "fst", f[a], f[b])
     c.add("migrate mapping.apgm", "migrate", f["mapping.apgm"], f["mapping_input.apg"])
     _bad(c, f)
+    _targets(c)
     _benchmark(c)
     return c
+
+
+# verb -> its words and input fixtures; the last input is the one -o overwrites in place
+TARGET_VERBS = {"fmt": (["fmt"], ["trips.apg"]),
+                "op product": (["op", "product"], ["vertices.apg", "edges.apg"]),
+                "migrate": (["migrate"], ["mapping.apgm", "mapping_input.apg"]),
+                "export rdf": (["export", "rdf"], ["trips.apg"])}
+
+
+def _targets(c: Corpus):
+    """Each kind of -o target, with every file of the run directory kept as
+    an output, so a file left beside the target changes the digest too."""
+    for name, (words, inputs) in TARGET_VERBS.items():
+        for case, target in (("its own input", inputs[-1]), ("a missing directory", "missing/out"),
+                             ("a directory", "dir"), ("an existing file", "out")):
+            cwd = c.work / "runs" / f"{name} -o {case}"
+            (cwd / "dir").mkdir(parents=True)
+            (cwd / "dir" / "kept").write_text("kept\n")
+            (cwd / "out").write_text("kept\n")
+            for source in inputs:
+                (cwd / source).write_bytes((FIXTURES / source).read_bytes())
+            c.add(f"{name} -o {case}", *words, *inputs, "-o", target, out=False, cwd=cwd,
+                  outputs=(".",))
 
 
 def _bad(c: Corpus, f: dict):
