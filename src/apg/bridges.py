@@ -81,8 +81,9 @@ _LITERAL_NODE = {
 }
 
 
-def export_rdf(graph: Graph) -> str:
-    """Serialize a valid graph to sorted N-Triples.
+def rdf_lines(graph: Graph) -> list[str]:
+    """The N-Triples of a valid graph, one line each without its line feed,
+    sorted.
 
     Every element contributes 1 + (number of leaves of its value) triples:
     the type triple, then one triple per unit, literal, or reference leaf,
@@ -101,7 +102,15 @@ def export_rdf(graph: Graph) -> str:
         typed, triples = plans[el.label]
         lines.append(subject + typed)
         triples(el.value, subject, lines)
-    return "\n".join(sorted(lines)) + "\n" if lines else ""
+    lines.sort()
+    return lines
+
+
+def export_rdf(graph: Graph) -> str:
+    """Serialize a valid graph to sorted N-Triples: rdf_lines, each ended by
+    a line feed."""
+    lines = rdf_lines(graph)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 # ---------------------------------------------------------------------------

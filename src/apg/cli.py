@@ -19,8 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, nullcontext, suppress
+from itertools import islice
 
 from . import bridges, catops, files, integrate, migrate, taxonomy
 from .errors import ApgError, InvalidJSON, ParseError, ValidationFailure
@@ -48,24 +50,90 @@ def _read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-_SLICE = 1 << 16  # characters encoded per write, so no second full copy of the text exists
+_SLICE = 1 << 16  # characters encoded per write call at most
 
 
-def _write_text(path: str, text: str):
-    """Write text whole; a file is opened only now, once its text exists.  A
-    failed write raises ParseError, as a failed read does."""
+def _discard(stream):
+    """Point stream's descriptor at os.devnull after a failed write: what
+    stays buffered goes nowhere, so the flush at exit cannot fail."""
+    with suppress(OSError, ValueError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _report(text: str):
+    """Print text on standard error; a closed or failing one loses it, and
+    the verb's own exit status stands."""
+    if sys.stderr is None:  # print(file=None) would write to standard output
+        return
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except (OSError, ValueError):
+        _discard(sys.stderr)
+
+
+@contextmanager
+def _replacing(path: str):
+    """A handle on a new file beside path's target, renamed over the target
+    once the with block ends well and removed if it does not, so a failure
+    at any point leaves the target as it was.  The new file gets the mode
+    open(path, "w") would give it or the target's permission bits, and a
+    symlink stays, with its target replaced.  An existing target that is no
+    regular file (a device, a FIFO), or whose directory takes no new file,
+    is written in place."""
+    try:
+        mode = os.stat(path).st_mode if os.path.basename(path) else 0  # "x/" names no file
+    except FileNotFoundError:
+        mode = None
+    handle = None
+    if mode is None or stat.S_ISREG(mode):
+        if mode is not None:
+            os.close(os.open(path, os.O_WRONLY))  # a target open(path, "w") refuses stays refused
+        target = os.path.realpath(path) if os.path.islink(path) else path
+        try:
+            handle = open(os.path.join(os.path.dirname(target), f".apg-{os.urandom(6).hex()}.tmp"),
+                          "x", encoding="utf-8")
+        except PermissionError:  # a directory that takes no new file
+            if mode is None:
+                raise
+    if handle is None:
+        with open(path, "w", encoding="utf-8") as handle:  # where path is no file, fails as before
+            yield handle
+        return
+    try:
+        with handle:
+            if mode is not None:
+                os.chmod(handle.fileno(), stat.S_IMODE(mode))
+            yield handle
+        os.replace(handle.name, target)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(handle.name)
+        raise
+
+
+def _write(path: str, chunks):
+    """Write the text that chunks make, each chunk as soon as it is made, at
+    most _SLICE characters a call, to path or standard output ("-").  A
+    failed write raises ParseError naming path, as a failed read does."""
     if path == "-" and sys.stdout is None:  # Python started with descriptor 1 closed
         raise ParseError("cannot write standard output: it is closed")
     try:
-        with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as handle:
-            for start in range(0, len(text), _SLICE):
-                handle.write(text[start:start + _SLICE])
+        with nullcontext(sys.stdout) if path == "-" else _replacing(path) as handle:
+            for chunk in chunks:
+                for start in range(0, len(chunk), _SLICE):
+                    handle.write(chunk[start:start + _SLICE])
             handle.flush()
     except OSError as err:
-        if path == "-":  # what stays buffered goes nowhere, so the flush at exit cannot fail
-            with suppress(OSError, ValueError):
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if path == "-":
+            _discard(sys.stdout)
         raise ParseError(f"cannot write {_name(path, 'output')}: {err.strerror}") from None
+
+
+def _lines(lines):
+    """The text of lines, each ended by a line feed, in chunks of 1024 lines."""
+    lines = iter(lines)
+    while batch := list(islice(lines, 1024)):
+        yield "\n".join(batch) + "\n"
 
 
 def _read(path: str, read, *args):
@@ -91,16 +159,12 @@ def _strict_mode() -> bool:
     return os.environ.get("APG_STRICT_TAXONOMY", "1") != "0"
 
 
-def _emit_graph(graph: Graph, out: str):
-    _write_text(out, files.write_graph(graph))
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 
 def _cmd_validate(args) -> int:
     _read_graph(args.graph)  # a failing report reaches main as ValidationFailure
-    _write_text("-", "ok\n")
+    _write("-", ["ok\n"])
     return 0
 
 
@@ -113,9 +177,9 @@ def _cmd_classify(args) -> int:
             continue
         lines.append(f"{label}\t{taxonomy.describe(kinds[label])}")
     if args.label is not None and not lines:
-        print(f"no label {args.label!r} in the schema", file=sys.stderr)
+        _report(f"no label {args.label!r} in the schema")
         return 1
-    _write_text(args.out, "".join(line + "\n" for line in lines))
+    _write(args.out, _lines(lines))
     return 0
 
 
@@ -143,30 +207,30 @@ def _construct(operation: str, inputs: list) -> Graph:
 
 
 def _cmd_op(args) -> int:
-    _emit_graph(_construct(args.operation, args.inputs), args.out)
+    _write(args.out, files.graph_chunks(_construct(args.operation, args.inputs)))
     return 0
 
 
 def _cmd_merge(args) -> int:
     if len(args.graphs) != 2:
         raise ParseError("merge takes two graphs")
-    g1, g2 = map(_read_graph, args.graphs)
-    merged = integrate.merge_by_key(g1, g2, key=args.key)
-    _emit_graph(merged, args.out)
+    merged = integrate.merge_by_key(*map(_read_graph, args.graphs), key=args.key)
+    _write(args.out, files.graph_chunks(merged))  # the inputs are freed before the write
     return 0
 
 
 def _cmd_migrate(args) -> int:
     mapping = _read(args.mapping, files.read_mapping)
-    data = _read_graph(args.data)  # validated here, so not again in delta_migrate
-    _emit_graph(migrate.delta_migrate(mapping, data, validate=False), args.out)
+    # the data is validated as it is read, so not again in delta_migrate, and freed before the write
+    migrated = migrate.delta_migrate(mapping, _read_graph(args.data), validate=False)
+    _write(args.out, files.graph_chunks(migrated))
     return 0
 
 
 def _cmd_export(args) -> int:
     graph = _read_graph(args.graph)
     if args.format == "rdf":
-        _write_text(args.out, bridges.export_rdf(graph))
+        _write(args.out, _lines(bridges.rdf_lines(graph)))
     elif args.format == "relational":
         if args.out in (None, "-"):
             raise ParseError("export relational writes a directory; give --out DIR")
@@ -179,29 +243,23 @@ def _cmd_export(args) -> int:
         if args.label is None:
             raise ParseError("export kv needs --label")
         pairs = bridges.export_kv(graph, args.label)
-        text = "".join(
-            json.dumps(
-                {"key": files.value_to_json(k), "value": files.value_to_json(v)},
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-            + "\n"
-            for k, v in pairs
-        )
-        _write_text(args.out, text)
+        _write(args.out, _lines(
+            json.dumps({"key": files.value_to_json(k), "value": files.value_to_json(v)},
+                       sort_keys=True, ensure_ascii=False)
+            for k, v in pairs))
     return 0
 
 
 def _cmd_import(args) -> int:
     schema = _read(args.schema, files.read_schema)
     graph = bridges.import_relational(bridges.read_tableset(args.directory), schema)
-    _emit_graph(graph, args.out)  # the tables are freed before the write
+    _write(args.out, files.graph_chunks(graph))  # the tables are freed before the write
     return 0
 
 
 def _cmd_fmt(args) -> int:
     graph = _read_graph(args.graph, validate=not args.no_validate)
-    _emit_graph(graph, args.out)
+    _write(args.out, files.graph_chunks(graph))
     return 0
 
 
@@ -276,16 +334,16 @@ def main(argv=None) -> int:
                 raise ParseError("standard input can be read once: give '-' for one input at most")
             return args.run(args)
         except ValidationFailure as err:
-            print(err.report, file=sys.stderr)
+            _report(err.report)
             return 1
         except ParseError as err:
-            print(f"error: {err}", file=sys.stderr)
+            _report(f"error: {err}")
             return 2
         except ApgError as err:
-            print(f"error: {err}", file=sys.stderr)
+            _report(f"error: {err}")
             return 1
         except RecursionError:
-            print("error: input is nested too deeply to process", file=sys.stderr)
+            _report("error: input is nested too deeply to process")
             return 2
 
 

@@ -378,7 +378,7 @@ def _reject_entry(entry, spot: str):
         raise ParseError(f"{spot}: label must be a string")
 
 
-# write_graph emits the text _dump(graph_to_json(graph)) would, in one pass
+# graph_chunks emits the text _dump(graph_to_json(graph)) would, in one pass
 # over the graph: json.dumps with an indent runs the pure-Python encoder.
 
 _escape = json.encoder.encode_basestring  # the escaper behind ensure_ascii=False
@@ -416,24 +416,27 @@ def _emit_value(v: Value, nl: str, out: list):
         out.append(f'{{{inner}"ref": {_escape(render_id(v.element))}{nl}}}')
 
 
-def write_graph(graph: Graph) -> str:
-    """The canonical text, built in one chunk per element: an element's
-    fragments are joined as soon as it is emitted, before the next one."""
+def graph_chunks(graph: Graph):
+    """The canonical text of graph in chunks, each made only when asked for:
+    one per element in id order, then the head (primitives and schema)."""
     entries = {render_id(e): el for e, el in graph.elements.items()}
-    chunks = ['{\n  "elements": {']
-    sep = "\n    "
+    sep = '{\n  "elements": {\n    '
     for id_text, el in sorted(entries.items()):
         out = [f'{sep}{_escape(id_text)}: {{\n      "label": {_escape(el.label)},'
                f'\n      "value": ']
         _emit_value(el.value, "\n      ", out)
         out.append("\n    }")
-        chunks.append("".join(out))
+        yield "".join(out)
         sep = ",\n    "
-    chunks.append("\n  }," if entries else "},")
     head = schema_to_json(graph.schema)
-    chunks.append('\n  "primitives": ' + _encode(head["primitives"], "\n  ")
-                  + ',\n  "schema": ' + _encode(head["schema"], "\n  ") + "\n}\n")
-    return "".join(chunks)
+    yield (("\n  }," if entries else '{\n  "elements": {},')
+           + '\n  "primitives": ' + _encode(head["primitives"], "\n  ")
+           + ',\n  "schema": ' + _encode(head["schema"], "\n  ") + "\n}\n")
+
+
+def write_graph(graph: Graph) -> str:
+    """The canonical text of graph, whole: graph_chunks joined."""
+    return "".join(graph_chunks(graph))
 
 
 def _read_built(text: str, hook, read):

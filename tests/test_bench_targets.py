@@ -45,12 +45,14 @@ def test_every_timed_span_is_traced(bench_modules):
         assert name in traced | PROBE_SPANS, name
 
 
-def test_each_graph_writing_verb_calls_write_graph_once(tmp_path, monkeypatch, capsys):
-    """The traced run reads files.write_s, bytes_out and elements_out from
-    one files.write_graph call per output graph."""
+def test_each_graph_writing_verb_streams_each_output_graph_once(tmp_path, monkeypatch, capsys):
+    """Each verb writes one files.graph_chunks stream per output graph.  The
+    tracer wraps files.write_graph, which the verbs no longer call, so the
+    traced run's files.write_s, bytes_out and elements_out read 0 until it
+    follows the stream (ROADMAP item 2, step B)."""
     calls = []
-    write_graph = files.write_graph
-    monkeypatch.setattr(files, "write_graph", lambda g: calls.append(g) or write_graph(g))
+    graph_chunks = files.graph_chunks
+    monkeypatch.setattr(files, "graph_chunks", lambda g: calls.append(g) or graph_chunks(g))
     trips, vertices, edges = (str(path(name)) for name in ("trips.apg", "vertices.apg", "edges.apg"))
     tables = str(tmp_path / "tables")
     assert main(["export", "relational", trips, "-o", tables]) == 0

@@ -3,12 +3,15 @@ import gc
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import pytest
 
-from apg import files, migrate
+from apg import catops, cli, files, migrate
 from apg.adt import Atom
 from apg.bridges import (
     export_rdf,
@@ -19,6 +22,7 @@ from apg.bridges import (
 )
 from apg.catops import coproduct, product
 from apg.cli import _SLICE, main
+from apg.errors import PreconditionError
 from apg.files import read_graph, write_graph, write_morphism
 from apg.fixtures import load, path
 from apg.graph import Graph
@@ -137,12 +141,13 @@ def test_op_arity_errors(capsys, stdin):
 def test_op_product_frees_its_inputs_and_legs_before_the_write(capsys, monkeypatch):
     seen = set(map(id, filter(lambda o: isinstance(o, Morphism), gc.get_objects())))
     alive = []
+    graph_chunks = files.graph_chunks
 
-    def write(graph):
+    def chunks(graph):  # its body runs when the first chunk is asked for
         alive.extend(o for o in gc.get_objects() if isinstance(o, Morphism) and id(o) not in seen)
-        return write_graph(graph)
+        yield from graph_chunks(graph)
 
-    monkeypatch.setattr(files, "write_graph", write)
+    monkeypatch.setattr(files, "graph_chunks", chunks)
     code, out, err = run(capsys, "op", "product", fixture_path("edges.apg"),
                          fixture_path("vertices.apg"))
     assert (code, err, alive) == (0, "", [])
@@ -690,6 +695,194 @@ def test_fmt_rewrites_its_own_input_in_place(tmp_path, capsys):
     graph.write_text(json.dumps(json.loads(load("edges.apg"))), encoding="utf-8")  # one line
     assert run(capsys, "fmt", str(graph), "-o", str(graph)) == (0, "", "")
     assert graph.read_text(encoding="utf-8") == load("edges.apg")
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"], ids=["closed", "full"])
+def test_a_dead_standard_error_keeps_the_exit_status(tmp_path, redirect):
+    if redirect.endswith("full") and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    bad = tmp_path / "bad.apg"
+    bad.write_text('{"schema": {"V": "1"}, "elements": {"v": {"label": "V", "value": {"ref": "w"}}}}')
+    for argv, code in ((["fmt", str(tmp_path / "missing.apg")], 2), (["validate", str(bad)], 1),
+                       (["classify", fixture_path("edges.apg"), "--label", "Nope"], 1)):
+        proc = subprocess.run(["sh", "-c", f'"$0" -m apg "$@" {redirect}', sys.executable, *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (code, ""), argv
+
+
+def _vep_graph(n, prefix):
+    """n vertices, 2n edges and n named vertices, as the benchmark's workloads build them."""
+    rng = random.Random(prefix)
+    pair = lambda a, b: {"pair": [a, b]}  # noqa: E731
+    elements = {f"{prefix}v{i}": {"label": "V", "value": {"unit": {}}} for i in range(n)}
+    elements.update({f"{prefix}e{j}": {"label": "E", "value": pair(
+        {"ref": f"{prefix}v{rng.randrange(n)}"}, {"ref": f"{prefix}v{rng.randrange(n)}"})}
+        for j in range(2 * n)})
+    elements.update({f"{prefix}p{i}": {"label": "P", "value": pair(
+        {"ref": f"{prefix}v{rng.randrange(n)}"}, {"prim": {"type": "String", "value": f"w{i}"}})}
+        for i in range(n)})
+    return {"schema": {"V": "1", "E": "V * V", "P": "V * String"}, "elements": elements}
+
+
+def test_op_product_holds_no_copy_of_its_output(tmp_path, monkeypatch):
+    """Once the product graph is built, writing it grows the traced memory by
+    less than the text it writes: the text is never whole in memory."""
+    inputs = []
+    for name in ("x", "y"):
+        inputs.append(tmp_path / f"{name}.apg")
+        inputs[-1].write_text(json.dumps(_vep_graph(18, name)), encoding="utf-8")
+    built = []
+    product_of = catops.product  # the verb looks it up when it runs
+
+    def product_then_mark(*graphs):
+        result = product_of(*graphs)
+        built.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(catops, "product", product_then_mark)
+    out = tmp_path / "product.apg"
+    tracemalloc.start()
+    try:
+        code = main(["op", "product", *map(str, inputs), "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = len(out.read_text(encoding="utf-8"))
+    assert (code, len(built)) == (0, 1)
+    assert written >= 2_000_000
+    assert peak - built[0] < written
+
+
+def _failing_after(chunk_count, failure):
+    """A graph_chunks that makes chunk_count chunks of the real text and a
+    chunk longer than a write slice, then raises failure."""
+    graph_chunks = files.graph_chunks
+
+    def chunks(graph):
+        made = graph_chunks(graph)
+        for _ in range(chunk_count):
+            yield next(made)
+        yield " " * (3 * _SLICE)
+        raise failure
+    return chunks
+
+
+WRITE_FAILURES = {
+    "full disk": (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 2,
+                  "error: cannot write {target}: " + os.strerror(errno.ENOSPC)),
+    "nesting": (RecursionError(), 2, "error: input is nested too deeply to process"),
+    "apg error": (PreconditionError("not a value"), 1, "error: not a value"),
+}
+
+
+@pytest.mark.parametrize("failure", WRITE_FAILURES)
+@pytest.mark.parametrize("verb", [["fmt", "trips.apg"], ["op", "product", "vertices.apg", "edges.apg"],
+                                  ["migrate", "mapping.apgm", "mapping_input.apg"]], ids=" ".join)
+def test_a_write_that_fails_midway_leaves_the_target_as_it_was(tmp_path, capsys, monkeypatch,
+                                                                verb, failure):
+    raised, code, line = WRITE_FAILURES[failure]
+    argv = [fixture_path(word) if word.endswith((".apg", ".apgm")) else word for word in verb]
+    whole = run(capsys, *argv)[1]
+    monkeypatch.setattr(files, "graph_chunks", _failing_after(2, raised))
+    target = tmp_path / "out.apg"
+    target.write_text("kept\n")
+    assert run(capsys, *argv, "-o", str(target)) == (code, "", line.format(target=target) + "\n")
+    assert target.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.apg"]
+    # on standard output, what was written before the failure stays
+    failed, out, err = run(capsys, *argv)
+    assert (failed, err) == (code, line.format(target="standard output") + "\n")
+    made, filler = out[:-3 * _SLICE], out[-3 * _SLICE:]
+    assert (whole.startswith(made), len(made) > 100, filler.strip()) == (True, True, "")
+
+
+def test_o_onto_a_symlink_writes_through_it_and_keeps_it(tmp_path, capsys):
+    real = tmp_path / "real.apg"
+    real.write_text("kept\n")
+    link, dangling = tmp_path / "link.apg", tmp_path / "dangling.apg"
+    link.symlink_to(real.name)
+    dangling.symlink_to("made.apg")
+    for name in (link, dangling):
+        assert run(capsys, "fmt", fixture_path("edges.apg"), "-o", str(name)) == (0, "", "")
+        assert name.is_symlink()
+        assert name.read_text(encoding="utf-8") == load("edges.apg")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dangling.apg", "link.apg", "made.apg", "real.apg"]
+
+
+def test_o_gives_the_mode_open_would_and_keeps_an_existing_one(tmp_path, capsys):
+    umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        assert run(capsys, "fmt", fixture_path("edges.apg"), "-o", str(tmp_path / "new.apg")) == (
+            0, "", "")
+    finally:
+        os.umask(umask)
+    mode = lambda name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)  # noqa: E731
+    assert mode("new.apg") == mode("reference") == 0o640
+    existing = tmp_path / "existing.apg"
+    existing.write_text("kept\n")
+    existing.chmod(0o604)
+    assert run(capsys, "fmt", fixture_path("edges.apg"), "-o", str(existing)) == (0, "", "")
+    assert (mode("existing.apg"), existing.read_text(encoding="utf-8")) == (0o604, load("edges.apg"))
+
+
+def test_a_target_that_refuses_writing_stays_refused(tmp_path, capsys, monkeypatch):
+    """open(path, "w") on a file without write permission fails; a rename
+    over it would not, so the verb asks first."""
+    target = tmp_path / "read-only.apg"
+    target.write_text("kept\n")
+    os_open = os.open
+
+    def refuse(path, flags, *args, **kwargs):
+        if os.fspath(path) == str(target) and flags & os.O_WRONLY:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse)
+    assert run(capsys, "fmt", fixture_path("edges.apg"), "-o", str(target)) == (
+        2, "", f"error: cannot write {target}: {os.strerror(errno.EACCES)}\n")
+    assert target.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["read-only.apg"]
+
+
+def test_a_directory_that_takes_no_new_file_has_its_targets_written_in_place(tmp_path, capsys,
+                                                                             monkeypatch):
+    """Where no file can be made beside the target, an existing target is
+    written in place, as open(path, "w") would, and a new one is refused."""
+    def no_new_file(name, mode="r", **kwargs):
+        if "x" in mode:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+        return open(name, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_new_file, raising=False)
+    existing, new = tmp_path / "existing.apg", tmp_path / "new.apg"
+    existing.write_text("kept\n")
+    assert run(capsys, "fmt", fixture_path("edges.apg"), "-o", str(existing)) == (0, "", "")
+    assert existing.read_text(encoding="utf-8") == load("edges.apg")
+    assert run(capsys, "fmt", fixture_path("edges.apg"), "-o", str(new)) == (
+        2, "", f"error: cannot write {new}: {os.strerror(errno.EACCES)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.apg"]
+
+
+def test_a_target_that_is_no_regular_file_is_written_in_place(tmp_path, capsys):
+    assert run(capsys, "fmt", fixture_path("edges.apg"), "-o", os.devnull) == (0, "", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text(encoding="utf-8")))
+    reader.start()
+    try:
+        assert run(capsys, "fmt", fixture_path("edges.apg"), "-o", str(fifo)) == (0, "", "")
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert read == [load("edges.apg")]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
 
 
 # ---------------------------------------------------------------------------
