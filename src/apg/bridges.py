@@ -82,8 +82,7 @@ _LITERAL_NODE = {
 
 
 def rdf_lines(graph: Graph) -> list[str]:
-    """The N-Triples of a valid graph, one line each without its line feed,
-    sorted.
+    """The N-Triples lines of a valid graph, sorted, without line feeds.
 
     Every element contributes 1 + (number of leaves of its value) triples:
     the type triple, then one triple per unit, literal, or reference leaf,

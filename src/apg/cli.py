@@ -81,7 +81,7 @@ def _replacing(path: str):
     regular file (a device, a FIFO), or whose directory takes no new file,
     is written in place."""
     try:
-        mode = os.stat(path).st_mode if os.path.basename(path) else 0  # "x/" names no file
+        mode = os.stat(path).st_mode if os.path.basename(path) else 0  # "x/" is no regular file
     except FileNotFoundError:
         mode = None
     handle = None

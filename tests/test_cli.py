@@ -873,7 +873,8 @@ def test_a_target_that_is_no_regular_file_is_written_in_place(tmp_path, capsys):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     read = []
-    reader = threading.Thread(target=lambda: read.append(fifo.read_text(encoding="utf-8")))
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text(encoding="utf-8")),
+                              daemon=True)  # a reader the verb never meets does not hold up exit
     reader.start()
     try:
         assert run(capsys, "fmt", fixture_path("edges.apg"), "-o", str(fifo)) == (0, "", "")
