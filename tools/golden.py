@@ -14,7 +14,10 @@ and names each changed command.  tests/test_golden.py runs the same check.
 
 The corpus: every fixture through each read and export verb; ordered fixture
 pairs through op product, op coproduct and merge; identity morphisms through
-op equalizer, coequalizer and pushout; the shipped migrate; an import
+op equalizer, coequalizer and pushout; morphisms that glue distinct
+elements through op pushout and op coequalizer (the match_by_key legs of
+the plate fixtures, two vertices of edges.apg merged, and a pair that mixes
+labels); the shipped migrate; an import
 relational round trip per fixture; the bad documents that tests/test_cli.py
 feeds the verbs; a 300-level sum; fmt, op product, migrate and export rdf
 with -o naming their own input, a file in a missing directory, a directory
@@ -39,6 +42,8 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from apg import cli  # noqa: E402
+from apg.files import read_graph, write_graph, write_morphism  # noqa: E402
+from apg.integrate import match_by_key  # noqa: E402
 from apg.fixtures import path as fixture  # noqa: E402
 
 FIXTURES = Path(str(fixture("trips.apg"))).parent
@@ -135,6 +140,7 @@ def build(work: Path) -> Corpus:
     for a, b in (("plates1.apg", "plates2.apg"), ("plates2.apg", "plates1.apg")):
         c.add(f"merge --key fst {a} {b}", "merge", "--key", "fst", f[a], f[b])
     c.add("migrate mapping.apgm", "migrate", f["mapping.apgm"], f["mapping_input.apg"])
+    _gluing(c, f)
     _bad(c, f)
     _targets(c)
     _benchmark(c)
@@ -146,6 +152,34 @@ TARGET_VERBS = {"fmt": (["fmt"], ["trips.apg"]),
                 "op product": (["op", "product"], ["vertices.apg", "edges.apg"]),
                 "migrate": (["migrate"], ["mapping.apgm", "mapping_input.apg"]),
                 "export rdf": (["export", "rdf"], ["trips.apg"])}
+
+
+def _gluing(c: Corpus, f: dict):
+    """Spans and parallel pairs whose maps glue distinct elements."""
+    plates = [read_graph((FIXTURES / name).read_text(encoding="utf-8"))
+              for name in ("plates1.apg", "plates2.apg")]
+    for key in (None, "fst"):
+        apex, m1, m2 = match_by_key(*plates, key)
+        paths = [c.write(f"match {key}/{name}", text) for name, text in
+                 (("apex.apg", write_graph(apex)), ("m1.apgh", write_morphism(m1)),
+                  ("m2.apgh", write_morphism(m2)))]
+        c.add(f"op pushout match_by_key legs, key {key}", "op", "pushout", paths[0],
+              f["plates1.apg"], f["plates2.apg"], *paths[1:])
+    # A one-element source on edges.apg's schema, mapped onto two elements of edges.apg.
+    edges = json.loads((FIXTURES / "edges.apg").read_text(encoding="utf-8"))
+    one = c.write("glue/one.apg", json.dumps(
+        {**edges, "elements": {"s": {"label": "User", "value": {"unit": {}}}}}))
+    to = {e: c.write(f"glue/to-{e}.apgh", json.dumps(
+        {"onLabels": {label: label for label in edges["schema"]}, "onElements": {"s": e}}))
+        for e in ("u1", "u2", "t1")}
+    c.add("op coequalizer edges.apg u1 = u2", "op", "coequalizer", one, f["edges.apg"],
+          to["u1"], to["u2"])
+    c.add("op coequalizer edges.apg u2 = u1", "op", "coequalizer", one, f["edges.apg"],
+          to["u2"], to["u1"])
+    c.add("op pushout edges.apg u1 = u2", "op", "pushout", one, f["edges.apg"], f["edges.apg"],
+          to["u1"], to["u2"])
+    c.add("op coequalizer edges.apg u1 = t1, mixed labels", "op", "coequalizer", one,
+          f["edges.apg"], to["u1"], to["t1"])
 
 
 def _targets(c: Corpus):
