@@ -4,15 +4,15 @@ Products and coproducts exist for arbitrary pairs of graphs; equalizers for
 arbitrary parallel pairs.  Coequalizers (and pushouts built from them) are
 taken with both graphs on one shared schema and identity label maps, which is
 the setting data merging needs: the quotient then happens on elements alone
-and the schema survives untouched.  The pushout starts from the disjoint
-union on that shared schema, which tags elements exactly as the coproduct
-does but leaves labels as they are.  The quotient runs its union-find over
-element positions, not ids.  Every pair id, tagged id or class is built once
-and shared by its element key, its leg images and the references to it.
-Stored references move by one walk of each value, directed by the value
-alone: the product walks each input value once for its whole line of pairs
-(_spread), and the coproduct and pushout transport each value whose label's
-type holds a label.
+and the schema survives untouched.  Both quotient their inputs as they are
+(_quotient), with no union graph: a class is named by its least member
+under (input index, render_id), tagged as the disjoint union would tag it,
+and only those members are tagged and copied.  Every pair id, tagged id or
+class is built once and shared by its element key, its leg images and the
+references to it.  Stored references move by one walk of each value,
+directed by the value alone: the product walks each input value once for
+its whole line of pairs (_spread), and the other constructions share one
+rule (_relink) that transports each value whose label's type holds one.
 
 Each construction returns the graph together with its legs (projections,
 injections, or the universal map onto the quotient).
@@ -171,11 +171,14 @@ def _spread(v, line):
     return [Pair(a, b) for a, b in zip(first, second)]
 
 
-def _relink(graph: Graph, refs: dict):
-    """relink(el): el's value with each reference to e replaced by refs[e].
-    A label-free label's value is kept as it is, so an unvalidated graph's
-    reference there still names an input element."""
+def _relink(graph: Graph, images: dict):
+    """relink(el): el's value with each reference to e replaced by one to
+    images[e].  A label-free label's value is kept as it is, so an
+    unvalidated graph's reference there still names an input element, and
+    the Refs are made only when some element's label is not label-free."""
     free = {l for l, t in graph.schema.labels.items() if label_free(t)}
+    bound = any(el.label not in free for el in graph.elements.values())
+    refs = {e: Ref(t) for e, t in images.items()} if bound else {}
     return lambda el: el.value if el.label in free else transport_value(refs, el.value)
 
 
@@ -208,7 +211,7 @@ def _tagged_union(g1: Graph, g2: Graph, schema: Schema, left_prefix: str,
         # One tagged id per element: the element key, the leg image and the
         # target of every Ref to it are the same object.
         on_elements = {e: tag(e) for e in g.sorted_ids()}
-        relink = _relink(g, {e: Ref(t) for e, t in on_elements.items()})
+        relink = _relink(g, on_elements)
         for e, t in on_elements.items():
             el = g.elements[e]
             elements[t] = Element(prefix + el.label, relink(el))
@@ -294,16 +297,20 @@ def disjoint_union(g1: Graph, g2: Graph) -> ConstructionResult:
     return _tagged_union(g1, g2, g1.schema, "", "")
 
 
-def _quotient(graph: Graph, pairs: Iterable[tuple[int, int]]):
-    """Quotient a graph's elements by the equivalence the pairs generate.
+def _quotient(schema: Schema, inputs, pairs: Iterable[tuple[int, int]], rank):
+    """The quotient on schema of the inputs' elements by the equivalence the
+    pairs generate, and one leg per input, its ids in its order.
 
-    Pairs are positions in graph.elements, and the union-find runs on those
-    positions.  Classes must be label-uniform.  Each class is named by its
-    least member under the canonical id ordering, and stored values follow
-    references to their classes.
+    Each input is (graph, ids, tag).  The union-find runs on positions in the
+    concatenation of the inputs' ids, which the pairs name, and rank[i]
+    orders positions as (input index, render_id) does.  Classes must be
+    label-uniform; the error names the first that is not, in concatenation
+    order.  A class is Class(tag(rep)) for its least member rep under rank,
+    the classes are listed in that order, and only reps are copied, each
+    relinked through its own input's map.
     """
-    ids = list(graph.elements)
-    els = list(graph.elements.values())
+    ids = [e for _, side, _ in inputs for e in side]
+    els = [g.elements[e] for g, side, _ in inputs for e in side]
     parent = list(range(len(ids)))
 
     def find(x: int) -> int:
@@ -316,31 +323,39 @@ def _quotient(graph: Graph, pairs: Iterable[tuple[int, int]]):
 
     for a, b in pairs:
         parent[find(a)] = find(b)
-    members: dict[int, list[int]] = {}
-    for i in range(len(ids)):
-        members.setdefault(find(i), []).append(i)
-    names = [render_id(e) for e in ids]
-    class_of: list = [None] * len(ids)
-    ref_of: dict[ElementId, Ref] = {}
-    reps = []
-    for group in members.values():
-        labels_seen = {els[i].label for i in group}
-        if len(labels_seen) > 1:
-            listed = ", ".join(sorted(names[i] for i in group))
-            raise PreconditionError(f"class {{{listed}}} mixes labels {sorted(labels_seen)}")
-        rep = min(group, key=names.__getitem__)
-        cls = Class(ids[rep])
-        ref = Ref(cls)
-        for i in group:
-            class_of[i] = cls
-            ref_of[ids[i]] = ref
-        reps.append(rep)
-    reps.sort(key=names.__getitem__)
-    relink = _relink(graph, ref_of)
-    elements = {class_of[r]: Element(els[r].label, relink(els[r])) for r in reps}
-    quotient = Graph(graph.schema, elements)
-    leg = Morphism(graph, quotient, {l: l for l in graph.schema.labels}, dict(zip(ids, class_of)))
-    return quotient, leg
+    roots = [find(i) for i in range(len(ids))]
+    least: dict[int, int] = {}  # root -> its class's least member, keyed in concatenation order
+    mixed = set()
+    for i, r in enumerate(roots):
+        j = least.setdefault(r, i)
+        if els[i].label != els[j].label:
+            mixed.add(r)
+        elif rank[i] < rank[j]:
+            least[r] = i
+    if mixed:
+        root = next(r for r in least if r in mixed)
+        group = [i for i, r in enumerate(roots) if r == root]
+        names = [render_id(tag(e)) for _, side, tag in inputs for e in side]
+        listed, labels = ", ".join(sorted(names[i] for i in group)), {els[i].label for i in group}
+        raise PreconditionError(f"class {{{listed}}} mixes labels {sorted(labels)}")
+    classes, elements, maps, start = {}, {}, [], 0  # classes: root -> its Class
+    for g, side, tag in inputs:
+        # A class first met in this input has its least member here.
+        on_elements, first = {}, []
+        for i, e in enumerate(side, start):
+            cls = classes.get(roots[i])
+            if cls is None:
+                cls = classes[roots[i]] = Class(tag(ids[least[roots[i]]]))
+                first.append(least[roots[i]])
+            on_elements[e] = cls
+        relink = _relink(g, on_elements)
+        for i in sorted(first, key=rank.__getitem__):
+            elements[classes[roots[i]]] = Element(els[i].label, relink(els[i]))
+        maps.append(on_elements)
+        start += len(side)
+    quotient = Graph(schema, elements)
+    return quotient, [Morphism(g, quotient, {l: l for l in schema.labels}, on_elements)
+                      for (g, _, _), on_elements in zip(inputs, maps)]
 
 
 def coequalizer(h: Morphism, j: Morphism) -> ConstructionResult:
@@ -357,9 +372,11 @@ def coequalizer(h: Morphism, j: Morphism) -> ConstructionResult:
         for l, image in m.on_labels.items():
             if image != l:
                 raise PreconditionError("coequalizer needs identity label maps")
-    position = {e: i for i, e in enumerate(h.target.elements)}
+    ids = list(h.target.elements)
+    position = {e: i for i, e in enumerate(ids)}
     pairs = [(position[h.on_elements[e]], position[j.on_elements[e]]) for e in h.source.elements]
-    quotient, leg = _quotient(h.target, pairs)
+    quotient, (leg,) = _quotient(h.target.schema, [(h.target, ids, lambda e: e)], pairs,
+                                 [render_id(e) for e in ids])
     return ConstructionResult(quotient, {"coeq": leg})
 
 
@@ -368,8 +385,8 @@ def pushout(f: Morphism, g: Morphism) -> ConstructionResult:
 
     All three graphs must share one schema and both legs must be identity on
     labels.  The result is the disjoint union of the targets with f(e) and
-    g(e) identified for every apex element e; its legs are the two composites
-    through the union.  An unvalidated target's reference under a
+    g(e) identified for every apex element e; its legs send each target
+    element to its class.  An unvalidated target's reference under a
     label-free type is copied as it is (see _relink).
     """
     if f.source != g.source:
@@ -385,19 +402,12 @@ def pushout(f: Morphism, g: Morphism) -> ConstructionResult:
         for l in m.source.schema.labels:
             if m.source.schema.labels[l] != m.target.schema.labels.get(l):
                 raise PreconditionError(f"{role} leg does not preserve the declared type of {l!r}")
-    union = disjoint_union(f.target, g.target)
-    # The union holds f.target's elements in inj1's order, then g.target's.
-    inj1, inj2 = union.legs["inj1"].on_elements, union.legs["inj2"].on_elements
-    position1 = {e: i for i, e in enumerate(inj1)}
-    position2 = {e: len(inj1) + i for i, e in enumerate(inj2)}
+    ids1, ids2 = f.target.sorted_ids(), g.target.sorted_ids()
+    position1 = {e: i for i, e in enumerate(ids1)}
+    position2 = {e: len(ids1) + i for i, e in enumerate(ids2)}
     pairs = [(position1[a], position2[g.on_elements[e]]) for e, a in f.on_elements.items()]
-    quotient, leg = _quotient(union.graph, pairs)
-    classes = list(leg.on_elements.values())
-    labels = {l: l for l in union.graph.schema.labels}
-    return ConstructionResult(
-        quotient,
-        {
-            "left": Morphism(f.target, quotient, dict(labels), dict(zip(inj1, classes))),
-            "right": Morphism(g.target, quotient, labels, dict(zip(inj2, classes[len(inj1):]))),
-        },
-    )
+    # Each target is in id order, so positions rank as (input index, render_id).
+    quotient, (left, right) = _quotient(f.target.schema, [(f.target, ids1, Left),
+                                                          (g.target, ids2, Right)],
+                                        pairs, range(len(ids1) + len(ids2)))
+    return ConstructionResult(quotient, {"left": left, "right": right})

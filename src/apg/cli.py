@@ -266,8 +266,13 @@ def _cmd_fmt(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument wiring
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own write would swallow a failure
+        _write("-", [self.format_help()])
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(  # the docstring's last paragraph is not for users
+    parser = _Parser(  # the docstring's last paragraph is not for users
         prog="apg", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -328,8 +333,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     with files.collector_paused():  # see the last paragraph of the module docstring
-        args = _parser().parse_args(argv)
         try:
+            args = _parser().parse_args(argv)  # --help writes through _write
             if _stdin_inputs(args) > 1:
                 raise ParseError("standard input can be read once: give '-' for one input at most")
             return args.run(args)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from apg import catops
 from apg.adt import (
     Atom,
     Class,
@@ -179,6 +180,15 @@ def test_coproduct_retags_references():
     assert r.graph.elements[Left(Atom("d1"))].value == Pair(
         Ref(Left(Atom("t1"))), Ref(Left(Atom("u1")))
     )
+
+
+def test_the_coproduct_makes_refs_only_for_label_typed_values(monkeypatch):
+    refs = []
+    monkeypatch.setattr(catops, "Ref", lambda e: refs.append(e) or Ref(e))
+    coproduct(fixture("plates1.apg"), fixture("plates2.apg"))
+    assert len(refs) == 0  # every label of the plates is label-free
+    coproduct(fixture("edges.apg"), fixture("edges.apg"))
+    assert len(refs) > 0
 
 
 def _refs_in(v):

@@ -664,6 +664,21 @@ def test_validate_on_a_full_standard_output_ends_in_one_line():
         2, f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: apg [-h]"),
+                                         (["merge", "--help"], "usage: apg merge [-h]")],
+                         ids=["apg", "apg merge"])
+def test_help_on_a_full_standard_output_ends_in_one_line(argv, usage):
+    """argparse would swallow the failed write of its help text and exit 0."""
+    proc = subprocess.run([sys.executable, "-m", "apg", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.startswith(usage), proc.stderr) == (0, True, "")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "apg", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
+
+
 def test_a_reader_that_stops_early_ends_the_write_in_one_line(tmp_path):
     big = tmp_path / "big.apg"  # its output outgrows any pipe buffer
     big.write_text(json.dumps({"schema": {"V": "1"}, "elements": {

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from apg import catops
 from apg.adt import Atom, Class, One, Ref, Unit, render_id, transport_value
 from apg.catops import coequalizer, disjoint_union, pushout
 from apg.errors import PreconditionError
@@ -146,3 +147,40 @@ def test_the_first_mixed_class_in_union_order_is_named():
     g = Morphism(apex, ys, ids, {Atom("s"): Atom("d"), Atom("t"): Atom("c")})
     message = "class {L:a, R:c} mixes labels ['X', 'Y']"
     assert outcome(reference_pushout, f, g) == outcome(library_pushout, f, g) == message
+
+
+def counting(monkeypatch, *names):
+    """Count the calls catops makes to each of its constructors names."""
+    made = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(catops, name)
+
+        def count(*parts, name=name, real=real):
+            made[name] += 1
+            return real(*parts)
+        monkeypatch.setattr(catops, name, count)
+    return made
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (64, 4), (512, 8)])
+def test_the_quotient_tags_and_names_each_class_once(monkeypatch, n, k):
+    """Left/Right/Class/Ref counts, not time: a pushout of two label-free
+    graphs of n elements each, glued into k classes, tags one id per class,
+    where a quotient of their disjoint union would tag all 2n first."""
+    schema = Schema({"X": One()})
+    graph = lambda prefix, count: Graph(  # noqa: E731
+        schema, {Atom(f"{prefix}{i}"): Element("X", Unit()) for i in range(count)})
+    a, b, s = graph("a", n), graph("b", n), graph("s", 2 * n - k)
+    ids = {"X": "X"}
+    # s_i glues a_i to b_i, and s_(n+i) glues a_i to b_(i+k): class c holds a_i, b_i for i = c mod k.
+    f = Morphism(s, a, ids, {Atom(f"s{i}"): Atom(f"a{i % n}") for i in range(2 * n - k)})
+    g = Morphism(s, b, ids, {Atom(f"s{i}"): Atom(f"b{i if i < n else i - n + k}")
+                             for i in range(2 * n - k)})
+    made = counting(monkeypatch, "Left", "Right", "Class", "Ref")
+    assert len(pushout(f, g).graph.elements) == k
+    assert made == {"Left": k, "Right": 0, "Class": k, "Ref": 0}
+    made.update(dict.fromkeys(made, 0))
+    h = Morphism(a, a, ids, {e: e for e in a.elements})
+    j = Morphism(a, a, ids, {Atom(f"a{i}"): Atom(f"a{(i + k) % n}") for i in range(n)})
+    assert len(coequalizer(h, j).graph.elements) == k
+    assert made == {"Left": 0, "Right": 0, "Class": k, "Ref": 0}
