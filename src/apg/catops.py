@@ -175,7 +175,7 @@ def _relink(graph: Graph, images: dict):
     """relink(el): el's value with each reference to e replaced by one to
     images[e].  A label-free label's value is kept as it is, so an
     unvalidated graph's reference there still names an input element, and
-    the Refs are made only when some element's label is not label-free."""
+    the Refs are made only when some element's label is not one of those."""
     free = {l for l, t in graph.schema.labels.items() if label_free(t)}
     bound = any(el.label not in free for el in graph.elements.values())
     refs = {e: Ref(t) for e, t in images.items()} if bound else {}
