@@ -386,8 +386,8 @@ def pushout(f: Morphism, g: Morphism) -> ConstructionResult:
     All three graphs must share one schema and both legs must be identity on
     labels.  The result is the disjoint union of the targets with f(e) and
     g(e) identified for every apex element e; its legs send each target
-    element to its class.  An unvalidated target's reference under a
-    label-free type is copied as it is (see _relink).
+    element to its class.  Only the value of a class's named member is read,
+    and a reference in it under a label-free type is copied as it is.
     """
     if f.source != g.source:
         raise PreconditionError("pushout needs a span with a common source")

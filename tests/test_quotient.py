@@ -150,7 +150,7 @@ def test_the_first_mixed_class_in_union_order_is_named():
 
 
 def counting(monkeypatch, *names):
-    """Count the calls catops makes to each of its constructors names."""
+    """Count the calls catops makes to each constructor named."""
     made = dict.fromkeys(names, 0)
     for name in names:
         real = getattr(catops, name)
