@@ -21,8 +21,12 @@ labels); the shipped migrate; an import
 relational round trip per fixture; the bad documents that tests/test_cli.py
 feeds the verbs; a 300-level sum; fmt, op product, migrate and export rdf
 with -o naming their own input, a file in a missing directory, a directory
-and an existing file; and the tiny benchmark workloads of two seeds.  Deeper nesting is left out: how close to the recursion limit an
-in-process run may go depends on its caller's stack.
+and an existing file; the tiny benchmark workloads of two seeds; and values
+that are malformed or misfit their type several steps down (under fst, snd,
+inl and inr, and at the leaf of a 300-level sum) through validate, fmt and
+merge, which pin the place each message names.  Deeper nesting is left out:
+how close to the recursion limit an in-process run may go depends on its
+caller's stack.
 """
 
 from __future__ import annotations
@@ -144,7 +148,69 @@ def build(work: Path) -> Corpus:
     _bad(c, f)
     _targets(c)
     _benchmark(c)
+    _places(c)
     return c
+
+
+def _nest(steps: str, leaf: str) -> str:
+    """The JSON text of leaf wrapped in one value form per step, outermost
+    first: f and s put it first or second in a pair, l and r inject it."""
+    for step in reversed(steps):
+        leaf = {"f": '{"pair": [%s, {"unit": {}}]}', "s": '{"pair": [{"unit": {}}, %s]}',
+                "l": '{"inl": %s}', "r": '{"inr": %s}'}[step] % leaf
+    return leaf
+
+
+UNIT, BOOL = '{"unit": {}}', "(1 + 1)"
+# name -> (type of label D, value of d1): malformed values, each faulting below several steps
+MALFORMED = {
+    "under fst": ("1", _nest("fffsf", '{"nope": {}}')),
+    "under snd": ("1", _nest("sssfs", '{"nope": {}}')),
+    "under inl": ("1", _nest("lllrl", '{"nope": {}}')),
+    "under inr": ("1", _nest("rrrlr", '{"nope": {}}')),
+    "bad id in a ref": ("1", _nest("fsl", '{"ref": "L:"}')),
+    "non-string ref": ("1", _nest("rs", '{"ref": 7}')),
+    "non-string prim type": ("1", _nest("sf", '{"prim": {"type": 3, "value": 1}}')),
+    "prim without a value": ("1", _nest("lr", '{"prim": {"type": "Nat"}}')),
+    "unit with a body": ("1", _nest("rf", '{"unit": {"x": 1}}')),
+    "pair of three": ("1", _nest("fl", '{"pair": [%s, %s, %s]}' % (UNIT, UNIT, UNIT))),
+    "two forms": ("1", _nest("s", '{"unit": {}, "inl": {"unit": {}}}')),
+    "not an object": ("1", _nest("lf", "[]")),
+    "unknown form": ("1", _nest("sr", '{"wat": {}}')),
+}
+# name -> (type of label D, value of d1): well-formed values that misfit D below several steps
+MISFITS = {
+    "wrong leaf under fst": (f"({BOOL} * 1) * 1",
+                             _nest("ff", '{"prim": {"type": "Nat", "value": 1}}')),
+    "wrong side under snd": (f"1 * (1 * (1 + {BOOL}))",
+                             _nest("ssr", '{"pair": [%s, %s]}' % (UNIT, UNIT))),
+    "wrong literal under inl": ("(Nat + 1) + 1",
+                                _nest("ll", '{"prim": {"type": "String", "value": "x"}}')),
+    "literal outside its domain under snd": ("1 * (1 * Nat)",
+                                             _nest("ss", '{"prim": {"type": "Nat", "value": "x"}}')),
+    "reference to a missing element under inr": ("1 + (1 + D)", _nest("rr", '{"ref": "ghost"}')),
+    "reference to the wrong label under a pair": ("1 * (E + 1)", _nest("sl", '{"ref": "d1"}')),
+    "wrong leaf under the 300-level sum": (" + ".join(["1"] * 301),
+                                          _nest("r" * 300, '{"prim": {"type": "Nat", '
+                                                           '"value": 3}}')),
+}
+PLACE_VERBS = [["validate"], ["fmt", "--no-validate"], ["merge"]]
+
+
+def _places(c: Corpus):
+    """Malformed and misfitting values whose faults lie several steps inside
+    them, each through validate, fmt --no-validate and merge, and the misfits
+    through fmt: every message names the place of the fault."""
+    for kind, cases in (("malformed", MALFORMED), ("misfit", MISFITS)):
+        for name, (t, value) in cases.items():
+            doc = c.write(f"places/{kind} {name}.apg", json.dumps(
+                {"schema": {"D": t, "E": "1"}, "elements": {
+                    "d1": {"label": "D", "value": json.loads(value)},
+                    "e1": {"label": "E", "value": {"unit": {}}}}}))
+            verbs = PLACE_VERBS + [["fmt"]] * (kind == "misfit")
+            for verb in verbs:
+                inputs = [doc, doc] if verb == ["merge"] else [doc]
+                c.add(f"{' '.join(verb)} {kind} value, {name}", *verb, *inputs)
 
 
 # verb -> its words and input fixtures; the last input is the one -o overwrites in place
