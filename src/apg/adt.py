@@ -723,19 +723,6 @@ def _transport(v: Value, g: Callable[[ElementId], Value]) -> Value:
     return v if first is v.first and second is v.second else Pair(first, second)
 
 
-class ValueFault(Exception):
-    """A fault at a position inside a value.  steps names the path back to
-    the value's root, innermost first: each enclosing node appends its step
-    as the error passes through it, so the path is written only on a fault."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.steps: list[str] = []
-
-    def path_text(self) -> str:
-        return "".join("." + step for step in reversed(self.steps))
-
-
 # ---------------------------------------------------------------------------
 # Bidirectional value checking
 
@@ -780,58 +767,57 @@ def check_value(value: Value, expected: TypeExpr, schema, label_of) -> Mismatch 
 def checker(t: TypeExpr, registry: PrimRegistry):
     """The check of values against t, built once: check(v, look) is None
     when v inhabits t, else the first Mismatch, written only then.  look(e)
-    is the label of element e, or None when there is none."""
+    is the label of element e, or None when there is none.  Each node's
+    check is built knowing its path from the root, so a misfit at any depth
+    makes one Mismatch."""
+    return _checker(t, registry, ())
+
+
+def _checker(t: TypeExpr, registry: PrimRegistry, path: tuple):
+    """checker(t, registry) for the node t at path in the type being checked."""
     if isinstance(t, Lbl):
         name = t.name
         return lambda v, look: (None if type(v) is Ref and look(v.element) == name
-                                else _mismatch(t, v, look))
+                                else _mismatch(t, v, look, path))
     if isinstance(t, Prim):
         name, inside = t.name, registry.domain(t.name)
         return lambda v, look: (None if type(v) is PrimVal and v.prim == name and inside(v.literal)
-                                else _mismatch(t, v, look))
+                                else _mismatch(t, v, look, path))
     if not isinstance(t, (Sum, Prod)):
-        return lambda v, look: None if type(v) is Unit and isinstance(t, One) else _mismatch(t, v, look)
-    left = checker(t.left, registry)  # one frame per level, as parse_type
-    right = checker(t.right, registry)
+        return lambda v, look: (None if type(v) is Unit and isinstance(t, One)
+                                else _mismatch(t, v, look, path))
     pair = isinstance(t, Prod)
-
-    def check(v, look):
-        kind = type(v)
-        if pair and kind is Pair:
-            step, miss = "fst", left(v.first, look)
-            if miss is None:
-                step, miss = "snd", right(v.second, look)
-        elif not pair and kind is Inl:
-            step, miss = "inl", left(v.inner, look)
-        elif not pair and kind is Inr:
-            step, miss = "inr", right(v.inner, look)
-        else:
-            return _mismatch(t, v, look)
-        return None if miss is None else Mismatch((step,) + miss.path, miss.message)
-    return check
+    left = _checker(t.left, registry, path + ("fst" if pair else "inl",))  # a frame per level
+    right = _checker(t.right, registry, path + ("snd" if pair else "inr",))
+    if pair:
+        return lambda v, look: (left(v.first, look) or right(v.second, look) if type(v) is Pair
+                                else _mismatch(t, v, look, path))
+    return lambda v, look: (left(v.inner, look) if type(v) is Inl
+                            else right(v.inner, look) if type(v) is Inr
+                            else _mismatch(t, v, look, path))
 
 
-def _mismatch(t: TypeExpr, v: Value, look) -> Mismatch:
-    """Why the node t refuses the value v, whose parts it has not checked."""
+def _mismatch(t: TypeExpr, v: Value, look, path: tuple) -> Mismatch:
+    """Why the node t at path refuses the value v, whose parts it has not checked."""
     if isinstance(t, Lbl):
         if not isinstance(v, Ref) or not isinstance(v.element, _IDS):
-            return Mismatch((), f"expected a reference to {t.name}, found {_describe(v)}")
+            return Mismatch(path, f"expected a reference to {t.name}, found {_describe(v)}")
         target_label = look(v.element)
         if target_label is None:
-            return Mismatch((), f"reference to missing element {render_id(v.element)}")
+            return Mismatch(path, f"reference to missing element {render_id(v.element)}")
         return Mismatch(
-            (),
+            path,
             f"expected a reference to {t.name}, found one to "
             f"{render_id(v.element)} labeled {target_label}",
         )
     if isinstance(t, Prim):
         if not isinstance(v, PrimVal):
-            return Mismatch((), f"expected a {t.name} literal, found {_describe(v)}")
+            return Mismatch(path, f"expected a {t.name} literal, found {_describe(v)}")
         if v.prim != t.name:
-            return Mismatch((), f"expected a {t.name} literal, found a {v.prim} literal")
-        return Mismatch((), f"literal {v.literal!r} is outside the {v.prim} domain")
+            return Mismatch(path, f"expected a {t.name} literal, found a {v.prim} literal")
+        return Mismatch(path, f"literal {v.literal!r} is outside the {v.prim} domain")
     if isinstance(t, One):
-        return Mismatch((), f"expected (), found {_describe(v)}")
+        return Mismatch(path, f"expected (), found {_describe(v)}")
     if isinstance(t, (Sum, Prod)):
-        return Mismatch((), f"expected {render_type(t)}, found {_describe(v)}")
-    return Mismatch((), "no value inhabits the empty type 0")
+        return Mismatch(path, f"expected {render_type(t)}, found {_describe(v)}")
+    return Mismatch(path, "no value inhabits the empty type 0")

@@ -20,9 +20,9 @@ that does not fit, or whose graph has any finding, is decoded again the
 plain way, form by form, with validate_graph writing the report, so bad
 input fails as it always did.  Each distinct id text is parsed once and
 gets one Ref per document, whose element is the very object that keys the
-element.  Error locations ("elements.e1.value.snd.inl") are assembled only
-when a value is malformed, as the error unwinds.  Reading a schema drops
-each element as the parser closes it.
+element.  The plain decode names each place inside a value on the way
+down ("elements.e1.value.snd.inl"), so a fault raises where it is found.
+Reading a schema drops each element as the parser closes it.
 
 Morphism documents carry {"onLabels", "onElements"} and are interpreted
 against explicitly supplied source and target graphs.  Mapping documents
@@ -49,7 +49,6 @@ from .adt import (
     Ref,
     Unit,
     Value,
-    ValueFault,
     parse_id,
     parse_type,
     render_id,
@@ -188,50 +187,41 @@ def value_to_json(v: Value):
     return {"ref": render_id(v.element)}
 
 
-def _value(raw, registry: PrimRegistry, ids: IdTable) -> Value:
+def _value(raw, registry: PrimRegistry, ids: IdTable, where: str) -> Value:
+    """The value of raw, which lies at the place where in its document
+    ("elements.e1.value"); each part is read at its own place below it
+    (where + ".fst"), so a fault raises ParseError naming the place it is found."""
     if not isinstance(raw, dict) or len(raw) != 1:
-        raise ValueFault("a value is an object with exactly one of unit/pair/inl/inr/prim/ref")
+        raise ParseError(f"{where}: a value is an object with exactly one of "
+                         "unit/pair/inl/inr/prim/ref")
     (form, body), = raw.items()
     if form == "ref":
         if not isinstance(body, str):
-            raise ValueFault("ref carries an id string")
+            raise ParseError(f"{where}: ref carries an id string")
         try:
             return Ref(ids[body])
         except ParseError as err:
-            raise ValueFault(str(err)) from None
+            raise ParseError(f"{where}: {err}") from None
     if form == "pair":
         if not isinstance(body, list) or len(body) != 2:
-            raise ValueFault("pair carries a two-element list")
-        try:
-            first = _value(body[0], registry, ids)
-        except ValueFault as bad:
-            bad.steps.append("fst")
-            raise
-        try:
-            second = _value(body[1], registry, ids)
-        except ValueFault as bad:
-            bad.steps.append("snd")
-            raise
-        return Pair(first, second)
+            raise ParseError(f"{where}: pair carries a two-element list")
+        return Pair(_value(body[0], registry, ids, where + ".fst"),
+                    _value(body[1], registry, ids, where + ".snd"))
     if form == "prim":
         if not isinstance(body, dict) or len(body) != 2 or "type" not in body or "value" not in body:
-            raise ValueFault('prim carries {"type", "value"}')
+            raise ParseError(f'{where}: prim carries {{"type", "value"}}')
         name = body["type"]
         if not isinstance(name, str):
-            raise ValueFault("primitive type name must be a string")
+            raise ParseError(f"{where}: primitive type name must be a string")
         return PrimVal(name, registry.coerce(name, body["value"]))
     if form == "unit":
         if body != {}:
-            raise ValueFault("unit carries an empty object")
+            raise ParseError(f"{where}: unit carries an empty object")
         return Unit()
     if form == "inl" or form == "inr":
-        try:
-            inner = _value(body, registry, ids)
-        except ValueFault as bad:
-            bad.steps.append(form)
-            raise
+        inner = _value(body, registry, ids, f"{where}.{form}")
         return Inl(inner) if form == "inl" else Inr(inner)
-    raise ValueFault(f"unknown value form {form!r}")
+    raise ParseError(f"{where}: unknown value form {form!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +291,8 @@ def graph_from_json(doc: dict, validate: bool = False, ids: IdTable | None = Non
         entry = raw[id_text]
         if not built:
             _reject_entry(entry, f"elements.{id_text}")
-            try:
-                entry = Element(entry["label"], _value(entry["value"], schema.registry, ids))
-            except ValueFault as bad:
-                where = f"elements.{id_text}.value{bad.path_text()}"
-                raise ParseError(f"{where}: {bad}") from None
+            entry = Element(entry["label"], _value(entry["value"], schema.registry, ids,
+                                                   f"elements.{id_text}.value"))
         elif type(entry) is not Element:
             raise ParseError(f"elements.{id_text}: not a well-formed entry")
         elements[e] = entry

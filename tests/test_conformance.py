@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from apg import adt
 from apg.adt import (
     Atom,
     Inl,
@@ -200,3 +201,26 @@ def test_a_900_deep_sum_with_a_bad_leaf_is_one_finding(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", "error: a" + ".inr" * depth + ": literal -1 is outside the Nat domain\n")
 
+
+
+@pytest.mark.parametrize("depth", [1, 50, 300])
+def test_a_misfit_at_any_depth_makes_one_mismatch(monkeypatch, depth):
+    """Each node's check knows its path from the root, so the misfit's one
+    Mismatch is the finding; none is rebuilt at each level on the way out."""
+    made = []
+
+    def counted(path, message):
+        made.append(path)
+        return Mismatch(path, message)
+
+    monkeypatch.setattr(adt, "Mismatch", counted)
+    t, v, path = Prim("Nat"), PrimVal("String", "x"), []
+    for level in range(depth):
+        if level % 2:
+            t, v = Prod(One(), t), Pair(Unit(), v)
+        else:
+            t, v = Sum(One(), t), Inr(v)
+        path.insert(0, "snd" if level % 2 else "inr")
+    assert check_value(v, t, Schema({}), {}) == Mismatch(
+        tuple(path), "expected a Nat literal, found a String literal")
+    assert len(made) == 1

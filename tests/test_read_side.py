@@ -13,7 +13,7 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-from apg.adt import (Enc, IdTable, Inl, Inr, Left, Pair, PairId, Ref, ValueFault, render_id,
+from apg.adt import (Enc, IdTable, Inl, Inr, Left, Pair, PairId, Ref, render_id,
                      transport_value)
 from apg.errors import ParseError, ValidationFailure
 from apg.files import (
@@ -48,10 +48,7 @@ def reference_graph_from_json(doc):
         if not (isinstance(entry, dict) and len(entry) == 2 and "label" in entry
                 and "value" in entry and isinstance(entry["label"], str)):
             _reject_entry(entry, f"elements.{id_text}")
-        try:
-            value = _value(entry["value"], schema.registry, ids)
-        except ValueFault as bad:
-            raise ParseError(f"elements.{id_text}.value{bad.path_text()}: {bad}") from None
+        value = _value(entry["value"], schema.registry, ids, f"elements.{id_text}.value")
         elements[e] = Element(entry["label"], value)
     if len(elements) != len(raw):
         _reject_equal_ids(raw, "elements")
