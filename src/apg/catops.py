@@ -263,21 +263,14 @@ def equalizer(h: Morphism, j: Morphism) -> ConstructionResult:
         l: Sum(One(), Lbl(l)) if l in surviving else One()
         for l in g.schema.labels
     }
-
-    def move(e: ElementId):
-        el = g.elements[e]
-        if el.label not in surviving:
-            return Unit()
-        if h.on_elements.get(e) == j.on_elements.get(e):
-            return Inr(Ref(e))
-        return Inl(Unit())
-
+    kept = [e for e in g.sorted_ids() if g.elements[e].label in surviving
+            and h.on_elements.get(e) == j.on_elements.get(e)]
+    unit, absent = Unit(), Inl(Unit())
+    image = {e: absent if el.label in surviving else unit for e, el in g.elements.items()}
+    image.update((e, Inr(Ref(e))) for e in kept)
     labels = {l: transport_type(f, g.schema.labels[l]) for l in surviving}
-    elements = {}
-    for e in g.sorted_ids():
-        el = g.elements[e]
-        if el.label in surviving and h.on_elements.get(e) == j.on_elements.get(e):
-            elements[e] = Element(el.label, transport_value(move, el.value))
+    elements = {e: Element(g.elements[e].label, transport_value(image, g.elements[e].value))
+                for e in kept}
     graph = Graph(Schema(labels, g.schema.registry), elements)
     leg = Morphism(graph, g, {l: l for l in labels}, {e: e for e in elements})
     return ConstructionResult(graph, {"eq": leg})

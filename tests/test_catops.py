@@ -299,6 +299,15 @@ def test_equalizer_keeps_unit_for_a_reference_into_a_dropped_label():
     assert validate_graph(r.graph).ok
 
 
+def test_equalizer_refuses_a_dangling_reference_as_the_other_constructions_do():
+    g = graph_of({"V": "1", "E": "V"}, {"v": ("V", Unit()), "e": ("E", Ref(Atom("ghost")))})
+    for construct in (lambda: equalizer(identity(g), identity(g)),
+                      lambda: coequalizer(identity(g), identity(g)),
+                      lambda: coproduct(g, g), lambda: pushout(identity(g), identity(g))):
+        with pytest.raises(PreconditionError, match="^element ghost outside the transport domain$"):
+            construct()
+
+
 def test_equalizer_needs_a_parallel_pair():
     with pytest.raises(PreconditionError):
         equalizer(identity(fixture("names.apg")), identity(fixture("edges.apg")))
