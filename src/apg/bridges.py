@@ -313,7 +313,8 @@ def write_tableset(tables: TableSet, directory):
     manifest = {}
     for label in sorted(tables.tables):
         table = tables.tables[label]
-        filename = _quote(label) + ".csv" if label else "unlabeled.csv"
+        # _quote never writes a "%75" (u is unreserved), so no two labels share a file
+        filename = {"": "unlabeled", "unlabeled": "%75nlabeled"}.get(label, _quote(label)) + ".csv"
         manifest[label] = {
             "file": filename,
             "columns": [

@@ -201,6 +201,14 @@ def test_csv_handles_the_unlabeled_label(tmp_path):
     assert import_relational(read_tableset(tmp_path), g.schema) == g
 
 
+def test_csv_gives_the_unlabeled_label_and_the_label_unlabeled_their_own_files(tmp_path):
+    g = graph_of({"": "1", "unlabeled": "1"}, {"a": ("", Unit()), "b": ("unlabeled", Unit())})
+    write_tableset(export_relational(g), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "%75nlabeled.csv", "manifest.json", "unlabeled.csv"]
+    assert import_relational(read_tableset(tmp_path), g.schema) == g
+
+
 def _refs(v: Value):
     if isinstance(v, Ref):
         yield v.element
