@@ -774,7 +774,9 @@ def checker(t: TypeExpr, registry: PrimRegistry):
 
 
 def _checker(t: TypeExpr, registry: PrimRegistry, path: tuple):
-    """checker(t, registry) for the node t at path in the type being checked."""
+    """checker(t, registry) for the node t at path in the type being checked:
+    path is a chain (innermost step, path of the parent), () at the root, so
+    the nodes share their common steps and the build stays linear in depth."""
     if isinstance(t, Lbl):
         name = t.name
         return lambda v, look: (None if type(v) is Ref and look(v.element) == name
@@ -787,8 +789,8 @@ def _checker(t: TypeExpr, registry: PrimRegistry, path: tuple):
         return lambda v, look: (None if type(v) is Unit and isinstance(t, One)
                                 else _mismatch(t, v, look, path))
     pair = isinstance(t, Prod)
-    left = _checker(t.left, registry, path + ("fst" if pair else "inl",))  # a frame per level
-    right = _checker(t.right, registry, path + ("snd" if pair else "inr",))
+    left = _checker(t.left, registry, ("fst" if pair else "inl", path))  # a frame per level
+    right = _checker(t.right, registry, ("snd" if pair else "inr", path))
     if pair:
         return lambda v, look: (left(v.first, look) or right(v.second, look) if type(v) is Pair
                                 else _mismatch(t, v, look, path))
@@ -797,8 +799,14 @@ def _checker(t: TypeExpr, registry: PrimRegistry, path: tuple):
                             else _mismatch(t, v, look, path))
 
 
-def _mismatch(t: TypeExpr, v: Value, look, path: tuple) -> Mismatch:
-    """Why the node t at path refuses the value v, whose parts it has not checked."""
+def _mismatch(t: TypeExpr, v: Value, look, chain: tuple) -> Mismatch:
+    """Why the node t at the chain _checker built refuses the value v, whose
+    parts it has not checked."""
+    steps = []
+    while chain:
+        step, chain = chain
+        steps.append(step)
+    path = tuple(reversed(steps))
     if isinstance(t, Lbl):
         if not isinstance(v, Ref) or not isinstance(v.element, _IDS):
             return Mismatch(path, f"expected a reference to {t.name}, found {_describe(v)}")
