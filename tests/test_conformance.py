@@ -202,7 +202,6 @@ def test_a_900_deep_sum_with_a_bad_leaf_is_one_finding(tmp_path):
         1, "", "error: a" + ".inr" * depth + ": literal -1 is outside the Nat domain\n")
 
 
-
 @pytest.mark.parametrize("depth", [1, 50, 300])
 def test_a_misfit_at_any_depth_makes_one_mismatch(monkeypatch, depth):
     """Each node's check knows its path from the root, so the misfit's one
