@@ -800,8 +800,8 @@ def _checker(t: TypeExpr, registry: PrimRegistry, path: tuple):
 
 
 def _mismatch(t: TypeExpr, v: Value, look, chain: tuple) -> Mismatch:
-    """Why the node t at the chain _checker built refuses the value v, whose
-    parts it has not checked."""
+    """Why the node t refuses the value v, whose parts it has not checked;
+    chain is t's path as _checker holds it, made a tuple only here."""
     steps = []
     while chain:
         step, chain = chain
