@@ -765,18 +765,16 @@ def check_value(value: Value, expected: TypeExpr, schema, label_of) -> Mismatch 
 
 
 def checker(t: TypeExpr, registry: PrimRegistry):
-    """The check of values against t, built once: check(v, look) is None
-    when v inhabits t, else the first Mismatch, written only then.  look(e)
-    is the label of element e, or None when there is none.  Each node's
-    check is built knowing its path from the root, so a misfit at any depth
-    makes one Mismatch."""
+    """The check of values against t, built once: check(v, look) is None when
+    v inhabits t, else the first Mismatch, written only then.  look(e) is the
+    label of element e, or None.  Each node's check is built knowing its path
+    from the root, so a misfit at any depth makes one Mismatch."""
     return _checker(t, registry, ())
 
 
 def _checker(t: TypeExpr, registry: PrimRegistry, path: tuple):
-    """checker(t, registry) for the node t at path in the type being checked:
-    path is a chain (innermost step, path of the parent), () at the root, so
-    the nodes share their common steps and the build stays linear in depth."""
+    """checker(t, registry) for the node t at path, a chain as unwind_path
+    reads it: the nodes share their common steps, so the build is linear."""
     if isinstance(t, Lbl):
         name = t.name
         return lambda v, look: (None if type(v) is Ref and look(v.element) == name
@@ -799,25 +797,28 @@ def _checker(t: TypeExpr, registry: PrimRegistry, path: tuple):
                             else _mismatch(t, v, look, path))
 
 
-def _mismatch(t: TypeExpr, v: Value, look, chain: tuple) -> Mismatch:
-    """Why the node t refuses the value v, whose parts it has not checked;
-    chain is t's path as _checker holds it, made a tuple only here."""
+def unwind_path(chain: tuple) -> tuple:
+    """The steps, outermost first, of the place chain names: (innermost step,
+    chain of the parent), () at the root, so places below share their steps."""
     steps = []
     while chain:
         step, chain = chain
         steps.append(step)
-    path = tuple(reversed(steps))
+    return tuple(reversed(steps))
+
+
+def _mismatch(t: TypeExpr, v: Value, look, chain: tuple) -> Mismatch:
+    """Why the node t refuses the value v, whose parts it has not checked;
+    chain is t's path as _checker holds it."""
+    path = unwind_path(chain)
     if isinstance(t, Lbl):
         if not isinstance(v, Ref) or not isinstance(v.element, _IDS):
             return Mismatch(path, f"expected a reference to {t.name}, found {_describe(v)}")
         target_label = look(v.element)
         if target_label is None:
             return Mismatch(path, f"reference to missing element {render_id(v.element)}")
-        return Mismatch(
-            path,
-            f"expected a reference to {t.name}, found one to "
-            f"{render_id(v.element)} labeled {target_label}",
-        )
+        return Mismatch(path, f"expected a reference to {t.name}, found one to "
+                              f"{render_id(v.element)} labeled {target_label}")
     if isinstance(t, Prim):
         if not isinstance(v, PrimVal):
             return Mismatch(path, f"expected a {t.name} literal, found {_describe(v)}")

@@ -20,8 +20,8 @@ that does not fit, or whose graph has any finding, is decoded again the
 plain way, form by form, with validate_graph writing the report, so bad
 input fails as it always did.  Each distinct id text is parsed once and
 gets one Ref per document, whose element is the very object that keys the
-element.  The plain decode names each place inside a value on the way
-down ("elements.e1.value.snd.inl"), so a fault raises where it is found.
+element.  The plain decode passes each place inside a value down as a
+chain, written out ("elements.e1.value.snd.inl") only where a fault raises.
 Reading a schema drops each element as the parser closes it.
 
 Morphism documents carry {"onLabels", "onElements"} and are interpreted
@@ -53,6 +53,7 @@ from .adt import (
     parse_type,
     render_id,
     render_type,
+    unwind_path,
 )
 from .errors import InvalidJSON, ParseError, ValidationFailure
 from .graph import Element, Graph, Schema, conformance, validate_graph, validate_schema
@@ -187,41 +188,43 @@ def value_to_json(v: Value):
     return {"ref": render_id(v.element)}
 
 
-def _value(raw, registry: PrimRegistry, ids: IdTable, where: str) -> Value:
-    """The value of raw, which lies at the place where in its document
-    ("elements.e1.value"); each part is read at its own place below it
-    (where + ".fst"), so a fault raises ParseError naming the place it is found."""
+def _value(raw, registry: PrimRegistry, ids: IdTable, place: tuple) -> Value:
+    """The value of raw at place, a chain as unwind_path reads it, rooted at
+    ("elements.e1.value", ()); a fault raises ParseError naming where it is."""
     if not isinstance(raw, dict) or len(raw) != 1:
-        raise ParseError(f"{where}: a value is an object with exactly one of "
-                         "unit/pair/inl/inr/prim/ref")
+        raise _fault(place, "a value is an object with exactly one of unit/pair/inl/inr/prim/ref")
     (form, body), = raw.items()
     if form == "ref":
         if not isinstance(body, str):
-            raise ParseError(f"{where}: ref carries an id string")
+            raise _fault(place, "ref carries an id string")
         try:
             return Ref(ids[body])
         except ParseError as err:
-            raise ParseError(f"{where}: {err}") from None
+            raise _fault(place, err) from None
     if form == "pair":
         if not isinstance(body, list) or len(body) != 2:
-            raise ParseError(f"{where}: pair carries a two-element list")
-        return Pair(_value(body[0], registry, ids, where + ".fst"),
-                    _value(body[1], registry, ids, where + ".snd"))
+            raise _fault(place, "pair carries a two-element list")
+        return Pair(_value(body[0], registry, ids, ("fst", place)),
+                    _value(body[1], registry, ids, ("snd", place)))
     if form == "prim":
         if not isinstance(body, dict) or len(body) != 2 or "type" not in body or "value" not in body:
-            raise ParseError(f'{where}: prim carries {{"type", "value"}}')
+            raise _fault(place, 'prim carries {"type", "value"}')
         name = body["type"]
         if not isinstance(name, str):
-            raise ParseError(f"{where}: primitive type name must be a string")
+            raise _fault(place, "primitive type name must be a string")
         return PrimVal(name, registry.coerce(name, body["value"]))
     if form == "unit":
         if body != {}:
-            raise ParseError(f"{where}: unit carries an empty object")
+            raise _fault(place, "unit carries an empty object")
         return Unit()
     if form == "inl" or form == "inr":
-        inner = _value(body, registry, ids, f"{where}.{form}")
+        inner = _value(body, registry, ids, (form, place))
         return Inl(inner) if form == "inl" else Inr(inner)
-    raise ParseError(f"{where}: unknown value form {form!r}")
+    raise _fault(place, f"unknown value form {form!r}")
+
+
+def _fault(place: tuple, message) -> ParseError:
+    return ParseError(f"{'.'.join(unwind_path(place))}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +295,7 @@ def graph_from_json(doc: dict, validate: bool = False, ids: IdTable | None = Non
         if not built:
             _reject_entry(entry, f"elements.{id_text}")
             entry = Element(entry["label"], _value(entry["value"], schema.registry, ids,
-                                                   f"elements.{id_text}.value"))
+                                                   (f"elements.{id_text}.value", ())))
         elif type(entry) is not Element:
             raise ParseError(f"elements.{id_text}: not a well-formed entry")
         elements[e] = entry

@@ -11,6 +11,7 @@ import json
 import random
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from apg.adt import (Enc, IdTable, Inl, Inr, Left, Pair, PairId, Ref, render_id,
@@ -48,7 +49,7 @@ def reference_graph_from_json(doc):
         if not (isinstance(entry, dict) and len(entry) == 2 and "label" in entry
                 and "value" in entry and isinstance(entry["label"], str)):
             _reject_entry(entry, f"elements.{id_text}")
-        value = _value(entry["value"], schema.registry, ids, f"elements.{id_text}.value")
+        value = _value(entry["value"], schema.registry, ids, (f"elements.{id_text}.value", ()))
         elements[e] = Element(entry["label"], value)
     if len(elements) != len(raw):
         _reject_equal_ids(raw, "elements")
@@ -385,3 +386,25 @@ def test_the_read_peaks_below_twice_the_graph_it_returns():
         tracemalloc.stop()
     assert len(graph.elements) == 16000
     assert peak <= 2 * size, (peak, size)
+
+
+def test_a_fault_deep_under_a_long_id_holds_the_id_once_per_copy_not_per_level():
+    """The plain decode passes each place down as a chain and writes it out
+    only in the error, so d levels under an id of n characters peak near a
+    few copies of the id; one place string per level held d copies."""
+    id_text, depth = "e" * 100_000, 300
+    raw = {"bogus": 1}
+    for _ in range(depth):
+        raw = {"inl": raw}
+    text = json.dumps({"schema": {"A": "1"},
+                       "elements": {id_text: {"label": "A", "value": raw}}})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            read_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (f"elements.{id_text}.value" + ".inl" * depth
+                              + ": unknown value form 'bogus'")
+    assert peak < 10 * len(id_text), peak
