@@ -171,15 +171,15 @@ def _spread(v, line):
     return [Pair(a, b) for a, b in zip(first, second)]
 
 
-def _relink(graph: Graph, images: dict):
-    """relink(el): el's value with each reference to e replaced by one to
-    images[e].  A label-free label's value is kept as it is, so an
-    unvalidated graph's reference there still names an input element, and
-    the Refs are made only when some element's label is not one of those."""
+def _relink(graph: Graph, image):
+    """relink(el): el's value with each reference to e replaced by image()[e].
+    A label-free label's value is kept as it is, so an unvalidated graph's
+    reference there still names an input element, and image is called only
+    when some element's label is not one of those."""
     free = {l for l, t in graph.schema.labels.items() if label_free(t)}
     bound = any(el.label not in free for el in graph.elements.values())
-    refs = {e: Ref(t) for e, t in images.items()} if bound else {}
-    return lambda el: el.value if el.label in free else transport_value(refs, el.value)
+    values = image() if bound else {}
+    return lambda el: el.value if el.label in free else transport_value(values, el.value)
 
 
 def pair(f: Morphism, g: Morphism) -> Morphism:
@@ -211,7 +211,7 @@ def _tagged_union(g1: Graph, g2: Graph, schema: Schema, left_prefix: str,
         # One tagged id per element: the element key, the leg image and the
         # target of every Ref to it are the same object.
         on_elements = {e: tag(e) for e in g.sorted_ids()}
-        relink = _relink(g, on_elements)
+        relink = _relink(g, lambda: {e: Ref(t) for e, t in on_elements.items()})
         for e, t in on_elements.items():
             el = g.elements[e]
             elements[t] = Element(prefix + el.label, relink(el))
@@ -253,7 +253,7 @@ def equalizer(h: Morphism, j: Morphism) -> ConstructionResult:
 
     Label references inside surviving declared types weaken to an option
     (1 + l when l survives, plain 1 otherwise), and stored values wrap or
-    collapse their references to match.
+    collapse their references to match, through _relink.
     """
     if h.source != j.source or h.target != j.target:
         raise PreconditionError("not a parallel pair")
@@ -263,14 +263,13 @@ def equalizer(h: Morphism, j: Morphism) -> ConstructionResult:
         l: Sum(One(), Lbl(l)) if l in surviving else One()
         for l in g.schema.labels
     }
-    kept = [e for e in g.sorted_ids() if g.elements[e].label in surviving
-            and h.on_elements.get(e) == j.on_elements.get(e)]
+    kept = {e: g.elements[e] for e in g.sorted_ids() if g.elements[e].label in surviving
+            and h.on_elements.get(e) == j.on_elements.get(e)}
     unit, absent = Unit(), Inl(Unit())
-    image = {e: absent if el.label in surviving else unit for e, el in g.elements.items()}
-    image.update((e, Inr(Ref(e))) for e in kept)
+    relink = _relink(g, lambda: {e: Inr(Ref(e)) if e in kept else absent if el.label in surviving
+                                 else unit for e, el in g.elements.items()})
     labels = {l: transport_type(f, g.schema.labels[l]) for l in surviving}
-    elements = {e: Element(g.elements[e].label, transport_value(image, g.elements[e].value))
-                for e in kept}
+    elements = {e: Element(el.label, relink(el)) for e, el in kept.items()}
     graph = Graph(Schema(labels, g.schema.registry), elements)
     leg = Morphism(graph, g, {l: l for l in labels}, {e: e for e in elements})
     return ConstructionResult(graph, {"eq": leg})
@@ -341,7 +340,7 @@ def _quotient(schema: Schema, inputs, pairs: Iterable[tuple[int, int]], rank):
                 cls = classes[roots[i]] = Class(tag(ids[least[roots[i]]]))
                 first.append(least[roots[i]])
             on_elements[e] = cls
-        relink = _relink(g, on_elements)
+        relink = _relink(g, lambda: {e: Ref(c) for e, c in on_elements.items()})
         for i in sorted(first, key=rank.__getitem__):
             elements[classes[roots[i]]] = Element(els[i].label, relink(els[i]))
         maps.append(on_elements)
