@@ -341,12 +341,9 @@ def main(argv=None) -> int:
         except ValidationFailure as err:
             _report(err.report)
             return 1
-        except ParseError as err:
-            _report(f"error: {err}")
-            return 2
         except ApgError as err:
             _report(f"error: {err}")
-            return 1
+            return 2 if isinstance(err, ParseError) else 1
         except RecursionError:
             _report("error: input is nested too deeply to process")
             return 2

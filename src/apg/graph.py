@@ -65,8 +65,7 @@ class Finding(Record):
     __slots__ = {"subject": "str", "path": "str", "message": "str"}
 
     def __str__(self) -> str:
-        where = self.subject + self.path if self.path else self.subject
-        return f"error: {where}: {self.message}"
+        return f"error: {self.subject}{self.path}: {self.message}"
 
 
 class ValidationReport(Record, frozen=False):
