@@ -191,6 +191,16 @@ def test_the_coproduct_makes_refs_only_for_label_typed_values(monkeypatch):
     assert len(refs) > 0
 
 
+def test_the_equalizer_makes_refs_only_for_label_typed_values(monkeypatch):
+    refs = []
+    monkeypatch.setattr(catops, "Ref", lambda e: refs.append(e) or Ref(e))
+    plates = fixture("plates1.apg")
+    assert len(equalizer(identity(plates), identity(plates)).graph.elements) > 0
+    assert len(refs) == 0  # every label of the plates is label-free
+    equalizer(identity(fixture("edges.apg")), identity(fixture("edges.apg")))
+    assert len(refs) > 0
+
+
 def _refs_in(v):
     stack = [v]
     while stack:
