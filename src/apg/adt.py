@@ -798,8 +798,8 @@ def _checker(t: TypeExpr, registry: PrimRegistry, path: tuple):
 
 
 def unwind_path(chain: tuple) -> tuple:
-    """The steps, outermost first, of the place chain names: (innermost step,
-    chain of the parent), () at the root, so places below share their steps."""
+    """The steps, outermost first, of the place that chain names: (innermost
+    step, chain of the parent), () at the root; places below one share it."""
     steps = []
     while chain:
         step, chain = chain
