@@ -3,9 +3,9 @@
 The data model is a tiny algebraic one: types are built from the empty type
 ``0``, the unit type ``1``, binary sums and products, named primitive types,
 and references to labels; values mirror the type constructors, with element
-references standing in for label-typed positions.  Everything is an
-immutable Record, compared structurally and safe to share or use as a dict
-key; composite ids compute their hash once, when they are made.
+references standing in for label-typed positions.  A plain id is its text;
+all else is an immutable Record, compared structurally and safe to share or
+use as a dict key; composite ids compute their hash once, when made.
 
 This module also owns the concrete syntax: type expressions ("User * String"),
 canonical element-id renderings ("(p1,q1)", "L:a", "E:record:@e1"), and the
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from abc import ABC
 from operator import attrgetter
 from typing import Callable, Iterator, Mapping, TypeAlias, Union
 
@@ -105,7 +106,6 @@ DEFAULT_REGISTRY = PrimRegistry(DEFAULT_KINDS)
 # ---------------------------------------------------------------------------
 # Records
 
-_set = object.__setattr__  # how Atom stores its text past Record.__setattr__
 _OMITTED = object()  # the default of an optional field's parameter
 
 
@@ -134,9 +134,9 @@ class Record:
     """Base of the package's records: compared and hashed by class and
     fields, printed like dataclasses, immutable unless declared frozen=False
     (then also unhashable).  __slots__ maps each field to its type's text.
-    Each class with fields, but Atom, is built by one constructor that its
-    first build writes out from its fields (see _constructor): it takes them
-    by position or keyword, with a factory in _defaults for each optional one.
+    Each class with fields is built by one constructor that its first build
+    writes out from its fields (see _constructor): it takes them by position
+    or keyword, with a factory in _defaults for each optional one.
     """
 
     __slots__ = ()
@@ -150,7 +150,7 @@ class Record:
         if "__init__" not in cls.__dict__:  # so no class builds with its parent's constructor
             cls.__init__ = Record.__init__ if cls._fields else object.__init__
         if not frozen:
-            cls.__setattr__, cls.__delattr__, cls.__hash__ = _set, object.__delattr__, None
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, *args, **kwargs):
         """Write out the class's own constructor, keep it, and build with it."""
@@ -295,25 +295,17 @@ Value: TypeAlias = Union[Unit, Inl, Inr, Pair, PrimVal, Ref]
 _ATOM_RE = re.compile(r"[A-Za-z0-9_.\-⊤]+")
 
 
-class Atom(Record):
-    """A plain element id such as "p1"; it hashes as its text does."""
+class Atom(ABC):
+    """A plain element id such as "p1" is its text: Atom(text) checks the text
+    and returns it as an exact str.  Every str, checked or not, is an Atom."""
 
-    __slots__ = {"text": "str"}
-
-    def __init__(self, text: str):
-        if not _ATOM_RE.fullmatch(text):
+    def __new__(cls, text: str) -> str:
+        if not (isinstance(text, str) and _ATOM_RE.fullmatch(text)):
             raise ParseError(f"bad element id {text!r}")
-        _set(self, "text", text)
-
-    def __hash__(self):
-        return hash(self.text)
+        return str(text)
 
 
-def _atom(text: str) -> Atom:
-    """The Atom of a text already matched against _ATOM_RE, not matched again."""
-    atom = object.__new__(Atom)
-    _set(atom, "text", text)
-    return atom
+Atom.register(str)
 
 
 class _Composite(Record):
@@ -364,8 +356,8 @@ ElementId: TypeAlias = Union[Atom, PairId, Left, Right, Class, Enc]
 # Canonical renderings
 
 def render_id(e: ElementId) -> str:
-    if isinstance(e, Atom):
-        return e.text
+    if isinstance(e, str):
+        return e
     if isinstance(e, PairId):
         return f"({render_id(e.first)},{render_id(e.second)})"
     if isinstance(e, Left):
@@ -493,7 +485,7 @@ class _Scanner:
             label = self.label_name()
             self.take(":")
             return Enc(label, self.value())
-        return _atom(self.atom_run())
+        return self.atom_run()
 
     def label_name(self) -> str:
         """A label name: an atom run, a prefixed name, or a comma pair."""
@@ -537,7 +529,7 @@ class _Scanner:
 
 def parse_id(text: str) -> ElementId:
     if _ATOM_RE.fullmatch(text):  # no structured id is a single atom run
-        return _atom(text)
+        return text
     s = _Scanner(text)
     result = s.id_()
     if s.pos != len(text):
@@ -740,7 +732,7 @@ class Mismatch(Record):
 
 
 _DESCRIBED = {Unit: "()", Pair: "a pair", Inl: "a left injection", Inr: "a right injection"}
-_IDS = (Atom, _Composite)  # the classes of ElementId
+_IDS = (str, _Composite)  # the classes of ElementId
 
 
 def _describe(v: Value) -> str:

@@ -170,8 +170,7 @@ def _layout(t: TypeExpr, name: str, label: str, registry, iri=_element_iri):
             used.add(name)
             cell = cells[name]
             if isinstance(t, Lbl):
-                if isinstance(cell, str):
-                    cell = parse_id(cell)
+                cell = parse_id(cell) if isinstance(cell, str) else cell
                 if not isinstance(cell, _IDS):
                     raise ParseError(f"cell {spot} of {label!r} is not an element id")
                 return Ref(cell)
@@ -342,7 +341,7 @@ def write_tableset(tables: TableSet, directory):
 
 def read_tableset(directory) -> TableSet:
     """The table set write_tableset wrote; a malformed or unreadable manifest
-    entry or table raises ParseError naming it."""
+    entry or table, or one whose file is not a plain name, raises ParseError."""
     from pathlib import Path
 
     directory = Path(directory)
@@ -368,6 +367,9 @@ def read_tableset(directory) -> TableSet:
                 and isinstance(spec.get("columns"), list)):
             raise ParseError(f"bad manifest: entry {label!r} needs a string file "
                              f"and a list of columns")
+        if spec["file"] in ("", ".", "..") or Path(spec["file"]).name != spec["file"]:
+            raise ParseError(f"bad manifest: entry {label!r} names file {spec['file']!r}, "
+                             f"which is not a file name in {directory}")
         if not all(isinstance(c, dict) and isinstance(c.get("name"), str)
                    and isinstance(c.get("kind"), str) for c in spec["columns"]):
             raise ParseError(f"bad manifest: each column of entry {label!r} needs "

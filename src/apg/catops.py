@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .adt import (
-    Atom,
     Class,
     ElementId,
     Inl,
@@ -49,7 +48,7 @@ from .errors import PreconditionError
 from .graph import Element, Graph, Schema
 from .morphism import Morphism
 
-TERMINAL_LABEL = "⊤"
+TERMINAL_LABEL = "⊤"  # also the id of the one-point graph's one element
 
 
 class ConstructionResult(Record):
@@ -69,7 +68,7 @@ def initial_graph(registry=None) -> Graph:
 def terminal_graph(registry=None) -> Graph:
     labels = {TERMINAL_LABEL: One()}
     schema = Schema(labels, registry) if registry is not None else Schema(labels)
-    return Graph(schema, {Atom(TERMINAL_LABEL): Element(TERMINAL_LABEL, Unit())})
+    return Graph(schema, {TERMINAL_LABEL: Element(TERMINAL_LABEL, Unit())})
 
 
 def unique_morphism(graph: Graph, direction: str) -> Morphism:
@@ -82,7 +81,7 @@ def unique_morphism(graph: Graph, direction: str) -> Morphism:
             graph,
             terminal,
             {l: TERMINAL_LABEL for l in graph.schema.labels},
-            {e: Atom(TERMINAL_LABEL) for e in graph.elements},
+            {e: TERMINAL_LABEL for e in graph.elements},
         )
     raise PreconditionError(f"unknown direction {direction!r}")
 

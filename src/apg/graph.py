@@ -12,6 +12,8 @@ from itertools import combinations
 from typing import Iterator
 
 from .adt import (
+    _ATOM_RE,
+    _IDS,
     DEFAULT_REGISTRY,
     ElementId,
     Lbl,
@@ -113,12 +115,15 @@ def validate_schema(schema: Schema) -> ValidationReport:
 def validate_graph(graph: Graph) -> ValidationReport:
     """Schema well-formedness plus conformance of every element.
 
-    An empty report means the graph is valid: each element's label is
-    declared, its value inhabits the declared type, every reference lands on
-    an element of the referenced label, and every primitive literal lies in
-    its registered domain.
+    An empty report means the graph is valid: each element is keyed by an
+    element id, its label is declared, its value inhabits the declared type,
+    every reference lands on an element of the referenced label, and every
+    primitive literal lies in its registered domain.
     """
     report = validate_schema(graph.schema)
+    for e in sorted((e for e in graph.elements if not (
+            _ATOM_RE.fullmatch(e) if isinstance(e, str) else isinstance(e, _IDS))), key=repr):
+        report.add(repr(e), "", "not an element id")
     report.findings.extend(conformance(graph))
     return report
 
@@ -136,7 +141,8 @@ def conformance(graph: Graph) -> list[Finding]:
         miss = (Mismatch((), f"element has undeclared label {el.label!r}") if check is None
                 else check(el.value, look))
         if miss is not None:
-            found.append(Finding(render_id(e), miss.path_text(), miss.message))
+            subject = render_id(e) if isinstance(e, _IDS) else repr(e)
+            found.append(Finding(subject, miss.path_text(), miss.message))
     found.sort(key=lambda finding: finding.subject)
     return found
 

@@ -200,6 +200,14 @@ def test_custom_registry_rejects_bad_names():
 # ---------------------------------------------------------------------------
 # Ids
 
+def test_a_plain_id_is_its_checked_text():
+    assert Atom("a") == "a" and type(Atom("a")) is str
+    assert isinstance(parse_id("a"), Atom) and type(parse_id("a")) is str
+    for bad in ("a b", 5):
+        with pytest.raises(ParseError, match="bad element id"):
+            Atom(bad)
+
+
 def test_id_rendering_shapes():
     assert render_id(Atom("p1")) == "p1"
     assert render_id(PairId(Atom("a"), Atom("b"))) == "(a,b)"
@@ -415,7 +423,7 @@ def test_ids_and_values_are_immutable_values(seed):
     graphs = [random_graph(random.Random(seed)) for _ in range(2)]
     values = list(zip(*([el.value for el in g.elements.values()] for g in graphs)))
     for a, b in [tuple(ids)] + values:
-        assert a is not b
+        assert a is not b or isinstance(a, str)  # CPython may share equal texts
         assert a == b and not a != b and hash(a) == hash(b)
         for name in FIELD_NAMES:
             with pytest.raises(AttributeError):
@@ -430,8 +438,7 @@ def test_ids_and_values_are_immutable_values(seed):
 
 
 def test_records_print_like_dataclasses():
-    assert repr(PairId(Atom("a"), Left(Atom("b")))) == (
-        "PairId(first=Atom(text='a'), second=Left(inner=Atom(text='b')))")
+    assert repr(PairId(Atom("a"), Left(Atom("b")))) == "PairId(first='a', second=Left(inner='b'))"
     assert repr(Enc("l", PrimVal("Nat", 1))) == (
         "Enc(label='l', witness=PrimVal(prim='Nat', literal=1))")
     assert repr(Unit()) == "Unit()"

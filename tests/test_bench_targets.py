@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from apg import files
+from apg.adt import parse_id
 from apg.cli import main
 from apg.fixtures import path
 
@@ -43,6 +44,18 @@ def test_every_timed_span_is_traced(bench_modules):
     traced = {tracing.span_name(fn) for fn, _ in tracing.TARGETS}
     for name in set(run.FUNCTION_TIMES.values()) | REPORT_SPANS:
         assert name in traced | PROBE_SPANS, name
+
+
+def test_the_adt_probe_reads_plain_ids_as_atoms(bench_modules):
+    """bench/tracing.py tells a plain id by isinstance(e, adt.Atom), which a
+    plain id, a str, passes."""
+    _, tracing = bench_modules
+    assert tracing.id_depth(parse_id("a")) == 1
+    assert tracing.id_depth(parse_id("(a,L:b)")) == 3
+    graph = files.read_graph(path("trips.apg").read_text(encoding="utf-8"))
+    recorder = tracing.Recorder()
+    assert tracing.adt_probe(recorder, [graph]) == 1
+    assert [span.name for span in recorder.spans] == ["adt.hash", "adt.render"]
 
 
 def test_each_graph_writing_verb_streams_each_output_graph_once(tmp_path, monkeypatch, capsys):

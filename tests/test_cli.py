@@ -462,6 +462,22 @@ def test_malformed_table_sets_end_with_one_error_line(tmp_path, capsys, damage, 
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("name", ["../x.csv", "ABSOLUTE", "sub/x.csv", ".", ".."])
+def test_a_manifest_names_only_files_in_its_directory(tmp_path, capsys, name):
+    tables = tmp_path / "tables"
+    assert run(capsys, "export", "relational", fixture_path("trips.apg"),
+               "--out", str(tables))[0] == 0
+    for outside in (tmp_path / "x.csv", tables / "sub" / "x.csv"):  # readable, but not its own
+        outside.parent.mkdir(exist_ok=True)
+        outside.write_bytes((tables / "Trip.csv").read_bytes())
+    name = str(tmp_path / "x.csv") if name == "ABSOLUTE" else name
+    _edit_manifest(_set("Trip", "file", name))(tables)
+    code, out, err = run(capsys, "import", "relational", str(tables),
+                         "--schema", fixture_path("trips.apg"))
+    assert (code, out, err) == (2, "", f"error: bad manifest: entry 'Trip' names file "
+                                       f"{name!r}, which is not a file name in {tables}\n")
+
+
 def test_import_reads_only_the_schema_of_the_schema_file(tmp_path, capsys):
     tables = tmp_path / "tables"
     assert run(capsys, "export", "relational", fixture_path("trips.apg"),

@@ -156,3 +156,13 @@ def test_findings_are_listed_in_rendered_id_order():
         "error: e2.snd: reference to missing element v7",
         "error: v9: element has undeclared label 'Ghost'",
     ]
+
+
+def test_each_key_that_is_no_element_id_is_one_finding():
+    schema = Schema({"V": One()})
+    elements = {Atom("v1"): Element("V", Unit()), "a b": Element("V", Unit()),
+                5: Element("Ghost", Unit()), Left(Atom("x")): Element("V", Unit())}
+    report = validate_graph(Graph(schema, elements))
+    assert [str(f) for f in report] == ["error: 'a b': not an element id",
+                                        "error: 5: not an element id",
+                                        "error: 5: element has undeclared label 'Ghost'"]

@@ -9,6 +9,7 @@ import copy
 import gc
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -386,6 +387,26 @@ def test_the_read_peaks_below_twice_the_graph_it_returns():
         tracemalloc.stop()
     assert len(graph.elements) == 16000
     assert peak <= 2 * size, (peak, size)
+
+
+def test_a_plain_id_graph_reads_and_writes_without_a_python_hash():
+    """A plain id is its text, hashed in C: no dict or set keyed by ids runs
+    a Python __hash__ frame.  Plain ids that were records with a Python
+    __hash__ made 36,000 such calls here."""
+    text = vep_text(4000)
+    hashes = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__hash__":
+            hashes.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        written = write_graph(read_graph(text))
+    finally:
+        sys.setprofile(None)
+    assert written.count('"label"') == 16000
+    assert len(hashes) == 0, set(hashes)
 
 
 def test_a_fault_deep_under_a_long_id_holds_the_id_once_per_copy_not_per_level():

@@ -1,6 +1,6 @@
 """Every record class is built by one constructor, written out from its
 fields: by position and by keyword, with a fresh default for each optional
-field, equal records hashing equal however they were made; Atom alone has a
+field, equal records hashing equal however they were made; no record has a
 constructor of its own."""
 
 import ast
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import apg  # its __init__ loads every module that defines records
-from apg.adt import Atom, IdTable, Record, _Composite, parse_id, render_id
+from apg.adt import IdTable, Record, _Composite, parse_id, render_id
 
 from .generators import random_id
 
@@ -43,12 +43,12 @@ def test_the_walk_finds_the_records_of_every_module():
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
 def test_each_record_is_built_by_position_and_keyword(cls):
     fields = cls._fields
-    values = [f"{name}-value" for name in fields]  # each a valid Atom text too
+    values = [f"{name}-value" for name in fields]
     a, b = cls(*values), cls(**dict(zip(fields, values)))
     assert a is not b and a == b and not a != b
     assert [getattr(a, name) for name in fields] == values
-    if cls is not Atom:  # the first build installed the class's own constructor
-        assert cls.__dict__["__init__"] is not Record.__init__
+    # The first build installed the class's own constructor.
+    assert cls.__dict__["__init__"] is not Record.__init__
     for made in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert made == a and type(made) is cls
         if cls.__hash__ is not None:
@@ -120,8 +120,7 @@ def test_the_scan_finds_record_constructors_and_stores():
         "A.__init__", "B.__init__", "__init__ stores past __setattr__", "d stores past __setattr__"]
 
 
-def test_atom_is_the_only_record_with_a_constructor_of_its_own():
+def test_every_record_builds_through_its_written_constructor():
     found = {module.name: own_constructors(module.read_text(encoding="utf-8"))
              for module in sorted(SRC.glob("*.py"))}
-    assert {name: names for name, names in found.items() if names} == {"adt.py": [
-        "Atom.__init__", "__init__ stores past __setattr__", "_atom stores past __setattr__"]}
+    assert {name: names for name, names in found.items() if names} == {}
