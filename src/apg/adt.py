@@ -355,30 +355,37 @@ ElementId: TypeAlias = Union[Atom, PairId, Left, Right, Class, Enc]
 # ---------------------------------------------------------------------------
 # Canonical renderings
 
+# The renderers test exact classes, plain ids first, then the commonest:
+# a chain of isinstance tests costs more than the text it picks.
+
 def render_id(e: ElementId) -> str:
     if isinstance(e, str):
         return e
-    if isinstance(e, PairId):
-        return f"({render_id(e.first)},{render_id(e.second)})"
-    if isinstance(e, Left):
-        return "L:" + render_id(e.inner)
-    if isinstance(e, Right):
-        return "R:" + render_id(e.inner)
-    if isinstance(e, Class):
-        return "C:" + render_id(e.rep)
-    if isinstance(e, Enc):
+    kind = type(e)
+    if kind is PairId:
+        first, second = e.first, e.second
+        return (f"({first if type(first) is str else render_id(first)},"
+                f"{second if type(second) is str else render_id(second)})")
+    if kind is Enc:
         return f"E:{e.label}:{render_value(e.witness)}"
-    raise PreconditionError(f"cannot render a non-id {type(e).__name__} as an element id")
+    if kind is Left:
+        return "L:" + render_id(e.inner)
+    if kind is Right:
+        return "R:" + render_id(e.inner)
+    if kind is Class:
+        return "C:" + render_id(e.rep)
+    raise PreconditionError(f"cannot render a non-id {kind.__name__} as an element id")
 
 
 def render_value(v: Value) -> str:
-    if isinstance(v, Unit):
-        return "()"
-    if isinstance(v, Pair):
+    kind = type(v)
+    if kind is Pair:
         return f"({render_value(v.first)},{render_value(v.second)})"
-    if isinstance(v, (Inl, Inr)):
-        return f"{'inl' if isinstance(v, Inl) else 'inr'}({render_value(v.inner)})"
-    if isinstance(v, PrimVal):
+    if kind is Inl or kind is Inr:
+        return f"{'inl' if kind is Inl else 'inr'}({render_value(v.inner)})"
+    if kind is Unit:
+        return "()"
+    if kind is PrimVal:
         return f"{v.prim}={json.dumps(v.literal)}"
     return "@" + render_id(v.element)
 
@@ -535,6 +542,15 @@ def parse_id(text: str) -> ElementId:
     if s.pos != len(text):
         raise s.error("trailing characters in element id")
     return result
+
+
+def is_id(e) -> bool:
+    """True when e is an element id whose text parses back to it, as the key
+    of a written element must."""
+    try:
+        return parse_id(render_id(e)) == e
+    except (ParseError, PreconditionError, RecursionError, AttributeError, TypeError, ValueError):
+        return False
 
 
 class IdTable(dict):

@@ -11,7 +11,8 @@ main runs with CPython's cyclic garbage collector off (files.collector_paused)
 and gives the caller's setting back however it ends.  Values, ids and graphs
 are trees whose references name elements by id, so the collector would only
 walk them and find no cycles; what garbage a verb does leave (argparse's
-parser, the JSON encoder of a write) grows with neither elements nor labels.
+parser, the indenting JSON encoder of a table-set manifest) grows with
+neither elements nor labels.
 """
 
 from __future__ import annotations

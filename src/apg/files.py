@@ -24,6 +24,12 @@ element.  The plain decode passes each place inside a value down as a
 chain, written out ("elements.e1.value.snd.inl") only where a fault raises.
 Reading a schema drops each element as the parser closes it.
 
+Writing streams batches of whole elements.  Labels whose types have one
+shape, the type with its names erased, share one emitter, compiled from the
+shape once enough values take it to repay the compile; a value that takes
+none of its shape's forms, or whose label has no emitter, is written node by
+node.
+
 Morphism documents carry {"onLabels", "onElements"} and are interpreted
 against explicitly supplied source and target graphs.  Mapping documents
 carry two schemas plus {"onLabels", "onTerms"} with type expressions and
@@ -36,6 +42,9 @@ import gc
 import json
 import re
 import sys
+from collections import Counter
+from itertools import count, islice
+from operator import attrgetter
 
 from .adt import (
     DEFAULT_KINDS,
@@ -43,16 +52,22 @@ from .adt import (
     IdTable,
     Inl,
     Inr,
+    Lbl,
+    One,
     Pair,
+    Prim,
     PrimRegistry,
     PrimVal,
+    Prod,
     Ref,
+    Sum,
     Unit,
     Value,
     parse_id,
     parse_type,
     render_id,
     render_type,
+    type_nodes,
     unwind_path,
 )
 from .errors import InvalidJSON, ParseError, ValidationFailure
@@ -369,9 +384,23 @@ def _reject_entry(entry, spot: str):
 
 
 # graph_chunks emits the text _dump(graph_to_json(graph)) would, in one pass
-# over the graph: json.dumps with an indent runs the pure-Python encoder.
+# over the graph: json.dumps with an indent runs the pure-Python encoder, and
+# leaves its closures behind as cyclic garbage.
 
 _escape = json.encoder.encode_basestring  # the escaper behind ensure_ascii=False
+_NL = "\n      "  # the indent of an element's label and value
+_COMPILE_AT = 128  # values per form of a shape that repay compiling its emitter
+_MAX_NODES, _MAX_FORMS = 64, 32  # the largest type an emitter is compiled for
+_BATCH = 1 << 14  # characters of whole elements per chunk, about
+
+
+def _literal(literal, deeper: str) -> str:
+    """The JSON text of a primitive literal, nested at the indent deeper ends in."""
+    if isinstance(literal, str):
+        return _escape(literal)
+    if isinstance(literal, (dict, list, tuple)):  # only without validation
+        return _encode(literal, deeper)
+    return json.dumps(literal)
 
 
 def _emit_value(v: Value, nl: str, out: list):
@@ -380,15 +409,8 @@ def _emit_value(v: Value, nl: str, out: list):
     kind = type(v)
     if kind is PrimVal:
         deeper = inner + "  "
-        literal = v.literal
-        if isinstance(literal, str):
-            text = _escape(literal)
-        elif isinstance(literal, (dict, list, tuple)):  # only without validation
-            text = _encode(literal, deeper)
-        else:
-            text = json.dumps(literal)
         out.append(f'{{{inner}"prim": {{{deeper}"type": {_escape(v.prim)},'
-                   f'{deeper}"value": {text}{inner}}}{nl}}}')
+                   f'{deeper}"value": {_literal(v.literal, deeper)}{inner}}}{nl}}}')
     elif kind is Pair:
         deeper = inner + "  "
         out.append(f'{{{inner}"pair": [{deeper}')
@@ -406,22 +428,138 @@ def _emit_value(v: Value, nl: str, out: list):
         out.append(f'{{{inner}"ref": {_escape(render_id(v.element))}{nl}}}')
 
 
+def _forms(t, src: str, nl: str, nodes) -> list:
+    """Each form a value of the type t can take, one per choice at each sum,
+    as (tests, template, leaves): the tests that the value src has that
+    form, its text nested at the indent nl ends in with a %s per leaf, and
+    the expressions of the leaves' texts.  Each value node tested is bound
+    to a name from nodes."""
+    inner, kind = nl + "  ", type(t)
+    if kind is One:
+        return [([f"type({src}) is Unit"], f'{{{inner}"unit": {{}}{nl}}}', [])]
+    node = f"n{next(nodes)}"
+    if kind is Prim:
+        deeper = inner + "  "
+        return [([f"type({node} := {src}) is PrimVal"],
+                 f'{{{inner}"prim": {{{deeper}"type": %s,{deeper}"value": %s{inner}}}{nl}}}',
+                 [f"_escape({node}.prim)", f"(_escape(x) if type(x := {node}.literal) is str "
+                                           f"else _literal(x, {deeper!r}))"])]
+    if kind is Lbl:
+        return [([f"type({node} := {src}) is Ref"], f'{{{inner}"ref": %s{nl}}}',
+                 [f"_escape(x if type(x := {node}.element) is str else render_id(x))"])]
+    if kind is Sum:
+        return [([f"type({node} := {src}) is {side}", *tests],
+                 f'{{{inner}"{side.lower()}": {template}{nl}}}', leaves)
+                for side, part in (("Inl", t.left), ("Inr", t.right))
+                for tests, template, leaves in _forms(part, f"{node}.inner", inner, nodes)]
+    if kind is Prod:
+        deeper = inner + "  "
+        lefts = _forms(t.left, f"{node}.first", deeper, nodes)
+        rights = _forms(t.right, f"{node}.second", deeper, nodes)
+        return [([f"type({node} := {src}) is Pair", *tests1, *tests2],
+                 f'{{{inner}"pair": [{deeper}{text1},{deeper}{text2}{inner}]{nl}}}',
+                 [*leaves1, *leaves2])
+                for tests1, text1, leaves1 in lefts for tests2, text2, leaves2 in rights]
+    return []  # the empty type
+
+
+def _compile(t):
+    """The emitter of the values of t's shape: emit(key, label, v) is the
+    text of an element whose id and label texts are key and label and whose
+    value is v, or None when v takes no form of t.  Each form's text is one
+    f-string (a % format of the same template takes four times as long)
+    whose literal parts are structure only, so labels whose types differ in
+    names alone share the emitter."""
+    scope = {"Unit": Unit, "Pair": Pair, "Inl": Inl, "Inr": Inr, "PrimVal": PrimVal,
+             "Ref": Ref, "_escape": _escape, "_literal": _literal, "render_id": render_id}
+    lines = ["def emit(key, label, v):"]
+    for tests, template, leaves in _forms(t, "v", _NL, count()):
+        text = _escape(f'%s: {{\n      "label": %s,{_NL}"value": {template}\n    }}')
+        fields = ("{key}", "{label}", *(f"{{a{j}}}" for j in range(len(leaves))))
+        lines.append(f"    if {' and '.join(tests)}:")
+        lines.extend(f"        a{j} = {leaf}" for j, leaf in enumerate(leaves))
+        lines.append("        return f" + text.replace("{", "{{").replace("}", "}}") % fields)
+    exec("\n".join(lines), scope)
+    return scope.pop("emit")  # so the function and its globals hold no cycle
+
+
+def _form_count(shape: tuple) -> int:
+    """How many forms the values of a type take whose shape, its node classes
+    in type_nodes order, is shape."""
+    counts = []
+    for kind in reversed(shape):
+        if kind is Sum or kind is Prod:
+            left, right = counts.pop(), counts.pop()
+            counts.append(left + right if kind is Sum else left * right)
+        else:
+            counts.append(kind is One or kind is Prim or kind is Lbl)
+    return counts[0]
+
+
+def _emitters(graph: Graph) -> dict:
+    """label -> (its escaped text, the emitter of its values or None).  Labels
+    whose types have one shape, the types with names erased, share one
+    emitter, compiled for a shape within the bounds whose values repay the
+    compile: _COMPILE_AT for each of its forms.  A type's shape is read by
+    type_nodes, so a type of any depth is measured, and one past _MAX_NODES
+    is read no further."""
+    counts = Counter(map(attrgetter("label"), graph.elements.values()))
+    by_shape: dict[tuple, list] = {}
+    for label, t in graph.schema.labels.items():
+        shape = tuple(map(type, islice(type_nodes(t), _MAX_NODES + 1)))
+        by_shape.setdefault(shape, []).append(label)
+    plan = {}
+    for shape, labels in by_shape.items():
+        forms = _form_count(shape) if len(shape) <= _MAX_NODES else 0
+        emit = None
+        if 0 < forms <= _MAX_FORMS and sum(counts[label] for label in labels) >= _COMPILE_AT * forms:
+            emit = _compile(graph.schema.labels[labels[0]])
+        for label in labels:
+            plan[label] = _escape(label), emit
+    return plan
+
+
+def _head(schema: Schema) -> str:
+    """The text after the elements: the primitives list and the schema map."""
+    kinds = [_escape(name) if DEFAULT_KINDS.get(name) == kind else
+             f'{{\n      "kind": {_escape(kind)},\n      "name": {_escape(name)}\n    }}'
+             for name, kind in schema.registry.items()]
+    types = [f"{_escape(label)}: {_escape(render_type(schema.labels[label]))}"
+             for label in sorted(schema.labels)]
+    return (',\n  "primitives": ' + _block("[", kinds, "]") + ',\n  "schema": '
+            + _block("{", types, "}") + "\n}\n")
+
+
+def _block(opening: str, items: list, closing: str) -> str:
+    return f"{opening}\n    " + ",\n    ".join(items) + f"\n  {closing}" if items else opening + closing
+
+
 def graph_chunks(graph: Graph):
     """The canonical text of graph in chunks, each made only when asked for:
-    one per element in id order, then the head (primitives and schema)."""
+    whole elements in id order, about _BATCH characters a chunk, then the
+    head.  Each value is written by its label's emitter (see _emitters), or
+    node by node where it has none or where the value takes none of its forms."""
     entries = {render_id(e): el for e, el in graph.elements.items()}
+    plan, batch, size = _emitters(graph), [], 0
     sep = '{\n  "elements": {\n    '
-    for id_text, el in sorted(entries.items()):
-        out = [f'{sep}{_escape(id_text)}: {{\n      "label": {_escape(el.label)},'
-               f'\n      "value": ']
-        _emit_value(el.value, "\n      ", out)
-        out.append("\n    }")
-        yield "".join(out)
-        sep = ",\n    "
-    head = schema_to_json(graph.schema)
-    yield (("\n  }," if entries else '{\n  "elements": {},')
-           + '\n  "primitives": ' + _encode(head["primitives"], "\n  ")
-           + ',\n  "schema": ' + _encode(head["schema"], "\n  ") + "\n}\n")
+    for id_text in sorted(entries):
+        el = entries[id_text]
+        label, emit = plan.get(el.label) or (_escape(el.label), None)
+        key = _escape(id_text)
+        text = emit and emit(key, label, el.value)
+        if text is None:
+            out = [f'{key}: {{\n      "label": {label},{_NL}"value": ']
+            _emit_value(el.value, _NL, out)
+            out.append("\n    }")
+            text = "".join(out)
+        batch.append(text)
+        size += len(text)
+        if size >= _BATCH:
+            yield sep + ",\n    ".join(batch)
+            batch, size, sep = [], 0, ",\n    "
+    if batch:
+        yield sep + ",\n    ".join(batch)
+    yield ("\n  }" if entries else '{\n  "elements": {}') + _head(graph.schema)
 
 
 def write_graph(graph: Graph) -> str:

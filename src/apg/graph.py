@@ -13,7 +13,6 @@ from typing import Iterator
 
 from .adt import (
     _ATOM_RE,
-    _IDS,
     DEFAULT_REGISTRY,
     ElementId,
     Lbl,
@@ -25,6 +24,7 @@ from .adt import (
     Record,
     Value,
     checker,
+    is_id,
     render_id,
     type_nodes,
 )
@@ -122,7 +122,7 @@ def validate_graph(graph: Graph) -> ValidationReport:
     """
     report = validate_schema(graph.schema)
     for e in sorted((e for e in graph.elements if not (
-            _ATOM_RE.fullmatch(e) if isinstance(e, str) else isinstance(e, _IDS))), key=repr):
+            _ATOM_RE.fullmatch(e) if isinstance(e, str) else is_id(e))), key=repr):
         report.add(repr(e), "", "not an element id")
     report.findings.extend(conformance(graph))
     return report
@@ -141,7 +141,7 @@ def conformance(graph: Graph) -> list[Finding]:
         miss = (Mismatch((), f"element has undeclared label {el.label!r}") if check is None
                 else check(el.value, look))
         if miss is not None:
-            subject = render_id(e) if isinstance(e, _IDS) else repr(e)
+            subject = render_id(e) if is_id(e) else repr(e)
             found.append(Finding(subject, miss.path_text(), miss.message))
     found.sort(key=lambda finding: finding.subject)
     return found

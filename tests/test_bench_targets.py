@@ -62,7 +62,7 @@ def test_each_graph_writing_verb_streams_each_output_graph_once(tmp_path, monkey
     """Each verb writes one files.graph_chunks stream per output graph.  The
     tracer wraps files.write_graph, which the verbs no longer call, so the
     traced run's files.write_s, bytes_out and elements_out read 0 until it
-    follows the stream (ROADMAP item 2, step B)."""
+    follows the stream (ROADMAP item 1, step B)."""
     calls = []
     graph_chunks = files.graph_chunks
     monkeypatch.setattr(files, "graph_chunks", lambda g: calls.append(g) or graph_chunks(g))

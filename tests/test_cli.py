@@ -625,6 +625,20 @@ def test_validate_and_fmt_read_a_900_deep_sum_value(tmp_path):
     assert proc.stdout.count('"inr"') == depth
 
 
+def test_fmt_writes_a_975_deep_sum_value(tmp_path):
+    """The writer measures a type's shape without recursion, so fmt still
+    reaches the depth of ROADMAP item 2's table, in a fresh process."""
+    depth = 975
+    value = '{"inr": ' * depth + '{"unit": {}}' + "}" * depth
+    deep = tmp_path / "deep.apg"
+    deep.write_text('{"schema": {"D": "%s"}, "elements": {"d1": {"label": "D", "value": %s}}}'
+                    % (" + ".join(["1"] * (depth + 1)), value))
+    proc = subprocess.run([sys.executable, "-m", "apg", "fmt", str(deep)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count('"inr"') == depth
+
+
 # ---------------------------------------------------------------------------
 # writing outputs
 

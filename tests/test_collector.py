@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from apg import cli
+from apg import cli, files
 from apg.adt import parse_type
+from apg.files import read_graph, write_graph
 from apg.fixtures import path
 from apg.migrate import normalize_term, parse_term
 
@@ -213,6 +214,16 @@ PARSES = {
     "normalize_term": lambda: normalize_term(parse_term("fst (case inl x of { inl a -> (a, a) ; "
                                                         "inr b -> (b, b) }, ())"), 10),
 }
+
+
+@pytest.mark.parametrize("compile_at", [files._COMPILE_AT, 0], ids=["as counted", "all compiled"])
+def test_writing_a_graph_leaves_no_garbage(monkeypatch, compile_at):
+    """The head is written without json.dumps, whose indenting encoder leaves
+    its closures as cyclic garbage, and a compiled emitter holds no cycle."""
+    g = read_graph(path("trips.apg").read_text(encoding="utf-8"))
+    monkeypatch.setattr(files, "_COMPILE_AT", compile_at)
+    write_graph(g)
+    assert unreachable_after(lambda: [write_graph(g) for _ in range(3)]) == 0
 
 
 @pytest.mark.parametrize("parse", PARSES)

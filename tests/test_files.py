@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,8 +22,12 @@ from apg.adt import (
     Ref,
     Sum,
     Unit,
+    Zero,
+    parse_type,
     render_id,
+    type_nodes,
 )
+from apg import files
 from apg.catops import coproduct, product
 from apg.errors import ParseError, ValidationFailure
 from apg.fixtures import load
@@ -254,6 +260,33 @@ def witness_migration(g: Graph) -> Graph:
     return delta_migrate(mapping, g)
 
 
+def written_as_the_generic_encoder(g: Graph) -> bool:
+    """write_graph(g) is the generic encoder's text both with the emitters its
+    counts repay and with an emitter for every shape within the bounds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(files, "_COMPILE_AT", 0)
+        compiled = write_graph(g)
+    return write_graph(g) == compiled == generic_text(g)
+
+
+LEAVES = [(One(), lambda i: Unit()), (Prim("String"), lambda i: PrimVal("String", f"s{i}")),
+          (Sum(One(), Prim("Nat")), lambda i: Inr(PrimVal("Nat", i)) if i % 2 else Inl(Unit()))]
+
+
+def labels_graph(prefix: str, n: int) -> Graph:
+    """n labels of six shapes with one element each: label i has type 1,
+    String or 1 + Nat, paired, for odd i past 2, with a reference to label i - 3."""
+    labels, elements = {}, {}
+    for i in range(n):
+        t, leaf = LEAVES[i % 3]
+        value = leaf(i)
+        if i >= 3 and i % 2:
+            t, value = Prod(Lbl(f"{prefix}{i - 3}"), t), Pair(Ref(f"{prefix}e{i - 3}"), value)
+        labels[f"{prefix}{i}"] = t
+        elements[f"{prefix}e{i}"] = Element(f"{prefix}{i}", value)
+    return Graph(Schema(labels), elements)
+
+
 @given(st.integers(0, 2 ** 32))
 def test_write_graph_equals_the_generic_encoder(seed):
     rng = random.Random(seed)
@@ -261,7 +294,7 @@ def test_write_graph_equals_the_generic_encoder(seed):
     flat = label_free_graph(rng)
     for g in (g1, product(g1, g2).graph, coproduct(g1, g2).graph,
               merge_by_key(flat, flat), witness_migration(g1)):
-        assert write_graph(g) == generic_text(g)
+        assert written_as_the_generic_encoder(g)
 
 
 @given(st.text(), st.text(), st.text())
@@ -270,6 +303,49 @@ def test_write_graph_escapes_any_text(label, literal, prim):
               {Atom("e"): Element(label, PrimVal("String", literal)),
                Enc(label, PrimVal(prim, literal)): Element(label, Unit())})
     assert write_graph(g) == generic_text(g)
+
+
+# Values that take no form of their label's type, as only unvalidated graphs hold.
+MISFITS = Graph(Schema({"z": Sum(Zero(), One()), "u": One(), "s": Prim("String"),
+                        "p": Prod(Lbl("u"), Prim("String"))}), {
+    "z1": Element("z", Inl(Unit())),  # Inl where Inr is expected
+    "z2": Element("z", Inr(Unit())),
+    "u1": Element("u", Ref("u2")),  # Ref where Unit is
+    "u2": Element("u", Unit()),
+    "s1": Element("s", Pair(Unit(), Unit())),  # Pair where a primitive is
+    "s2": Element("s", PrimVal("String", [1, {"b": [], "a": "é"}])),  # a container literal
+    "s3": Element("s", PrimVal("String", "x")),
+    "p1": Element("p", Pair(Ref("u2"), PrimVal("String", "y"))),
+    "p2": Element("p", Pair(Unit(), PrimVal("String", "y"))),
+    "g1": Element("ghost", Pair(Unit(), PrimVal("String", "y"))),  # an undeclared label
+})
+
+
+def over_the_bounds() -> Graph:
+    """Types past the writer's bounds: a 40-way sum, with more forms and
+    nodes, and a product of ten 1 + 1, with more forms only."""
+    wide, bits = parse_type(" + ".join(["1"] * 40), {}), parse_type(" * ".join(["(1 + 1)"] * 10), {})
+    elements = {}
+    for i in range(40):
+        v = Unit() if i == 39 else Inl(Unit())
+        for _ in range(i):
+            v = Inr(v)
+        elements[f"w{i}"] = Element("w", v)
+    for i in range(4):
+        v = Inl(Unit()) if i % 2 else Inr(Unit())
+        for _ in range(9):
+            v = Pair(Inr(Unit()) if i // 2 else Inl(Unit()), v)
+        elements[f"b{i}"] = Element("b", v)
+    return Graph(Schema({"w": wide, "b": bits}), elements)
+
+
+def deep_sum(depth: int) -> Graph:
+    """One element of the right-nested sum 1 + 1 + … + 1 of depth + 1 terms,
+    its value depth right injections of ()."""
+    t, v = One(), Unit()
+    for _ in range(depth):
+        t, v = Sum(One(), t), Inr(v)
+    return Graph(Schema({"D": t}), {"d1": Element("D", v)})
 
 
 def test_write_graph_edge_cases():
@@ -298,13 +374,48 @@ def test_write_graph_edge_cases():
             Atom("b1"): Element("b", PrimVal("Boolean", True)),
             Atom("b2"): Element("b", PrimVal("Boolean", False))}),
         Graph(Schema({"deep": Prim("Boolean")}), {Atom("x"): Element("deep", nested)}),
+        MISFITS,
+        over_the_bounds(),
+        product(labels_graph("a", 30), labels_graph("b", 30)).graph,
+        deep_sum(975),
     ]
-    for g in graphs:
-        assert write_graph(g) == generic_text(g)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))  # the generic encoder recurses twice per level
+    try:
+        for g in graphs:
+            assert written_as_the_generic_encoder(g)
+    finally:
+        sys.setrecursionlimit(limit)
     assert write_graph(graphs[0]) == (
         '{\n  "elements": {},\n  "primitives": [\n    "Boolean",\n    "Double",\n'
         '    "Integer",\n    "Nat",\n    "String"\n  ],\n  "schema": {}\n}\n')
     assert '"primitives": [],' in write_graph(graphs[1])
+
+
+def forms(t) -> int:
+    """How many forms a value of the type t can take, one per choice at each sum."""
+    if isinstance(t, Sum):
+        return forms(t.left) + forms(t.right)
+    if isinstance(t, Prod):
+        return forms(t.left) * forms(t.right)
+    return int(not isinstance(t, Zero))
+
+
+@pytest.mark.parametrize("compile_at", [12, files._COMPILE_AT])
+def test_the_writer_compiles_only_the_shapes_that_repay_it(monkeypatch, compile_at):
+    """The product of two 30-label graphs has 900 labels of 36 shapes: each
+    shape is compiled once at most, and only with compile_at values per form."""
+    g = product(labels_graph("a", 30), labels_graph("b", 30)).graph
+    shape = lambda t: tuple(map(type, type_nodes(t)))
+    values = Counter(shape(g.schema.labels[el.label]) for el in g.elements.values())
+    compiled, compile = [], files._compile
+    monkeypatch.setattr(files, "_compile", lambda t: compiled.append(t) or compile(t))
+    monkeypatch.setattr(files, "_COMPILE_AT", compile_at)
+    assert write_graph(g) == generic_text(g)
+    assert len(values) == 36 and len({shape(t) for t in compiled}) == len(compiled)
+    assert {shape(t) for t in compiled} == {
+        shape(t) for t in g.schema.labels.values() if values[shape(t)] >= compile_at * forms(t)}
+    assert 0 < len(compiled) < 36 if compile_at == 12 else not compiled
 
 
 def test_write_graph_keeps_literals_read_without_validation():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from apg.adt import Atom, Lbl, Left, One, Pair, PairId, PrimVal, Prod, Ref, Unit
-from apg.errors import PreconditionError
+from apg.adt import (Atom, Class, Enc, Lbl, Left, One, Pair, PairId, PrimVal, Prod, Ref, Right,
+                     Unit)
+from apg.errors import ParseError, PreconditionError
 from apg.fixtures import load
-from apg.files import read_graph
+from apg.files import read_graph, write_graph
 from apg.graph import (
     UNLABELED,
     Element,
@@ -166,3 +167,22 @@ def test_each_key_that_is_no_element_id_is_one_finding():
     assert [str(f) for f in report] == ["error: 'a b': not an element id",
                                         "error: 5: not an element id",
                                         "error: 5: element has undeclared label 'Ghost'"]
+
+
+@pytest.mark.parametrize("key", [
+    PairId("a b", "c"), Left(PairId("x", "")), Class(Right("⊤ ⊤")), Enc("a b", Unit()),
+    Enc("V", PrimVal("Double", float("nan"))), Enc("V", PrimVal("N t", 1)),
+    Enc("V", PrimVal("String", None)), Enc("V", Pair(Unit(), Ref("a,b"))),
+], ids=repr)
+def test_a_composite_key_with_a_bad_part_is_one_finding(key):
+    """Its text, written, is one that read_graph refuses."""
+    g = Graph(Schema({"V": One()}), {key: Element("V", Unit())})
+    assert [str(f) for f in validate_graph(g)] == [f"error: {key!r}: not an element id"]
+    with pytest.raises(ParseError):
+        read_graph(write_graph(g))
+
+
+def test_composite_keys_whose_text_reads_back_are_element_ids():
+    good = [PairId("a", Left("b")), Class(Right("⊤")),
+            Enc("L:(x,y)", Pair(Ref(PairId("a", "b")), PrimVal("Double", 1)))]
+    assert validate_graph(Graph(Schema({"V": One()}), {e: Element("V", Unit()) for e in good})).ok

@@ -24,7 +24,10 @@ with -o naming their own input, a file in a missing directory, a directory
 and an existing file; the tiny benchmark workloads of two seeds; and values
 that are malformed or misfit their type several steps down (under fst, snd,
 inl and inr, and at the leaf of a 300-level sum) through validate, fmt and
-merge, which pin the place each message names.  Deeper nesting is left out:
+merge, which pin the place each message names; and graphs with enough
+elements per label that the writer compiles their shapes: misfit values
+through fmt --no-validate, a sum whose elements take both branches, and
+types past the writer's bound.  Deeper nesting is left out:
 how close to the recursion limit an in-process run may go depends on its
 caller's stack.
 """
@@ -149,6 +152,7 @@ def build(work: Path) -> Corpus:
     _targets(c)
     _benchmark(c)
     _places(c)
+    _shapes(c)
     return c
 
 
@@ -211,6 +215,58 @@ def _places(c: Corpus):
             for verb in verbs:
                 inputs = [doc, doc] if verb == ["merge"] else [doc]
                 c.add(f"{' '.join(verb)} {kind} value, {name}", *verb, *inputs)
+
+
+def _many(label: str, count: int, value) -> dict:
+    """count elements of label, one id each, valued value(i)."""
+    return {f"{label.lower()}{i}": {"label": label, "value": value(i)} for i in range(count)}
+
+
+def _string(i: int) -> dict:
+    return {"prim": {"type": "String", "value": f"s{i} é \"q\""}}
+
+
+def _shapes(c: Corpus):
+    """Labels with 400 elements each, enough that the writer compiles their
+    shapes, and values that take no form of a compiled shape among them."""
+    nodes = _many("N", 400, lambda i: {"unit": {}})
+    misfits = c.write("shapes/misfits.apg", json.dumps({
+        "schema": {"N": "1", "P": "N * String", "Z": "0 + 1", "S": "String"},
+        "elements": {
+            **nodes,
+            **_many("P", 400, lambda i: {"pair": [{"ref": f"n{i}"}, _string(i)]}),
+            "p7": {"label": "P", "value": {"pair": [{"ref": "n7"}, {"pair": [
+                {"unit": {}}, {"unit": {}}]}]}},
+            "p8": {"label": "P", "value": {"pair": [{"ref": "n8"}, {"prim": {
+                "type": "String", "value": [1, {"b": [], "a": "é"}]}}]}},
+            **_many("Z", 400, lambda i: {"inr": {"unit": {}}}),
+            "z7": {"label": "Z", "value": {"inl": {"unit": {}}}},
+            "n7": {"label": "N", "value": {"ref": "n8"}},
+            "ghost": {"label": "Ghost", "value": {"pair": [{"unit": {}}, _string(0)]}},
+            **_many("S", 400, _string),
+            "s7": {"label": "S", "value": {"prim": {"type": "Nat", "value": 7}}},
+        }}))
+    c.add("fmt --no-validate misfit values", "fmt", "--no-validate", misfits)
+    both = c.write("shapes/both branches.apg", json.dumps({
+        "schema": {"N": "1", "S": "N + String * (N + 1)"},
+        "elements": {**nodes, **_many("S", 400, lambda i: (
+            {"inl": {"ref": f"n{i}"}} if i % 3 == 0 else {"inr": {"pair": [_string(i), (
+                {"inl": {"ref": f"n{i}"}} if i % 3 == 1 else {"inr": {"unit": {}}})]}}))}}))
+    c.add("fmt sum whose elements take both branches", "fmt", both)
+    bits, wide = 10, 40
+    over = c.write("shapes/over the bound.apg", json.dumps({
+        "schema": {"B": " * ".join(["(1 + 1)"] * bits), "W": " + ".join(["1"] * wide),
+                   "T": " * ".join(["1"] * wide)},
+        "elements": {
+            **_many("B", 100, lambda i: json.loads(_nest("s" * (bits - 1), (
+                '{"inr": {"unit": {}}}' if i >> (bits - 1) & 1 else '{"inl": {"unit": {}}}'))
+                .replace('{"unit": {}}, ', '{"inl": {"unit": {}}}, ' if i % 2 else
+                         '{"inr": {"unit": {}}}, '))),
+            **_many("W", 100, lambda i: json.loads(_nest("r" * (i % wide), (
+                '{"inl": {"unit": {}}}' if i % wide < wide - 1 else '{"unit": {}}')))),
+            **_many("T", 100, lambda i: json.loads(_nest("s" * (wide - 2), (
+                '{"pair": [{"unit": {}}, {"unit": {}}]}'))))}}))
+    c.add("fmt types past the shape bound", "fmt", over)
 
 
 # verb -> its words and input fixtures; the last input is the one -o overwrites in place
