@@ -12,24 +12,25 @@ Run from the repository root:
 A change that means to alter an output records the file again with --write
 and names each changed command.  tests/test_golden.py runs the same check.
 
-The corpus: every fixture through each read and export verb; ordered fixture
-pairs through op product, op coproduct and merge; identity morphisms through
-op equalizer, coequalizer and pushout; morphisms that glue distinct
-elements through op pushout and op coequalizer (the match_by_key legs of
-the plate fixtures, two vertices of edges.apg merged, and a pair that mixes
-labels); the shipped migrate; an import
-relational round trip per fixture; the bad documents that tests/test_cli.py
-feeds the verbs; a 300-level sum; fmt, op product, migrate and export rdf
-with -o naming their own input, a file in a missing directory, a directory
-and an existing file; the tiny benchmark workloads of two seeds; and values
-that are malformed or misfit their type several steps down (under fst, snd,
-inl and inr, and at the leaf of a 300-level sum) through validate, fmt and
-merge, which pin the place each message names; and graphs with enough
-elements per label that the writer compiles their shapes: misfit values
-through fmt --no-validate, a sum whose elements take both branches, and
-types past the writer's bound.  Deeper nesting is left out:
-how close to the recursion limit an in-process run may go depends on its
-caller's stack.
+The corpus: every fixture through each read and export verb; ordered
+fixture pairs through op product, op coproduct and merge; identity
+morphisms through op equalizer, coequalizer and pushout; morphisms that
+glue distinct elements through op pushout and op coequalizer (the
+match_by_key legs of the plate fixtures, two vertices of edges.apg merged,
+and a pair that mixes labels); the shipped migrate; an import relational
+round trip per fixture and one on a graph whose label ⊤, a name outside
+ASCII, is referenced by another label; the bad documents that
+tests/test_cli.py feeds the verbs; a 300-level sum; fmt, op product,
+migrate and export rdf with -o naming their own input, a file in a missing
+directory, a directory and an existing file; the tiny benchmark workloads
+of two seeds; and values that are malformed or misfit their type several
+steps down (under fst, snd, inl and inr, and at the leaf of a 300-level
+sum) through validate, fmt and merge, which pin the place each message
+names; and graphs with enough elements per label that the writer compiles
+their shapes: misfit values through fmt --no-validate, a sum whose elements
+take both branches, and types past the writer's bound.  Deeper nesting is
+left out: how close to the recursion limit an in-process run may go depends
+on its caller's stack.
 """
 
 from __future__ import annotations
@@ -147,6 +148,12 @@ def build(work: Path) -> Corpus:
     for a, b in (("plates1.apg", "plates2.apg"), ("plates2.apg", "plates1.apg")):
         c.add(f"merge --key fst {a} {b}", "merge", "--key", "fst", f[a], f[b])
     c.add("migrate mapping.apgm", "migrate", f["mapping.apgm"], f["mapping_input.apg"])
+    top = c.write("top.apg", json.dumps({
+        "schema": {"⊤": "1", "E": "⊤ * String"},
+        "elements": {"t": {"label": "⊤", "value": {"unit": {}}},
+                     "e": {"label": "E", "value": {"pair": [{"ref": "t"}, _string(0)]}}}}))
+    tables = c.add("export relational top.apg", "export", "relational", top)
+    c.add("import relational top.apg", "import", "relational", tables / "out", "--schema", top)
     _gluing(c, f)
     _bad(c, f)
     _targets(c)
