@@ -46,7 +46,7 @@ from .adt import (
     render_id,
 )
 from .errors import InvalidJSON, ParseError, PreconditionError, ValidationFailure
-from .files import decode_utf8, load_json
+from .files import _text, decode_utf8, load_json
 from .graph import Element, Graph, Schema, check_primary_key, validate_graph
 
 # ---------------------------------------------------------------------------
@@ -335,8 +335,7 @@ def write_tableset(tables: TableSet, directory):
                         row.append(write(cells[c.name]) if c.name in cells else "")
                 writer.writerow(row)
     with open(directory / "manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(_text(manifest) + "\n")
 
 
 def read_tableset(directory) -> TableSet:

@@ -10,9 +10,9 @@ go to stderr and data to stdout.
 main runs with CPython's cyclic garbage collector off (files.collector_paused)
 and gives the caller's setting back however it ends.  Values, ids and graphs
 are trees whose references name elements by id, so the collector would only
-walk them and find no cycles; what garbage a verb does leave (argparse's
-parser, the indenting JSON encoder of a table-set manifest) grows with
-neither elements nor labels.
+walk them and find no cycles.  No verb leaves cyclic garbage: the argument
+parser, which is cyclic, is built once per process, and every document is
+written without json's indenting encoder.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext, suppress
+from functools import cache
 from itertools import islice
 
 from . import bridges, catops, files, integrate, migrate, taxonomy
@@ -272,6 +273,7 @@ class _Parser(argparse.ArgumentParser):
         _write("-", [self.format_help()])
 
 
+@cache  # built once per process: the parser is cyclic, and the collector is off
 def _parser() -> argparse.ArgumentParser:
     parser = _Parser(  # the docstring's last paragraph is not for users
         prog="apg", description=__doc__.rpartition("\n\n")[0])
@@ -338,7 +340,7 @@ def main(argv=None) -> int:
             args = _parser().parse_args(argv)  # --help writes through _write
             if _stdin_inputs(args) > 1:
                 raise ParseError("standard input can be read once: give '-' for one input at most")
-            return args.run(args)
+            return globals()[args.run.__name__](args)  # looked up now, so a swapped verb runs
         except ValidationFailure as err:
             _report(err.report)
             return 1

@@ -138,16 +138,6 @@ def _expect_object(doc, where: str) -> dict:
     return doc
 
 
-def _encode(doc, newline: str = "\n") -> str:
-    """Canonical JSON text of doc, nested at the depth newline indents to."""
-    text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
-    return text.replace("\n", newline)
-
-
-def _dump(doc) -> str:
-    return _encode(doc) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Primitive registry
 
@@ -383,9 +373,11 @@ def _reject_entry(entry, spot: str):
         raise ParseError(f"{spot}: label must be a string")
 
 
-# graph_chunks emits the text _dump(graph_to_json(graph)) would, in one pass
-# over the graph: json.dumps with an indent runs the pure-Python encoder, and
-# leaves its closures behind as cyclic garbage.
+# Every document is written by _text, one frame per level of nesting (a
+# loop, not a comprehension, which adds a frame of its own): json.dumps with
+# an indent runs the pure-Python encoder, whose closures it leaves behind as
+# cyclic garbage.  graph_chunks writes a graph in one pass, each value through
+# its label's compiled emitter where it has one.
 
 _escape = json.encoder.encode_basestring  # the escaper behind ensure_ascii=False
 _NL = "\n      "  # the indent of an element's label and value
@@ -394,38 +386,38 @@ _MAX_NODES, _MAX_FORMS = 64, 32  # the largest type an emitter is compiled for
 _BATCH = 1 << 14  # characters of whole elements per chunk, about
 
 
-def _literal(literal, deeper: str) -> str:
-    """The JSON text of a primitive literal, nested at the indent deeper ends in."""
-    if isinstance(literal, str):
-        return _escape(literal)
-    if isinstance(literal, (dict, list, tuple)):  # only without validation
-        return _encode(literal, deeper)
-    return json.dumps(literal)
-
-
-def _emit_value(v: Value, nl: str, out: list):
-    """Append the text of value_to_json(v), nested at the indent nl ends in."""
-    inner = nl + "  "
-    kind = type(v)
+def _text(x, nl: str = "\n") -> str:
+    """The canonical text of x, nested at the indent nl ends in: for a Value,
+    the text of value_to_json(x); for any other JSON document, the text of
+    json.dumps(x, sort_keys=True, indent=2, ensure_ascii=False)."""
+    if isinstance(x, str):
+        return _escape(x)
+    kind, inner = type(x), nl + "  "
+    if kind is Pair:
+        deeper = inner + "  "
+        return (f'{{{inner}"pair": [{deeper}{_text(x.first, deeper)},'
+                f'{deeper}{_text(x.second, deeper)}{inner}]{nl}}}')
     if kind is PrimVal:
         deeper = inner + "  "
-        out.append(f'{{{inner}"prim": {{{deeper}"type": {_escape(v.prim)},'
-                   f'{deeper}"value": {_literal(v.literal, deeper)}{inner}}}{nl}}}')
-    elif kind is Pair:
-        deeper = inner + "  "
-        out.append(f'{{{inner}"pair": [{deeper}')
-        _emit_value(v.first, deeper, out)
-        out.append("," + deeper)
-        _emit_value(v.second, deeper, out)
-        out.append(f"{inner}]{nl}}}")
-    elif kind is Inl or kind is Inr:
-        out.append(f'{{{inner}"{"inl" if kind is Inl else "inr"}": ')
-        _emit_value(v.inner, inner, out)
-        out.append(nl + "}")
-    elif kind is Unit:
-        out.append(f'{{{inner}"unit": {{}}{nl}}}')
-    else:
-        out.append(f'{{{inner}"ref": {_escape(render_id(v.element))}{nl}}}')
+        return (f'{{{inner}"prim": {{{deeper}"type": {_escape(x.prim)},'
+                f'{deeper}"value": {_text(x.literal, deeper)}{inner}}}{nl}}}')
+    if kind is Inl or kind is Inr:
+        return f'{{{inner}"{"inl" if kind is Inl else "inr"}": {_text(x.inner, inner)}{nl}}}'
+    if kind is Unit:
+        return f'{{{inner}"unit": {{}}{nl}}}'
+    if kind is Ref:
+        return f'{{{inner}"ref": {_escape(render_id(x.element))}{nl}}}'
+    if isinstance(x, dict) and x:
+        parts = []
+        for key in sorted(x):
+            parts.append(f"{_escape(key)}: {_text(x[key], inner)}")
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    if isinstance(x, (list, tuple)) and x:
+        parts = []
+        for item in x:
+            parts.append(_text(item, inner))
+        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    return json.dumps(x)  # a scalar, or an empty list or object
 
 
 def _forms(t, src: str, nl: str, nodes) -> list:
@@ -443,7 +435,7 @@ def _forms(t, src: str, nl: str, nodes) -> list:
         return [([f"type({node} := {src}) is PrimVal"],
                  f'{{{inner}"prim": {{{deeper}"type": %s,{deeper}"value": %s{inner}}}{nl}}}',
                  [f"_escape({node}.prim)", f"(_escape(x) if type(x := {node}.literal) is str "
-                                           f"else _literal(x, {deeper!r}))"])]
+                                           f"else _text(x, {deeper!r}))"])]
     if kind is Lbl:
         return [([f"type({node} := {src}) is Ref"], f'{{{inner}"ref": %s{nl}}}',
                  [f"_escape(x if type(x := {node}.element) is str else render_id(x))"])]
@@ -471,7 +463,7 @@ def _compile(t):
     whose literal parts are structure only, so labels whose types differ in
     names alone share the emitter."""
     scope = {"Unit": Unit, "Pair": Pair, "Inl": Inl, "Inr": Inr, "PrimVal": PrimVal,
-             "Ref": Ref, "_escape": _escape, "_literal": _literal, "render_id": render_id}
+             "Ref": Ref, "_escape": _escape, "_text": _text, "render_id": render_id}
     lines = ["def emit(key, label, v):"]
     for tests, template, leaves in _forms(t, "v", _NL, count()):
         text = _escape(f'%s: {{\n      "label": %s,{_NL}"value": {template}\n    }}')
@@ -519,21 +511,6 @@ def _emitters(graph: Graph) -> dict:
     return plan
 
 
-def _head(schema: Schema) -> str:
-    """The text after the elements: the primitives list and the schema map."""
-    kinds = [_escape(name) if DEFAULT_KINDS.get(name) == kind else
-             f'{{\n      "kind": {_escape(kind)},\n      "name": {_escape(name)}\n    }}'
-             for name, kind in schema.registry.items()]
-    types = [f"{_escape(label)}: {_escape(render_type(schema.labels[label]))}"
-             for label in sorted(schema.labels)]
-    return (',\n  "primitives": ' + _block("[", kinds, "]") + ',\n  "schema": '
-            + _block("{", types, "}") + "\n}\n")
-
-
-def _block(opening: str, items: list, closing: str) -> str:
-    return f"{opening}\n    " + ",\n    ".join(items) + f"\n  {closing}" if items else opening + closing
-
-
 def graph_chunks(graph: Graph):
     """The canonical text of graph in chunks, each made only when asked for:
     whole elements in id order, about _BATCH characters a chunk, then the
@@ -548,10 +525,7 @@ def graph_chunks(graph: Graph):
         key = _escape(id_text)
         text = emit and emit(key, label, el.value)
         if text is None:
-            out = [f'{key}: {{\n      "label": {label},{_NL}"value": ']
-            _emit_value(el.value, _NL, out)
-            out.append("\n    }")
-            text = "".join(out)
+            text = f'{key}: {{\n      "label": {label},{_NL}"value": {_text(el.value, _NL)}\n    }}'
         batch.append(text)
         size += len(text)
         if size >= _BATCH:
@@ -559,7 +533,8 @@ def graph_chunks(graph: Graph):
             batch, size, sep = [], 0, ",\n    "
     if batch:
         yield sep + ",\n    ".join(batch)
-    yield ("\n  }" if entries else '{\n  "elements": {}') + _head(graph.schema)
+    head = _text(schema_to_json(graph.schema))  # the primitives list and the schema map
+    yield ("\n  }," if entries else '{\n  "elements": {},') + head[1:] + "\n"
 
 
 def write_graph(graph: Graph) -> str:
@@ -601,10 +576,10 @@ def read_graph(text: str, validate: bool = True) -> Graph:
 # Morphisms
 
 def write_morphism(h: Morphism) -> str:
-    return _dump({
+    return _text({
         "onLabels": dict(h.on_labels),
         "onElements": {render_id(e): render_id(h.on_elements[e]) for e in h.on_elements},
-    })
+    }) + "\n"
 
 
 def read_morphism(text: str, source: Graph, target: Graph, validate: bool = True) -> Morphism:
@@ -642,12 +617,12 @@ def read_morphism(text: str, source: Graph, target: Graph, validate: bool = True
 # Schema mappings
 
 def write_mapping(m: SchemaMapping) -> str:
-    return _dump({
+    return _text({
         "source": schema_to_json(m.source),
         "target": schema_to_json(m.target),
         "onLabels": {l: render_type(t) for l, t in m.on_labels.items()},
         "onTerms": {l: render_term(t) for l, t in m.on_terms.items()},
-    })
+    }) + "\n"
 
 
 def read_mapping(text: str, validate: bool = True) -> SchemaMapping:

@@ -1,8 +1,8 @@
 """apg runs its verbs with the cyclic garbage collector off.  These tests pin
 the two things that makes safe: cli.main gives the caller's setting back
-however it ends, and a verb leaves the same number of unreachable objects
-whatever the size of its input or the number of its schema labels, so with
-no collector nothing piles up."""
+however it ends, and a verb leaves no unreachable objects, whatever the size
+of its input or the number of its schema labels, so with no collector
+nothing piles up."""
 
 import contextlib
 import gc
@@ -14,9 +14,11 @@ import pytest
 
 from apg import cli, files
 from apg.adt import parse_type
-from apg.files import read_graph, write_graph
+from apg.bridges import export_relational, write_tableset
+from apg.files import read_graph, read_mapping, write_graph, write_mapping, write_morphism
 from apg.fixtures import path
 from apg.migrate import normalize_term, parse_term
+from apg.morphism import Morphism
 
 from .test_read_side import vep_text
 
@@ -126,10 +128,9 @@ VERBS = {  # {d} is the directory of inputs
 @pytest.mark.parametrize("verb", VERBS)
 def test_garbage_left_by_a_verb_does_not_grow_with_its_input(inputs, verb):
     """gc.collect() after the verb counts the unreachable objects the verb
-    left; the count is the same at both sizes.  The collector is held off
-    around the verb, so that no collection frees any of them before the
-    count.  The first run compiles what is compiled once per process, so it
-    is not counted."""
+    left; the count is 0 at both sizes.  The collector is held off around
+    the verb, so that no collection frees any of them before the count.  The
+    first run builds what is built once per process, so it is not counted."""
     def leftover(d):
         gc.collect()
         gc.disable()
@@ -140,7 +141,7 @@ def test_garbage_left_by_a_verb_does_not_grow_with_its_input(inputs, verb):
             gc.enable()
     small, large = inputs
     leftover(small)
-    assert leftover(large) == leftover(small)
+    assert leftover(large) == leftover(small) == 0
 
 
 def chain_text(n):
@@ -196,7 +197,7 @@ def unreachable_after(run) -> int:
 
 @pytest.mark.parametrize("verb", CHAIN_VERBS)
 def test_garbage_left_by_a_verb_does_not_grow_with_its_labels(chains, verb):
-    """The parsers of types and terms leave nothing per label they read."""
+    """The parsers of types and terms leave nothing for any label they read."""
     def leftover(d):
         codes = []
         count = unreachable_after(
@@ -205,7 +206,7 @@ def test_garbage_left_by_a_verb_does_not_grow_with_its_labels(chains, verb):
         return count
     small, large = chains
     leftover(small)
-    assert leftover(large) == leftover(small)
+    assert leftover(large) == leftover(small) == 0
 
 
 PARSES = {
@@ -224,6 +225,27 @@ def test_writing_a_graph_leaves_no_garbage(monkeypatch, compile_at):
     monkeypatch.setattr(files, "_COMPILE_AT", compile_at)
     write_graph(g)
     assert unreachable_after(lambda: [write_graph(g) for _ in range(3)]) == 0
+
+
+def document_writes(tmp_path) -> dict:
+    """name -> a write of each kind of document apg writes but the graph."""
+    g = read_graph(path("trips.apg").read_text(encoding="utf-8"))
+    identity = Morphism(g, g, {label: label for label in g.schema.labels},
+                        {e: e for e in g.elements})
+    mapping = read_mapping(path("mapping.apgm").read_text(encoding="utf-8"))
+    tables = export_relational(g)
+    return {"write_morphism": lambda: write_morphism(identity),
+            "write_mapping": lambda: write_mapping(mapping),
+            "write_tableset": lambda: write_tableset(tables, tmp_path / "tables")}
+
+
+@pytest.mark.parametrize("write", ["write_morphism", "write_mapping", "write_tableset"])
+def test_writing_a_document_leaves_no_garbage(tmp_path, write):
+    """Morphisms, mappings and table-set manifests are written without
+    json.dumps(indent=...), whose encoder leaves its closures as cyclic garbage."""
+    run = document_writes(tmp_path)[write]
+    run()
+    assert unreachable_after(run) == 0
 
 
 @pytest.mark.parametrize("parse", PARSES)

@@ -297,6 +297,30 @@ def test_write_graph_equals_the_generic_encoder(seed):
         assert written_as_the_generic_encoder(g)
 
 
+# JSON documents: nested lists and objects of text keys over scalars that
+# include text past ASCII, ints past 64 bits and the extreme doubles.
+SCALARS = st.one_of(st.none(), st.booleans(), st.text(), st.integers(-2 ** 256, 2 ** 256),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, 1e300, "⊤ é \"q\" \\ \n"]))
+DOCUMENTS = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                         | st.dictionaries(st.text(), inner, max_size=4), max_leaves=24)
+INDENTS = st.sampled_from(["\n", "\n  ", "\n    ", "\n      "])
+
+
+@given(DOCUMENTS, INDENTS)
+def test_text_is_the_indenting_encoders(doc, nl):
+    expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+    assert files._text(doc, nl) == expected.replace("\n", nl)
+
+
+@given(st.integers(0, 2 ** 32), INDENTS)
+def test_text_of_a_value_is_the_text_of_its_json(seed, nl):
+    for el in random_graph(random.Random(seed)).elements.values():
+        doc = value_to_json(el.value)
+        assert files._text(el.value, nl) == files._text(doc, nl) == json.dumps(
+            doc, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", nl)
+
+
 @given(st.text(), st.text(), st.text())
 def test_write_graph_escapes_any_text(label, literal, prim):
     g = Graph(Schema({label: Prim("String")}),
