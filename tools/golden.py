@@ -28,7 +28,8 @@ steps down (under fst, snd, inl and inr, and at the leaf of a 300-level
 sum) through validate, fmt and merge, which pin the place each message
 names; and graphs with enough elements per label that the writer compiles
 their shapes: misfit values through fmt --no-validate, a sum whose elements
-take both branches, and types past the writer's bound.  Deeper nesting is
+take both branches, types past the writer's bound, a record of six optional
+fields (64 forms), and number and boolean literals.  Deeper nesting is
 left out: how close to the recursion limit an in-process run may go depends
 on its caller's stack.
 """
@@ -230,7 +231,19 @@ def _many(label: str, count: int, value) -> dict:
 
 
 def _string(i: int) -> dict:
-    return {"prim": {"type": "String", "value": f"s{i} é \"q\""}}
+    return _prim("String", f"s{i} é \"q\"")
+
+
+def _prim(name: str, literal) -> dict:
+    return {"prim": {"type": name, "value": literal}}
+
+
+def _record(i: int) -> dict:
+    """A reference and six optional strings, the bits of i choosing which are set."""
+    value = {"ref": f"n{i}"}
+    for k in range(6):
+        value = {"pair": [value, {"inr": _string(i + k)} if i >> k & 1 else {"inl": {"unit": {}}}]}
+    return value
 
 
 def _shapes(c: Corpus):
@@ -274,6 +287,19 @@ def _shapes(c: Corpus):
             **_many("T", 100, lambda i: json.loads(_nest("s" * (wide - 2), (
                 '{"pair": [{"unit": {}}, {"unit": {}}]}'))))}}))
     c.add("fmt types past the shape bound", "fmt", over)
+    fields = c.write("shapes/optional fields.apg", json.dumps({
+        "schema": {"N": "1", "R": "(" * 6 + "N" + " * (1 + String))" * 6},
+        "elements": {**nodes, **_many("R", 400, _record)}}))
+    c.add("fmt record of six optional fields", "fmt", fields)
+    literals = c.write("shapes/numbers and booleans.apg", json.dumps({
+        "schema": {"N": "Nat", "I": "Integer", "D": "Double", "B": "Boolean"},
+        "elements": {
+            **_many("N", 400, lambda i: _prim("Nat", 2 ** 80 + i if i % 7 == 0 else i * 1009)),
+            **_many("I", 400, lambda i: _prim("Integer", (-1) ** i * (i * 10 ** (i % 25)))),
+            **_many("D", 400, lambda i: _prim("Double", [
+                -0.0, 5e-324, 1e300, 0.1, -2.5e-7, i, i / 7][i % 7])),
+            **_many("B", 400, lambda i: _prim("Boolean", i % 3 == 0))}}))
+    c.add("fmt number and boolean literals", "fmt", literals)
 
 
 # verb -> its words and input fixtures; the last input is the one -o overwrites in place
