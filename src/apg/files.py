@@ -26,9 +26,9 @@ Reading a schema drops each element as the parser closes it.
 
 Writing streams batches of whole elements.  Labels whose types have one
 shape, the type with its names erased, share one emitter, compiled from the
-shape once enough values take it to repay the compile; a value that takes
-none of its shape's forms, or whose label has no emitter, is written node by
-node.
+shape once enough values take it to repay the compile: one class test per
+node of the type and one branch per side of each sum.  A value that misfits
+its shape, or whose label has no emitter, is written node by node.
 
 Morphism documents carry {"onLabels", "onElements"} and are interpreted
 against explicitly supplied source and target graphs.  Mapping documents
@@ -377,12 +377,12 @@ def _reject_entry(entry, spot: str):
 # loop, not a comprehension, which adds a frame of its own): json.dumps with
 # an indent runs the pure-Python encoder, whose closures it leaves behind as
 # cyclic garbage.  graph_chunks writes a graph in one pass, each value through
-# its label's compiled emitter where it has one.
+# its label's emitter where it has one, compiled from one walk of its type.
 
 _escape = json.encoder.encode_basestring  # the escaper behind ensure_ascii=False
 _NL = "\n      "  # the indent of an element's label and value
-_COMPILE_AT = 128  # values per form of a shape that repay compiling its emitter
-_MAX_NODES, _MAX_FORMS = 64, 32  # the largest type an emitter is compiled for
+_COMPILE_AT = 128  # values of a shape that repay compiling its emitter
+_MAX_NODES = 64  # type nodes an emitter is compiled for: its ifs nest 31 deep, CPython allows 100
 _BATCH = 1 << 14  # characters of whole elements per chunk, about
 
 
@@ -407,6 +407,10 @@ def _text(x, nl: str = "\n") -> str:
         return f'{{{inner}"unit": {{}}{nl}}}'
     if kind is Ref:
         return f'{{{inner}"ref": {_escape(render_id(x.element))}{nl}}}'
+    if kind is int or kind is float and x - x == 0:  # not NaN or an infinity
+        return repr(x)
+    if kind is bool:
+        return "true" if x else "false"
     if isinstance(x, dict) and x:
         parts = []
         for key in sorted(x):
@@ -417,105 +421,90 @@ def _text(x, nl: str = "\n") -> str:
         for item in x:
             parts.append(_text(item, inner))
         return "[" + inner + ("," + inner).join(parts) + nl + "]"
-    return json.dumps(x)  # a scalar, or an empty list or object
+    return json.dumps(x)  # None, NaN, an infinity, or an empty list or object
 
 
-def _forms(t, src: str, nl: str, nodes) -> list:
-    """Each form a value of the type t can take, one per choice at each sum,
-    as (tests, template, leaves): the tests that the value src has that
-    form, its text nested at the indent nl ends in with a %s per leaf, and
-    the expressions of the leaves' texts.  Each value node tested is bound
-    to a name from nodes."""
+def _source(t, src: str, nl: str, lines: list, pad: str, nodes) -> tuple:
+    """The text of a value of the type t that the expression src holds, nested
+    at the indent nl ends in: a template with a %s per field, and the fields,
+    each an f-string's {expression}.  The statements they need go to lines at
+    the indent pad: per node, a class test that binds it to a name from nodes
+    and returns None on a misfit; per sum, an if/elif block whose branches
+    bind the sum's text, an f-string, to that name."""
     inner, kind = nl + "  ", type(t)
     if kind is One:
-        return [([f"type({src}) is Unit"], f'{{{inner}"unit": {{}}{nl}}}', [])]
-    node = f"n{next(nodes)}"
-    if kind is Prim:
-        deeper = inner + "  "
-        return [([f"type({node} := {src}) is PrimVal"],
-                 f'{{{inner}"prim": {{{deeper}"type": %s,{deeper}"value": %s{inner}}}{nl}}}',
-                 [f"_escape({node}.prim)", f"(_escape(x) if type(x := {node}.literal) is str "
-                                           f"else _text(x, {deeper!r}))"])]
-    if kind is Lbl:
-        return [([f"type({node} := {src}) is Ref"], f'{{{inner}"ref": %s{nl}}}',
-                 [f"_escape(x if type(x := {node}.element) is str else render_id(x))"])]
+        lines.append(f"{pad}if type({src}) is not Unit: return None")
+        return f'{{{inner}"unit": {{}}{nl}}}', []
+    node, deeper = f"n{next(nodes)}", inner + "  "
     if kind is Sum:
-        return [([f"type({node} := {src}) is {side}", *tests],
-                 f'{{{inner}"{side.lower()}": {template}{nl}}}', leaves)
-                for side, part in (("Inl", t.left), ("Inr", t.right))
-                for tests, template, leaves in _forms(part, f"{node}.inner", inner, nodes)]
+        for test, side, part in (("if", "inl", t.left), ("elif", "inr", t.right)):
+            lines.append(f"{pad}{test} type({node} := {src}) is {side.capitalize()}:")
+            text, fields = _source(part, f"{node}.inner", inner, lines, pad + " ", nodes)
+            lines.append(f"{pad} {node} = " + _fstring(f'{{{inner}"{side}": {text}{nl}}}', fields))
+        lines.append(f"{pad}else: return None")
+        return "%s", [f"{{{node}}}"]
     if kind is Prod:
-        deeper = inner + "  "
-        lefts = _forms(t.left, f"{node}.first", deeper, nodes)
-        rights = _forms(t.right, f"{node}.second", deeper, nodes)
-        return [([f"type({node} := {src}) is Pair", *tests1, *tests2],
-                 f'{{{inner}"pair": [{deeper}{text1},{deeper}{text2}{inner}]{nl}}}',
-                 [*leaves1, *leaves2])
-                for tests1, text1, leaves1 in lefts for tests2, text2, leaves2 in rights]
-    return []  # the empty type
+        lines.append(f"{pad}if type({node} := {src}) is not Pair: return None")
+        left, fields = _source(t.left, f"{node}.first", deeper, lines, pad, nodes)
+        right, more = _source(t.right, f"{node}.second", deeper, lines, pad, nodes)
+        return f'{{{inner}"pair": [{deeper}{left},{deeper}{right}{inner}]{nl}}}', fields + more
+    if kind is Prim:
+        lines.append(f"{pad}if type({node} := {src}) is not PrimVal: return None")
+        lines.append(f"{pad}{node}v = _escape(x) if type(x := {node}.literal) is str "
+                     f"else _text(x, {deeper!r})")
+        return (f'{{{inner}"prim": {{{deeper}"type": %s,{deeper}"value": %s{inner}}}{nl}}}',
+                [f"{{_escape({node}.prim)}}", f"{{{node}v}}"])
+    if kind is Lbl:
+        lines.append(f"{pad}if type({node} := {src}) is not Ref: return None")
+        return f'{{{inner}"ref": %s{nl}}}', [f"{{_escape(x if type(x := {node}.element) is str "
+                                             f"else render_id(x))}}"]
+    lines.append(f"{pad}return None")  # the empty type
+    return "", []
+
+
+def _fstring(template: str, fields: list) -> str:
+    """The source of the f-string of template whose %s are the fields."""
+    return "f" + _escape(template).replace("{", "{{").replace("}", "}}") % tuple(fields)
 
 
 def _compile(t):
     """The emitter of the values of t's shape: emit(key, label, v) is the
     text of an element whose id and label texts are key and label and whose
-    value is v, or None when v takes no form of t.  Each form's text is one
-    f-string (a % format of the same template takes four times as long)
-    whose literal parts are structure only, so labels whose types differ in
-    names alone share the emitter."""
-    scope = {"Unit": Unit, "Pair": Pair, "Inl": Inl, "Inr": Inr, "PrimVal": PrimVal,
-             "Ref": Ref, "_escape": _escape, "_text": _text, "render_id": render_id}
+    value is v, or None when v misfits t.  Its source is built in one walk of
+    t (_source), so it grows with t's nodes, not with the forms its values
+    take.  The literal parts of its f-strings (a % format of the same
+    template takes four times as long) are structure only, so labels whose
+    types differ in names alone share the emitter."""
     lines = ["def emit(key, label, v):"]
-    for tests, template, leaves in _forms(t, "v", _NL, count()):
-        text = _escape(f'%s: {{\n      "label": %s,{_NL}"value": {template}\n    }}')
-        fields = ("{key}", "{label}", *(f"{{a{j}}}" for j in range(len(leaves))))
-        lines.append(f"    if {' and '.join(tests)}:")
-        lines.extend(f"        a{j} = {leaf}" for j, leaf in enumerate(leaves))
-        lines.append("        return f" + text.replace("{", "{{").replace("}", "}}") % fields)
-    exec("\n".join(lines), scope)
-    return scope.pop("emit")  # so the function and its globals hold no cycle
-
-
-def _form_count(shape: tuple) -> int:
-    """How many forms the values of a type take whose shape, its node classes
-    in type_nodes order, is shape."""
-    counts = []
-    for kind in reversed(shape):
-        if kind is Sum or kind is Prod:
-            left, right = counts.pop(), counts.pop()
-            counts.append(left + right if kind is Sum else left * right)
-        else:
-            counts.append(kind is One or kind is Prim or kind is Lbl)
-    return counts[0]
+    template, fields = _source(t, "v", _NL, lines, " ", count())
+    text = f'%s: {{\n      "label": %s,{_NL}"value": {template}\n    }}'
+    lines.append(" return " + _fstring(text, ["{key}", "{label}", *fields]))
+    exec("\n".join(lines), globals(), scope := {})  # emit's globals are this module's
+    return scope["emit"]
 
 
 def _emitters(graph: Graph) -> dict:
     """label -> (its escaped text, the emitter of its values or None).  Labels
     whose types have one shape, the types with names erased, share one
-    emitter, compiled for a shape within the bounds whose values repay the
-    compile: _COMPILE_AT for each of its forms.  A type's shape is read by
-    type_nodes, so a type of any depth is measured, and one past _MAX_NODES
-    is read no further."""
+    emitter, compiled once _COMPILE_AT values take the shape, for a shape of
+    at most _MAX_NODES nodes.  A type's shape is read by type_nodes, so a type
+    of any depth is measured, and one past _MAX_NODES is read no further."""
     counts = Counter(map(attrgetter("label"), graph.elements.values()))
-    by_shape: dict[tuple, list] = {}
+    shapes, values, emitters = {}, Counter(), {}
     for label, t in graph.schema.labels.items():
-        shape = tuple(map(type, islice(type_nodes(t), _MAX_NODES + 1)))
-        by_shape.setdefault(shape, []).append(label)
-    plan = {}
-    for shape, labels in by_shape.items():
-        forms = _form_count(shape) if len(shape) <= _MAX_NODES else 0
-        emit = None
-        if 0 < forms <= _MAX_FORMS and sum(counts[label] for label in labels) >= _COMPILE_AT * forms:
-            emit = _compile(graph.schema.labels[labels[0]])
-        for label in labels:
-            plan[label] = _escape(label), emit
-    return plan
+        shapes[label] = shape = tuple(map(type, islice(type_nodes(t), _MAX_NODES + 1)))
+        values[shape] += counts[label]
+    for label, shape in shapes.items():
+        if shape not in emitters and values[shape] >= _COMPILE_AT and len(shape) <= _MAX_NODES:
+            emitters[shape] = _compile(graph.schema.labels[label])
+    return {label: (_escape(label), emitters.get(shape)) for label, shape in shapes.items()}
 
 
 def graph_chunks(graph: Graph):
     """The canonical text of graph in chunks, each made only when asked for:
     whole elements in id order, about _BATCH characters a chunk, then the
     head.  Each value is written by its label's emitter (see _emitters), or
-    node by node where it has none or where the value takes none of its forms."""
+    node by node where it has none or where the value misfits it."""
     entries = {render_id(e): el for e, el in graph.elements.items()}
     plan, batch, size = _emitters(graph), [], 0
     sep = '{\n  "elements": {\n    '

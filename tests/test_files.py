@@ -298,9 +298,10 @@ def test_write_graph_equals_the_generic_encoder(seed):
 
 
 # JSON documents: nested lists and objects of text keys over scalars that
-# include text past ASCII, ints past 64 bits and the extreme doubles.
+# include text past ASCII, ints past 64 bits, the extreme doubles, NaN and
+# the infinities.
 SCALARS = st.one_of(st.none(), st.booleans(), st.text(), st.integers(-2 ** 256, 2 ** 256),
-                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(),
                     st.sampled_from([-0.0, 5e-324, 1e300, "⊤ é \"q\" \\ \n"]))
 DOCUMENTS = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
                          | st.dictionaries(st.text(), inner, max_size=4), max_leaves=24)
@@ -334,6 +335,7 @@ MISFITS = Graph(Schema({"z": Sum(Zero(), One()), "u": One(), "s": Prim("String")
                         "p": Prod(Lbl("u"), Prim("String"))}), {
     "z1": Element("z", Inl(Unit())),  # Inl where Inr is expected
     "z2": Element("z", Inr(Unit())),
+    "z3": Element("z", Unit()),  # neither injection where a sum is
     "u1": Element("u", Ref("u2")),  # Ref where Unit is
     "u2": Element("u", Unit()),
     "s1": Element("s", Pair(Unit(), Unit())),  # Pair where a primitive is
@@ -372,6 +374,19 @@ def deep_sum(depth: int) -> Graph:
     return Graph(Schema({"D": t}), {"d1": Element("D", v)})
 
 
+def numbers_and_booleans() -> Graph:
+    """128 values each of Nat, Integer, Double and Boolean, enough that each
+    label's emitter is compiled, among them the extreme doubles and 2 ** 80."""
+    doubles = [-0.0, 5e-324, 1e300, -1e300, 0.1, 1 / 3, 2.0 ** 80, -2.5e-7]
+    literals = {"Nat": lambda i: 2 ** 80 + i if i % 5 == 0 else i * 1009,
+                "Integer": lambda i: (-1) ** i * i * 10 ** (i % 23),
+                "Double": lambda i: doubles[i % 8] if i % 3 else i / 7,
+                "Boolean": lambda i: i % 3 == 0}
+    return Graph(Schema({name: Prim(name) for name in literals}), {
+        Atom(f"{name}{i}"): Element(name, PrimVal(name, literal(i)))
+        for name, literal in literals.items() for i in range(128)})
+
+
 def test_write_graph_edge_cases():
     odd = 'say "hi"\\ \t\n\x00\x1f\x7f é ❄ 𝄞 \u2028'
     nested = PrimVal("Boolean", False)
@@ -398,9 +413,11 @@ def test_write_graph_edge_cases():
             Atom("b1"): Element("b", PrimVal("Boolean", True)),
             Atom("b2"): Element("b", PrimVal("Boolean", False))}),
         Graph(Schema({"deep": Prim("Boolean")}), {Atom("x"): Element("deep", nested)}),
+        numbers_and_booleans(),
         MISFITS,
         over_the_bounds(),
         product(labels_graph("a", 30), labels_graph("b", 30)).graph,
+        deep_sum(31),  # 63 type nodes: the deepest sum within the writer's bound
         deep_sum(975),
     ]
     limit = sys.getrecursionlimit()
@@ -416,19 +433,11 @@ def test_write_graph_edge_cases():
     assert '"primitives": [],' in write_graph(graphs[1])
 
 
-def forms(t) -> int:
-    """How many forms a value of the type t can take, one per choice at each sum."""
-    if isinstance(t, Sum):
-        return forms(t.left) + forms(t.right)
-    if isinstance(t, Prod):
-        return forms(t.left) * forms(t.right)
-    return int(not isinstance(t, Zero))
-
-
-@pytest.mark.parametrize("compile_at", [12, files._COMPILE_AT])
+@pytest.mark.parametrize("compile_at", [25, files._COMPILE_AT])
 def test_the_writer_compiles_only_the_shapes_that_repay_it(monkeypatch, compile_at):
-    """The product of two 30-label graphs has 900 labels of 36 shapes: each
-    shape is compiled once at most, and only with compile_at values per form."""
+    """The product of two 30-label graphs has 900 labels of 36 shapes, each
+    taken by 16 to 36 values: each shape is compiled once at most, and only
+    when compile_at values take it."""
     g = product(labels_graph("a", 30), labels_graph("b", 30)).graph
     shape = lambda t: tuple(map(type, type_nodes(t)))
     values = Counter(shape(g.schema.labels[el.label]) for el in g.elements.values())
@@ -438,8 +447,29 @@ def test_the_writer_compiles_only_the_shapes_that_repay_it(monkeypatch, compile_
     assert write_graph(g) == generic_text(g)
     assert len(values) == 36 and len({shape(t) for t in compiled}) == len(compiled)
     assert {shape(t) for t in compiled} == {
-        shape(t) for t in g.schema.labels.values() if values[shape(t)] >= compile_at * forms(t)}
-    assert 0 < len(compiled) < 36 if compile_at == 12 else not compiled
+        shape(t) for t in g.schema.labels.values() if values[shape(t)] >= compile_at}
+    assert 0 < len(compiled) < 36 if compile_at == 25 else not compiled
+
+
+def test_an_emitter_grows_with_the_nodes_of_its_type(monkeypatch):
+    """A record of eight optional fields takes 256 forms; its emitter is
+    compiled once and has at most three lines of source per node of its type."""
+    fields = 8
+    t = parse_type(" * ".join(["(1 + String)"] * fields), {})
+    elements = {}
+    for i in range(128):  # the bits of i * 37 % 256 set the fields: 128 forms, one a value
+        v = None
+        for k in reversed(range(fields)):
+            field = Inr(PrimVal("String", f"s{i}.{k} é")) if i * 37 >> k & 1 else Inl(Unit())
+            v = field if v is None else Pair(field, v)
+        elements[f"r{i}"] = Element("R", v)
+    g = Graph(Schema({"R": t}), elements)
+    emitters, compile = [], files._compile
+    monkeypatch.setattr(files, "_compile", lambda t: emitters.append(compile(t)) or emitters[-1])
+    assert write_graph(g) == generic_text(g)
+    emit, = emitters
+    lines = max(line for *_, line in emit.__code__.co_lines() if line)
+    assert lines <= 3 * len(list(type_nodes(t)))
 
 
 def test_write_graph_keeps_literals_read_without_validation():
