@@ -12,7 +12,14 @@ and gives the caller's setting back however it ends.  Values, ids and graphs
 are trees whose references name elements by id, so the collector would only
 walk them and find no cycles.  No verb leaves cyclic garbage: the argument
 parser, which is cyclic, is built once per process, and every document is
-written without json's indenting encoder.
+written without json's indenting encoder.  The process entry,
+apg.__main__.run, calls gc.freeze() once main returns.  CPython collects once
+more as it shuts down, whether the collector is on or off, and that pass
+would walk every object the imports, the parser and the compiled writers
+made, only to free nothing; it skips frozen objects.  main itself freezes
+nothing, for library callers.  The entry freezes rather than ending the
+process with os._exit, which skips the interpreter's final flush of the
+standard streams.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from contextlib import contextmanager, nullcontext, suppress
 from functools import cache
 from itertools import islice
 
-from . import bridges, catops, files, integrate, migrate, taxonomy
+from . import files
 from .errors import ApgError, InvalidJSON, ParseError, ValidationFailure
 from .graph import Graph
 
@@ -171,6 +178,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import taxonomy
+
     graph = _read_graph(args.graph)
     kinds = taxonomy.classify_graph(graph.schema, strict=_strict_mode())
     lines = []
@@ -199,6 +208,8 @@ _OPS = {
 def _construct(operation: str, inputs: list) -> Graph:
     """The graph the construction builds from its input files; the inputs and
     the construction's legs are freed once it returns, before the write."""
+    from . import catops
+
     words, count, legs = _OPS[operation]
     if len(inputs) != count + len(legs):
         raise ParseError(f"op {operation} takes {words}")
@@ -214,6 +225,8 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_merge(args) -> int:
+    from . import integrate
+
     if len(args.graphs) != 2:
         raise ParseError("merge takes two graphs")
     merged = integrate.merge_by_key(*map(_read_graph, args.graphs), key=args.key)
@@ -222,6 +235,8 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_migrate(args) -> int:
+    from . import migrate
+
     mapping = _read(args.mapping, files.read_mapping)
     # the data is validated as it is read, so not again in delta_migrate, and freed before the write
     migrated = migrate.delta_migrate(mapping, _read_graph(args.data), validate=False)
@@ -230,6 +245,8 @@ def _cmd_migrate(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import bridges
+
     graph = _read_graph(args.graph)
     if args.format == "rdf":
         _write(args.out, _lines(bridges.rdf_lines(graph)))
@@ -253,6 +270,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_import(args) -> int:
+    from . import bridges
+
     schema = _read(args.schema, files.read_schema)
     graph = bridges.import_relational(bridges.read_tableset(args.directory), schema)
     _write(args.out, files.graph_chunks(graph))  # the tables are freed before the write

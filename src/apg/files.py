@@ -45,6 +45,7 @@ import sys
 from collections import Counter
 from itertools import count, islice
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from .adt import (
     DEFAULT_KINDS,
@@ -72,8 +73,10 @@ from .adt import (
 )
 from .errors import InvalidJSON, ParseError, ValidationFailure
 from .graph import Element, Graph, Schema, conformance, validate_graph, validate_schema
-from .migrate import SchemaMapping, parse_term, render_term, typecheck_mapping
-from .morphism import Morphism, check_morphism
+
+if TYPE_CHECKING:  # the functions that need them load them: not every verb does
+    from .migrate import SchemaMapping
+    from .morphism import Morphism
 
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -572,6 +575,8 @@ def write_morphism(h: Morphism) -> str:
 
 
 def read_morphism(text: str, source: Graph, target: Graph, validate: bool = True) -> Morphism:
+    from .morphism import Morphism, check_morphism
+
     doc = _expect_object(load_json(text), "morphism document")
     extra = set(doc) - {"onLabels", "onElements"}
     if extra:
@@ -606,6 +611,8 @@ def read_morphism(text: str, source: Graph, target: Graph, validate: bool = True
 # Schema mappings
 
 def write_mapping(m: SchemaMapping) -> str:
+    from .migrate import render_term
+
     return _text({
         "source": schema_to_json(m.source),
         "target": schema_to_json(m.target),
@@ -615,6 +622,8 @@ def write_mapping(m: SchemaMapping) -> str:
 
 
 def read_mapping(text: str, validate: bool = True) -> SchemaMapping:
+    from .migrate import SchemaMapping, parse_term, typecheck_mapping
+
     doc = _expect_object(load_json(text), "mapping document")
     source = schema_from_json(_expect_object(doc.get("source", {}), "source"), "source")
     target = schema_from_json(_expect_object(doc.get("target", {}), "target"), "target")

@@ -7,10 +7,13 @@ import stat
 import subprocess
 import sys
 import threading
+import tomllib
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from apg import __main__ as apg_main
 from apg import catops, cli, files, migrate
 from apg.adt import Atom
 from apg.bridges import (
@@ -29,6 +32,8 @@ from apg.graph import Graph
 from apg.morphism import identity, Morphism
 
 from .generators import random_graph
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def fixture_path(name):
@@ -1004,3 +1009,27 @@ def test_module_invocation_round_trips():
     assert proc.returncode == 0
     assert proc.stdout == load("edges.apg")
     assert write_graph(read_graph(proc.stdout)) == proc.stdout
+
+
+def test_the_process_entry_freezes_the_objects_main_made():
+    """The shutdown collection then has nothing to walk; see cli's docstring."""
+    probe = ("import gc, sys; from apg.__main__ import run; sys.argv[0] = 'apg'; "
+             "code = run(); print(code, gc.get_freeze_count() > 0, gc.isenabled())")
+    proc = subprocess.run([sys.executable, "-c", probe, "validate", fixture_path("edges.apg")],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n0 True True\n", "")
+
+
+def test_the_apg_script_is_the_process_entry():
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    module, _, function = scripts["apg"].partition(":")
+    assert (module, function) == (apg_main.__name__, apg_main.run.__name__)
+
+
+def test_main_freezes_nothing_and_keeps_the_callers_collector_setting(capsys):
+    frozen = gc.get_freeze_count()
+    for enabled in (False, True):
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, "validate", fixture_path("edges.apg")) == (0, "ok\n", "")
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)

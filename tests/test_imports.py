@@ -1,13 +1,18 @@
 """Every name a module of the package imports is used in that module, every
-private top-level function or class is used somewhere in the package, and
-the command line starts without loading dataclasses or inspect."""
+private top-level function or class is used somewhere in the package, the
+command line starts without loading dataclasses or inspect, a verb loads no
+module it does not run, and the package root loads each public name and
+submodule on first use."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from apg.fixtures import path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "apg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -77,3 +82,58 @@ def test_the_cli_loads_neither_dataclasses_nor_inspect():
              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# sorted(apg.__all__) of the package root that imported every module at once
+PUBLIC = [
+    'ApgError', 'Atom', 'Class', 'ConstructionResult', 'Element', 'ElementId', 'Enc', 'Finding',
+    'Graph', 'Inl', 'Inr', 'Lbl', 'Left', 'Morphism', 'One', 'Pair', 'PairId', 'ParseError',
+    'PreconditionError', 'Prim', 'PrimRegistry', 'PrimVal', 'Prod', 'Ref', 'Right', 'Schema',
+    'SchemaMapping', 'Sum', 'TableSet', 'Term', 'TypeExpr', 'UNLABELED', 'Unit',
+    'ValidationFailure', 'ValidationReport', 'Value', 'Zero', 'adt', 'bridges', 'case_analysis',
+    'catops', 'check_morphism', 'check_primary_key', 'check_sigma_preserving',
+    'check_unique_property', 'check_upsilon_natural', 'check_value', 'classify_graph',
+    'classify_label', 'coequalizer', 'compose', 'coproduct', 'delta_migrate', 'describe',
+    'disjoint_union', 'enumerate_values', 'equalizer', 'errors', 'eval_term', 'export_kv',
+    'export_rdf', 'export_relational', 'files', 'graph', 'identity', 'import_relational',
+    'initial_graph', 'integrate', 'label_free', 'match_by_key', 'merge_by_key', 'migrate',
+    'morphism', 'normalize_term', 'pair', 'parse_id', 'parse_term', 'parse_type', 'product',
+    'pushout', 'read_graph', 'read_mapping', 'read_morphism', 'read_tableset', 'render_id',
+    'render_term', 'render_type', 'render_value', 'taxonomy', 'terminal_graph',
+    'transport_type', 'transport_value', 'typecheck_mapping', 'unique_morphism',
+    'validate_graph', 'validate_schema', 'write_graph', 'write_mapping', 'write_morphism',
+    'write_tableset']
+
+
+@pytest.mark.parametrize("verb", ["validate", "fmt"])
+def test_a_read_verb_loads_no_module_it_does_not_run(verb):
+    # runs apg as `python -m apg` does, then names what the process loaded
+    probe = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('apg', run_name='__main__', alter_sys=True)\n"
+             "finally:\n"
+             "    print(*sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, verb, str(path("trips.apg"))],
+                          capture_output=True, text=True)
+    loaded = set(proc.stderr.split())
+    unused = {"apg.bridges", "apg.catops", "apg.integrate", "apg.migrate", "apg.morphism",
+              "apg.taxonomy", "csv"}
+    assert (proc.returncode, "apg.files" in loaded, sorted(unused & loaded)) == (0, True, [])
+
+
+def test_the_package_root_loads_each_name_and_submodule_on_first_use():
+    probe = ("import json, pkgutil, sys; import apg; alone = sorted(m for m in sys.modules "
+             "if m.startswith('apg')); names = sorted(apg.__all__); "
+             "listed = set(dir(apg)); missing = [n for n in names if n not in listed or not hasattr(apg, n)]; "
+             "subs = {m.name: getattr(apg, m.name).__name__ for m in pkgutil.iter_modules(apg.__path__) "
+             "if not m.name.startswith('_')}; "
+             "print(json.dumps([alone, names, missing, subs, hasattr(apg, 'nope'), "
+             "hasattr(apg, '__main__'), 'apg.__main__' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    alone, names, missing, subs, nope, main, ran = json.loads(proc.stdout)
+    assert alone == ["apg"]
+    assert names == PUBLIC and missing == []
+    modules = [p.stem for p in MODULES if p.stem != "__main__"] + ["fixtures"]
+    assert subs == {name: f"apg.{name}" for name in modules}
+    assert (nope, main, ran) == (False, False, False)  # a private name imports nothing

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-import apg  # its __init__ loads every module that defines records
+import apg
+from apg import adt, bridges, catops, graph, migrate, morphism, taxonomy  # noqa: F401  (their records)
 from apg.adt import IdTable, Record, _Composite, parse_id, render_id
 
 from .generators import random_id
