@@ -21,8 +21,8 @@ def test_every_command_of_the_golden_corpus_does_as_recorded(tmp_path):
     changed = golden.differences(recorded, golden.run(corpus))
     assert not changed, "commands that differ from tests/golden.json " \
         "(rerun with tools/golden.py --write if the change is meant):\n" + "\n".join(changed)
-    graphs = [cwd / out for cwd, argv, outputs in corpus.cases.values() if argv[0] in GRAPH_VERBS
-              for out in outputs if (cwd / out).is_file()]
+    graphs = [cwd / out for cwd, argv, outputs, _ in corpus.cases.values()
+              if argv[0] in GRAPH_VERBS for out in outputs if (cwd / out).is_file()]
     for written in graphs:
         text = written.read_text(encoding="utf-8")
         assert write_graph(read_graph(text, validate=False)) == text, written

@@ -29,9 +29,11 @@ sum) through validate, fmt and merge, which pin the place each message
 names; and graphs with enough elements per label that the writer compiles
 their shapes: misfit values through fmt --no-validate, a sum whose elements
 take both branches, types past the writer's bound, a record of six optional
-fields (64 forms), and number and boolean literals.  Deeper nesting is
-left out: how close to the recursion limit an in-process run may go depends
-on its caller's stack.
+fields (64 forms), and number and boolean literals; and classify of every
+fixture in generalized mode (APG_STRICT_TAXONOMY=0), and in both modes of
+three schemas whose labels wait on each other in cycles and of a 300-label
+tag chain.  Deeper nesting is left out: how close to the recursion limit an
+in-process run may go depends on its caller's stack.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -99,18 +102,19 @@ class Corpus:
         self.work = work
         self.inputs = work / "in"
         self.inputs.mkdir(parents=True)
-        self.cases: dict[str, tuple[Path, list[str], list[str]]] = {}
+        self.cases: dict[str, tuple[Path, list[str], list[str], dict[str, str]]] = {}
 
     def add(self, name: str, *argv: str, out: bool = True, cwd: Path | None = None,
-            outputs: tuple[str, ...] = ()) -> Path:
-        """Add a command; with out, a verb but validate writes "out" in its run directory."""
+            outputs: tuple[str, ...] = (), env: dict[str, str] | None = None) -> Path:
+        """Add a command; with out, a verb but validate writes "out" in its run
+        directory; env holds environment variables set while it runs."""
         if cwd is None:
             cwd = self.work / "runs" / str(len(self.cases))
             cwd.mkdir(parents=True)
         if out and argv[0] != "validate":
             argv, outputs = (*argv, "-o", "out"), ("out",)
         assert name not in self.cases, name
-        self.cases[name] = cwd, [str(word) for word in argv], list(outputs)
+        self.cases[name] = cwd, [str(word) for word in argv], list(outputs), env or {}
         return cwd
 
     def write(self, name: str, text: str, encoding: str = "utf-8") -> str:
@@ -130,6 +134,7 @@ def build(work: Path) -> Corpus:
         c.add(f"fmt {name}", "fmt", g)
         c.add(f"fmt --no-validate {name}", "fmt", "--no-validate", g)
         c.add(f"classify {name}", "classify", g)
+        c.add(f"classify {name}, generalized", "classify", g, env=GENERALIZED)
         c.add(f"export rdf {name}", "export", "rdf", g)
         tables = c.add(f"export relational {name}", "export", "relational", g)
         c.add(f"import relational {name}", "import", "relational", tables / "out", "--schema", g)
@@ -161,6 +166,7 @@ def build(work: Path) -> Corpus:
     _benchmark(c)
     _places(c)
     _shapes(c)
+    _taxonomy(c)
     return c
 
 
@@ -207,6 +213,19 @@ MISFITS = {
                                                            '"value": 3}}')),
 }
 PLACE_VERBS = [["validate"], ["fmt", "--no-validate"], ["merge"]]
+MODES = {"strict": {"APG_STRICT_TAXONOMY": "1"}, "generalized": {"APG_STRICT_TAXONOMY": "0"}}
+GENERALIZED = MODES["generalized"]
+# name -> schema whose labels wait on each other in a cycle, some tagging into it
+CYCLIC = {
+    "A": {"l0": "l1 * String", "l1": "l2 + l1", "l2": "l1"},
+    "B": {"l0": "(String * l2) * (l3 + l0)", "l1": "l0", "l2": "String * 1", "l3": "l1"},
+    "S": {"V": "1", "X": "Y * V", "Y": "X", "Z": "Y", "W": "W * W"},
+}
+
+
+def tag_chain(n: int) -> dict[str, str]:
+    """n tags in a row, each label tagging the next, down to a vertex."""
+    return {**{f"l{i:05d}": f"l{i + 1:05d}" for i in range(n)}, f"l{n:05d}": "1"}
 
 
 def _places(c: Corpus):
@@ -300,6 +319,17 @@ def _shapes(c: Corpus):
                 -0.0, 5e-324, 1e300, 0.1, -2.5e-7, i, i / 7][i % 7])),
             **_many("B", 400, lambda i: _prim("Boolean", i % 3 == 0))}}))
     c.add("fmt number and boolean literals", "fmt", literals)
+
+
+def _taxonomy(c: Corpus):
+    """classify in both modes of schemas whose labels wait in cycles and of a
+    300-label tag chain."""
+    schemas = {f"cyclic schema {name}": types for name, types in CYCLIC.items()}
+    schemas["300-label tag chain"] = tag_chain(300)
+    for name, types in schemas.items():
+        doc = c.write(f"taxonomy/{name}.apg", json.dumps({"schema": types, "elements": {}}))
+        for mode, env in MODES.items():
+            c.add(f"classify {name}, {mode}", "classify", doc, env=env)
 
 
 # verb -> its words and input fixtures; the last input is the one -o overwrites in place
@@ -434,9 +464,9 @@ def _written(cwd: Path, outputs: list[str]):
 def run(c: Corpus) -> dict[str, str]:
     """Run the corpus in order: command name -> sha256 of what it did."""
     digests = {}
-    for name, (cwd, argv, outputs) in c.cases.items():
+    for name, (cwd, argv, outputs, env) in c.cases.items():
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.chdir(cwd), contextlib.redirect_stdout(out), \
+        with contextlib.chdir(cwd), _environ(env), contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
             code = cli.main(argv)
         h = hashlib.sha256()
@@ -446,6 +476,21 @@ def run(c: Corpus) -> dict[str, str]:
             h.update(part)
         digests[name] = h.hexdigest()
     return digests
+
+
+@contextlib.contextmanager
+def _environ(env: dict[str, str]):
+    """Set env in os.environ, and put back what was there on the way out."""
+    saved = {key: os.environ.get(key) for key in env}
+    os.environ.update(env)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
 
 
 def _normal(text: str, work: Path) -> str:
