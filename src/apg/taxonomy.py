@@ -10,15 +10,17 @@ alias must declare a label-free type as written and a property's data half
 must be a primitive type.  In generalized mode both rules accept label
 references as long as every referenced label is itself an alias, so a
 property whose data half refers to an alias of Integer still counts, while
-a reference to a vertex or an edge never reads as data.  Labels that depend
-on themselves all the way down come out as hyperelements.
+a reference to a vertex or an edge never reads as data.  A rule that needs
+the kind of a label not yet classified waits on it; a wait that leads back
+to a waiting label closes a cycle, every label on it is a hyperelement, and
+a label that tags into the cycle reads Tag(Hyperelement).
 """
 
 from __future__ import annotations
 
 from typing import TypeAlias, Union
 
-from .adt import Lbl, One, Prim, Prod, Record, TypeExpr, label_free, labels_in, type_nodes
+from .adt import Lbl, One, Prim, Prod, Record, TypeExpr, label_free, type_nodes
 from .errors import PreconditionError
 from .graph import Schema
 
@@ -73,16 +75,17 @@ Classification: TypeAlias = Union[
 
 
 def describe(c: Classification) -> str:
-    if isinstance(c, Tag):
-        return f"Tag({describe(c.of)})"
-    return type(c).__name__
+    tags = 0
+    while isinstance(c, Tag):
+        c, tags = c.of, tags + 1
+    return "Tag(" * tags + type(c).__name__ + ")" * tags
 
 
 _PROPERTY_KINDS = (VertexProperty, EdgeProperty, MetaProperty)
 
 
 class _Deferred(Exception):
-    """A rule needs the classification of a label not yet settled."""
+    """A rule needs the classification of a label not yet settled: args[0] names it."""
 
 
 def _data_after_deref(schema: Schema, t: TypeExpr, known: dict) -> bool:
@@ -99,7 +102,7 @@ def _data_after_deref(schema: Schema, t: TypeExpr, known: dict) -> bool:
             if node.name not in schema.labels:
                 return False
             if node.name not in known:
-                raise _Deferred()
+                raise _Deferred(node.name)
             if not isinstance(known[node.name], DataTypeAlias):
                 return False
     return True
@@ -124,7 +127,7 @@ def _attempt(schema: Schema, label: str, known: dict[str, Classification], stric
             # classifier just refuses to call it anything structured.
             return Hyperelement()
         if name not in known:
-            raise _Deferred()
+            raise _Deferred(name)
         return known[name]
 
     if isinstance(t, One):
@@ -134,9 +137,12 @@ def _attempt(schema: Schema, label: str, known: dict[str, Classification], stric
     if isinstance(t, Lbl):
         return Tag(kind_of(t.name))
     if isinstance(t, Prod) and isinstance(t.left, Lbl):
-        left = kind_of(t.left.name)
+        # Sides in name order: the side a rule waits on decides which cycle it closes.
+        sides = sorted(side.name for side in (t.left, t.right) if isinstance(side, Lbl))
+        kinds = {name: kind_of(name) for name in sides}
+        left = kinds[t.left.name]
         if isinstance(t.right, Lbl):
-            right = kind_of(t.right.name)
+            right = kinds[t.right.name]
             if isinstance(left, Vertex) and isinstance(right, Vertex):
                 return Edge()
             if isinstance(left, (Edge, HigherOrderEdge)) and isinstance(right, Vertex):
@@ -151,52 +157,29 @@ def _attempt(schema: Schema, label: str, known: dict[str, Classification], stric
     return Hyperelement()
 
 
-def _kind_dependencies(schema: Schema, label: str, strict: bool) -> set[str]:
-    """Labels whose classification the rules for this label may consult."""
-    t = schema.labels[label]
-    if not strict:
-        # The generalized alias rule looks at every referenced label.
-        return {name for name in labels_in(t) if name in schema.labels}
-    # Each declared label side, even beside an undeclared one: that side
-    # reads as a hyperelement and the rules still consult the other.
-    sides = (t.left, t.right) if isinstance(t, Prod) else (t,)
-    return {s.name for s in sides if isinstance(s, Lbl) and s.name in schema.labels}
-
-
 def classify_graph(schema: Schema, strict: bool = True) -> dict[str, Classification]:
-    """Classify every label, first rule wins, to a fixed point.
+    """Classify every label, first rule wins.
 
-    Rules that consult another label's kind wait until that label settles.
-    When a pass makes no progress the stall is a dependency cycle; the labels
-    on the cycle become hyperelements and classification resumes, so a tag
-    pointing into a cycle still reads Tag(Hyperelement).
+    Labels are taken in sorted order.  A rule that consults a label not yet
+    classified waits on it, and that label is classified first.  A wait on a
+    label that is itself waiting closes a cycle: it and every label waiting
+    after it become hyperelements, so a tag pointing into a cycle still reads
+    Tag(Hyperelement).
     """
     known: dict[str, Classification] = {}
-    pending = set(schema.labels)
-    while pending:
-        progressed = False
-        for label in sorted(pending):
+    for root in schema.sorted_labels():
+        waiting = {} if root in known else {root: None}  # in order, each waits on the next
+        while waiting:
+            label = next(reversed(waiting))
             try:
                 known[label] = _attempt(schema, label, known, strict)
-            except _Deferred:
-                continue
-            pending.discard(label)
-            progressed = True
-        if not progressed:
-            # Walk unresolved dependencies until one repeats; everything on
-            # that cycle is stuck on itself.
-            trail: list[str] = [min(pending)]
-            seen = {trail[0]}
-            while True:
-                deps = sorted(_kind_dependencies(schema, trail[-1], strict) & pending)
-                nxt = deps[0]
-                if nxt in seen:
-                    break
-                trail.append(nxt)
-                seen.add(nxt)
-            for label in trail[trail.index(nxt):]:
-                known[label] = Hyperelement()
-                pending.discard(label)
+                waiting.popitem()
+            except _Deferred as wait:
+                (name,) = wait.args
+                while name in waiting:  # a cycle: settle it from the top down to name
+                    known[waiting.popitem()[0]] = Hyperelement()
+                if name not in known:
+                    waiting[name] = None
     return known
 
 

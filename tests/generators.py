@@ -67,6 +67,12 @@ def schema_of(types: dict[str, str]) -> Schema:
     return Schema({l: parse_type(t, names, registry) for l, t in types.items()})
 
 
+def tag_chain(n: int) -> dict[str, str]:
+    """n tags in a row, each label tagging the next, down to a vertex; in
+    sorted order each label comes before the one it tags."""
+    return {**{f"l{i:05d}": f"l{i + 1:05d}" for i in range(n)}, f"l{n:05d}": "1"}
+
+
 def graph_of(types: dict[str, str], elements: dict[str, tuple[str, Value]]) -> Graph:
     s = schema_of(types)
     return Graph(s, {Atom(e): Element(label, v) for e, (label, v) in elements.items()})

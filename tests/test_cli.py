@@ -31,7 +31,7 @@ from apg.fixtures import load, path
 from apg.graph import Graph
 from apg.morphism import identity, Morphism
 
-from .generators import random_graph
+from .generators import random_graph, tag_chain
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,6 +102,16 @@ def test_classify_single_label_filter(capsys, monkeypatch):
     code, out, err = run(capsys, "classify", fixture_path("trips.apg"), "--label", "Moon")
     assert code == 1
     assert "Moon" in err
+
+
+@pytest.mark.parametrize("strict", ["1", "0"])
+def test_classify_reads_a_3000_label_tag_chain(capsys, monkeypatch, tmp_path, strict):
+    monkeypatch.setenv("APG_STRICT_TAXONOMY", strict)
+    chain = tmp_path / "chain.apg"
+    chain.write_text(json.dumps({"schema": tag_chain(3000), "elements": {}}), encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(chain), "--label", "l00000")
+    assert (code, err) == (0, "")
+    assert out == "l00000\t" + "Tag(" * 3000 + "Vertex" + ")" * 3000 + "\n"
 
 
 # ---------------------------------------------------------------------------

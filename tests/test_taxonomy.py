@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from apg import taxonomy
 from apg.adt import Lbl, One, Prod
 from apg.errors import PreconditionError
 from apg.fixtures import load
@@ -23,7 +24,7 @@ from apg.taxonomy import (
     describe,
 )
 
-from .generators import random_type, schema_of
+from .generators import random_type, schema_of, tag_chain
 
 RIDES = {
     "Person": "1",
@@ -157,7 +158,7 @@ def test_undeclared_references_classify_as_hyperelements():
 
 
 def test_an_undeclared_left_side_still_lets_a_cycle_settle():
-    # the right side waits on the label itself; the stall walk must see it
+    # the right side waits on the label itself, which closes a cycle
     schema = Schema({"E": Prod(Lbl("Ghost"), Lbl("E"))})
     assert classify_graph(schema, strict=True) == {"E": Hyperelement()}
     assert classify_graph(schema, strict=False) == {"E": Hyperelement()}
@@ -198,3 +199,25 @@ def test_strict_classification_of_seeded_schemas_is_as_recorded():
         h.update("".join(f"{label}\t{describe(kinds[label])}\n"
                          for label in schema.sorted_labels()).encode() + b"\n")
     assert h.hexdigest() == STRICT_DIGEST
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_each_kind_is_what_its_rule_gives_or_a_hyperelement(strict):
+    for schema in seeded_schemas(500):
+        kinds = classify_graph(schema, strict)
+        assert kinds.keys() == schema.labels.keys()
+        for label, kind in kinds.items():
+            if kind != Hyperelement():
+                assert kind == taxonomy._attempt(schema, label, kinds, strict), (schema, label)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_a_tag_chain_takes_a_linear_number_of_rule_attempts(monkeypatch, strict):
+    # in sorted order every label waits on the next, the worst order for a chain
+    schema = schema_of(tag_chain(3000))
+    attempts = []
+    attempt = taxonomy._attempt
+    monkeypatch.setattr(taxonomy, "_attempt", lambda *args: attempts.append(1) or attempt(*args))
+    kinds = classify_graph(schema, strict)
+    assert describe(kinds["l00000"]) == "Tag(" * 3000 + "Vertex" + ")" * 3000
+    assert len(attempts) <= 2 * len(schema.labels)
