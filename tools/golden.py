@@ -47,6 +47,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden.json"
@@ -466,8 +467,8 @@ def run(c: Corpus) -> dict[str, str]:
     digests = {}
     for name, (cwd, argv, outputs, env) in c.cases.items():
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.chdir(cwd), _environ(env), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
+        with contextlib.chdir(cwd), mock.patch.dict(os.environ, env), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         h = hashlib.sha256()
         texts = (_normal(s.getvalue(), c.work).encode() for s in (out, err))
@@ -476,21 +477,6 @@ def run(c: Corpus) -> dict[str, str]:
             h.update(part)
         digests[name] = h.hexdigest()
     return digests
-
-
-@contextlib.contextmanager
-def _environ(env: dict[str, str]):
-    """Set env in os.environ, and put back what was there on the way out."""
-    saved = {key: os.environ.get(key) for key in env}
-    os.environ.update(env)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 def _normal(text: str, work: Path) -> str:
