@@ -32,8 +32,10 @@ take both branches, types past the writer's bound, a record of six optional
 fields (64 forms), and number and boolean literals; and classify of every
 fixture in generalized mode (APG_STRICT_TAXONOMY=0), and in both modes of
 three schemas whose labels wait on each other in cycles and of a 300-label
-tag chain.  Deeper nesting is left out: how close to the recursion limit an
-in-process run may go depends on its caller's stack.
+tag chain, and classify --label, with the mode unset and generalized, of
+every label of the cyclic schemas, three of the chain and one undeclared.
+Deeper nesting is left out: how close to the recursion limit an in-process
+run may go depends on its caller's stack.
 """
 
 from __future__ import annotations
@@ -324,13 +326,22 @@ def _shapes(c: Corpus):
 
 def _taxonomy(c: Corpus):
     """classify in both modes of schemas whose labels wait in cycles and of a
-    300-label tag chain."""
+    300-label tag chain; and classify --label, with APG_STRICT_TAXONOMY unset
+    and 0, of each label of the cyclic schemas, of three labels of the chain
+    and of a label that cyclic schema A does not declare."""
     schemas = {f"cyclic schema {name}": types for name, types in CYCLIC.items()}
     schemas["300-label tag chain"] = tag_chain(300)
+    asked = {**{name: sorted(types) for name, types in schemas.items()},
+             "300-label tag chain": ["l00000", "l00150", "l00300"]}
+    asked["cyclic schema A"] = [*asked["cyclic schema A"], "ghost"]
     for name, types in schemas.items():
         doc = c.write(f"taxonomy/{name}.apg", json.dumps({"schema": types, "elements": {}}))
         for mode, env in MODES.items():
             c.add(f"classify {name}, {mode}", "classify", doc, env=env)
+        for label in asked[name]:
+            for mode, env in (("default", {}), ("generalized", GENERALIZED)):
+                c.add(f"classify {name} --label {label}, {mode}", "classify", doc,
+                      "--label", label, env=env)
 
 
 # verb -> its words and input fixtures; the last input is the one -o overwrites in place
