@@ -137,18 +137,19 @@ def _layout(t: TypeExpr, name: str, label: str, registry, iri=_element_iri):
     """(columns, shred, rebuild, triples) for values of type t whose cells
     start at name; iri(e) is the IRI a reference leaf to e is written as.
 
-    shred(v, cells) stores the leaves of v; rebuild(cells, used) reads a value
-    back, adds each cell it reads to used, and raises ParseError on a row that
-    does not fit; triples(v, subject, lines) appends the N-Triples line of
-    each leaf of v.  A column is named by its access path joined with dots, a
-    sum's discriminator by that path plus "#", and a leaf's predicate by the
-    label and that path joined with slashes; names, predicates, literal forms
-    and error locations are fixed here, once per label, not per row.
+    shred(v, cells) stores the leaves of v, and the cells a row may hold are
+    the cells shred writes of the value it stands for; rebuild(cells) reads a
+    value back and raises ParseError on a row that misses or misfits a cell;
+    triples(v, subject, lines) appends the N-Triples line of each leaf of v.
+    A column is named by its access path joined with dots, a sum's
+    discriminator by that path plus "#", and a leaf's predicate by the label
+    and that path joined with slashes; names, predicates, literal forms and
+    error locations are fixed here, once per label, not per row.
     """
     spot = name or "root"
     predicate = f" <apg:p/{_quote(label)}{'/' if name else ''}{name.replace('.', '/')}> "
     if isinstance(t, (One, Zero)):
-        def rebuild(cells, used):
+        def rebuild(cells):
             if isinstance(t, Zero):
                 raise ParseError(f"{label!r} declares an uninhabited position at {spot}")
             return Unit()
@@ -164,10 +165,9 @@ def _layout(t: TypeExpr, name: str, label: str, registry, iri=_element_iri):
         def shred(v, cells):
             cells[name] = getattr(v, leaf)
 
-        def rebuild(cells, used):
+        def rebuild(cells):
             if name not in cells:
                 raise ParseError(f"missing {spot} cell in a {label!r} row")
-            used.add(name)
             cell = cells[name]
             if isinstance(t, Lbl):
                 cell = parse_id(cell) if isinstance(cell, str) else cell
@@ -194,8 +194,8 @@ def _layout(t: TypeExpr, name: str, label: str, registry, iri=_element_iri):
             shred_left(v.first, cells)
             shred_right(v.second, cells)
 
-        def rebuild(cells, used):
-            return Pair(rebuild_left(cells, used), rebuild_right(cells, used))
+        def rebuild(cells):
+            return Pair(rebuild_left(cells), rebuild_right(cells))
 
         def triples(v, subject, lines):
             triples_left(v.first, subject, lines)
@@ -209,15 +209,14 @@ def _layout(t: TypeExpr, name: str, label: str, registry, iri=_element_iri):
         cells[disc] = "l" if left else "r"
         (shred_left if left else shred_right)(v.inner, cells)
 
-    def rebuild(cells, used):
+    def rebuild(cells):
         if disc not in cells:
             raise ParseError(f"missing discriminator {disc} in a {label!r} row")
-        used.add(disc)
         side = cells[disc]
         if side == "l":
-            return Inl(rebuild_left(cells, used))
+            return Inl(rebuild_left(cells))
         if side == "r":
-            return Inr(rebuild_right(cells, used))
+            return Inr(rebuild_right(cells))
         raise ParseError(f"discriminator {disc} of {label!r} must be 'l' or 'r', not {side!r}")
 
     def triples(v, subject, lines):
@@ -263,18 +262,17 @@ def import_relational(tables: TableSet, schema: Schema) -> Graph:
     for label in sorted(tables.tables):
         if label not in schema.labels:
             raise ParseError(f"table {label!r} has no declared label")
-        columns, _, rebuild, _ = _layout(schema.labels[label], "", label, schema.registry)
+        columns, shred, rebuild, _ = _layout(schema.labels[label], "", label, schema.registry)
         for have, want in zip_longest(tables.tables[label].columns, [Column("id", "id")] + columns):
             if have != want:
                 raise ParseError(f"table {label!r}: the manifest has column {_spec(have)} "
                                  f"where the schema gives {_spec(want)}")
         for e, cells in tables.tables[label].rows:
-            used: set[str] = set()
-            value = rebuild(cells, used)
-            extra = sorted(set(cells) - used)
-            if extra:
+            value, held = rebuild(cells), {}
+            shred(value, held)  # the cells value occupies, each one rebuild read
+            if len(cells) > len(held):
                 raise ParseError(f"row {render_id(e)} of {label!r} has cells outside "
-                                 f"its active branches: {', '.join(extra)}")
+                                 f"its active branches: {', '.join(sorted(cells.keys() - held))}")
             if e in elements:
                 raise ParseError(f"duplicate id {render_id(e)}")
             elements[e] = Element(label, value)

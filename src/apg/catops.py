@@ -20,8 +20,6 @@ injections, or the universal map onto the quotient).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .adt import (
     Class,
     ElementId,
@@ -288,21 +286,25 @@ def disjoint_union(g1: Graph, g2: Graph) -> ConstructionResult:
     return _tagged_union(g1, g2, g1.schema, "", "")
 
 
-def _quotient(schema: Schema, inputs, pairs: Iterable[tuple[int, int]], rank):
+def _quotient(schema: Schema, inputs, pairs):
     """The quotient on schema of the inputs' elements by the equivalence the
-    pairs generate, and one leg per input, its ids in its order.
+    pairs generate, and one leg per input, its ids in canonical order.
 
-    Each input is (graph, ids, tag).  The union-find runs on positions in the
-    concatenation of the inputs' ids, which the pairs name, and rank[i]
-    orders positions as (input index, render_id) does.  Classes must be
-    label-uniform; the error names the first that is not, in concatenation
-    order.  A class is Class(tag(rep)) for its least member rep under rank,
-    the classes are listed in that order, and only reps are copied, each
-    relinked through its own input's map.
+    Each input is (graph, tag), and each pair names two members, each as
+    (input index, id).  The union-find runs on positions in the concatenation
+    of the inputs' sorted ids, so positions rank as (input index, render_id)
+    and the first member met of a class is its least.  Classes must be
+    label-uniform; the error names the first that is not, by least member.  A
+    class is Class(tag(rep)) for its least member rep, the classes are listed
+    in that order, and only reps are copied, each relinked through its own
+    input's map.
     """
-    ids = [e for _, side, _ in inputs for e in side]
-    els = [g.elements[e] for g, side, _ in inputs for e in side]
-    parent = list(range(len(ids)))
+    position, start = [], 0  # position[k][e]: the place of input k's id e
+    for g, _ in inputs:
+        position.append({e: i for i, e in enumerate(g.sorted_ids(), start)})
+        start += len(position[-1])
+    els = [g.elements[e] for (g, _), at in zip(inputs, position) for e in at]
+    parent = list(range(start))
 
     def find(x: int) -> int:
         root = x
@@ -312,41 +314,36 @@ def _quotient(schema: Schema, inputs, pairs: Iterable[tuple[int, int]], rank):
             parent[x], x = root, parent[x]
         return root
 
-    for a, b in pairs:
-        parent[find(a)] = find(b)
-    roots = [find(i) for i in range(len(ids))]
-    least: dict[int, int] = {}  # root -> its class's least member, keyed in concatenation order
+    for (k, a), (m, b) in pairs:
+        parent[find(position[k][a])] = find(position[m][b])
+    roots = [find(i) for i in range(start)]
+    least: dict[int, int] = {}  # root -> its class's least member, the first met
     mixed = set()
     for i, r in enumerate(roots):
-        j = least.setdefault(r, i)
-        if els[i].label != els[j].label:
+        if els[i].label != els[least.setdefault(r, i)].label:
             mixed.add(r)
-        elif rank[i] < rank[j]:
-            least[r] = i
     if mixed:
         root = next(r for r in least if r in mixed)
         group = [i for i, r in enumerate(roots) if r == root]
-        names = [render_id(tag(e)) for _, side, tag in inputs for e in side]
+        names = [render_id(tag(e)) for (_, tag), at in zip(inputs, position) for e in at]
         listed, labels = ", ".join(sorted(names[i] for i in group)), {els[i].label for i in group}
         raise PreconditionError(f"class {{{listed}}} mixes labels {sorted(labels)}")
-    classes, elements, maps, start = {}, {}, [], 0  # classes: root -> its Class
-    for g, side, tag in inputs:
-        # A class first met in this input has its least member here.
-        on_elements, first = {}, []
-        for i, e in enumerate(side, start):
+    classes, elements, maps = {}, {}, []  # classes: root -> its Class
+    for (g, tag), at in zip(inputs, position):
+        on_elements, first = {}, []  # first: the members met first of their class, here
+        for e, i in at.items():
             cls = classes.get(roots[i])
             if cls is None:
-                cls = classes[roots[i]] = Class(tag(ids[least[roots[i]]]))
-                first.append(least[roots[i]])
+                cls = classes[roots[i]] = Class(tag(e))
+                first.append(i)
             on_elements[e] = cls
         relink = _relink(g, lambda: {e: Ref(c) for e, c in on_elements.items()})
-        for i in sorted(first, key=rank.__getitem__):
+        for i in first:
             elements[classes[roots[i]]] = Element(els[i].label, relink(els[i]))
         maps.append(on_elements)
-        start += len(side)
     quotient = Graph(schema, elements)
     return quotient, [Morphism(g, quotient, {l: l for l in schema.labels}, on_elements)
-                      for (g, _, _), on_elements in zip(inputs, maps)]
+                      for (g, _), on_elements in zip(inputs, maps)]
 
 
 def coequalizer(h: Morphism, j: Morphism) -> ConstructionResult:
@@ -363,11 +360,8 @@ def coequalizer(h: Morphism, j: Morphism) -> ConstructionResult:
         for l, image in m.on_labels.items():
             if image != l:
                 raise PreconditionError("coequalizer needs identity label maps")
-    ids = list(h.target.elements)
-    position = {e: i for i, e in enumerate(ids)}
-    pairs = [(position[h.on_elements[e]], position[j.on_elements[e]]) for e in h.source.elements]
-    quotient, (leg,) = _quotient(h.target.schema, [(h.target, ids, lambda e: e)], pairs,
-                                 [render_id(e) for e in ids])
+    pairs = (((0, h.on_elements[e]), (0, j.on_elements[e])) for e in h.source.elements)
+    quotient, (leg,) = _quotient(h.target.schema, [(h.target, lambda e: e)], pairs)
     return ConstructionResult(quotient, {"coeq": leg})
 
 
@@ -393,12 +387,7 @@ def pushout(f: Morphism, g: Morphism) -> ConstructionResult:
         for l in m.source.schema.labels:
             if m.source.schema.labels[l] != m.target.schema.labels.get(l):
                 raise PreconditionError(f"{role} leg does not preserve the declared type of {l!r}")
-    ids1, ids2 = f.target.sorted_ids(), g.target.sorted_ids()
-    position1 = {e: i for i, e in enumerate(ids1)}
-    position2 = {e: len(ids1) + i for i, e in enumerate(ids2)}
-    pairs = [(position1[a], position2[g.on_elements[e]]) for e, a in f.on_elements.items()]
-    # Each target is in id order, so positions rank as (input index, render_id).
-    quotient, (left, right) = _quotient(f.target.schema, [(f.target, ids1, Left),
-                                                          (g.target, ids2, Right)],
-                                        pairs, range(len(ids1) + len(ids2)))
+    pairs = (((0, a), (1, g.on_elements[e])) for e, a in f.on_elements.items())
+    quotient, (left, right) = _quotient(f.target.schema, [(f.target, Left), (g.target, Right)],
+                                        pairs)
     return ConstructionResult(quotient, {"left": left, "right": right})

@@ -28,7 +28,7 @@ from apg.fixtures import load
 from apg.files import read_graph
 from apg.graph import Graph
 
-from .generators import graph_of, random_graph
+from .generators import graph_of, random_graph, schema_of
 
 GRAPH_FIXTURES = [
     "vertices.apg", "edges.apg", "names.apg", "plates1.apg",
@@ -258,6 +258,19 @@ def test_import_rejects_cells_in_inactive_branches():
     cells["snd.snd.snd.inr"] = Atom("e4")
     with pytest.raises(ParseError, match="outside its active branches"):
         import_relational(tables, g.schema)
+
+
+@pytest.mark.parametrize("cells, extra", [
+    ({"#": "l", "inr#": "l"}, "inr#"),  # a cell of the inactive branch
+    ({"#": "r", "inr#": "r", "inr.inr": "a", "note": "b"}, "note"),  # a cell named nowhere
+])
+def test_import_names_the_cells_a_row_holds_beyond_its_value(cells, extra):
+    schema = schema_of({"X": "1 + (1 + String)"})
+    tables = export_relational(Graph(schema, {}))
+    tables.tables["X"].rows.append((Atom("x"), cells))
+    with pytest.raises(ParseError) as raised:
+        import_relational(tables, schema)
+    assert str(raised.value) == f"row x of 'X' has cells outside its active branches: {extra}"
 
 
 def test_import_rejects_bad_discriminators():

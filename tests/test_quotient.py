@@ -25,8 +25,10 @@ from .generators import (
 
 
 def reference_quotient(graph, pairs):
-    """(quotient, leg on_elements) for id pairs, by a union-find keyed on ids."""
-    parent = {e: e for e in graph.elements}
+    """(quotient, leg on_elements) for id pairs, by a union-find keyed on ids,
+    walking the graph in canonical order."""
+    order = sorted(graph.elements, key=render_id)
+    parent = {e: e for e in order}
 
     def find(x):
         while parent[x] != x:
@@ -36,7 +38,7 @@ def reference_quotient(graph, pairs):
     for a, b in pairs:
         parent[find(a)] = find(b)
     members = {}
-    for e in graph.elements:
+    for e in order:
         members.setdefault(find(e), []).append(e)
     rep_of = {}
     for group in members.values():
@@ -49,7 +51,7 @@ def reference_quotient(graph, pairs):
     elements = {Class(rep): Element(graph.elements[rep].label,
                                     transport_value(move, graph.elements[rep].value))
                 for rep in sorted(set(rep_of.values()), key=render_id)}
-    return Graph(graph.schema, elements), {e: Class(rep_of[e]) for e in graph.elements}
+    return Graph(graph.schema, elements), {e: Class(rep_of[e]) for e in order}
 
 
 def reference_pushout(f, g):
@@ -134,6 +136,25 @@ def test_coequalizer_matches_the_reference(kind):
         if kind == "label-blind":
             j = random_map(rng, h.source, g)
         assert outcome(library_coequalizer, h, j) == outcome(reference_coequalizer, h, j)
+
+
+@pytest.mark.parametrize("kind", ["parallel", "label-blind"])
+def test_the_coequalizer_reads_its_target_in_canonical_order(kind):
+    """The same bytes, leg order and error on a target whose element dict is
+    shuffled as on the canonically ordered one; the leg lists ids in order."""
+    rng = random.Random(f"coequalizer order:{kind}")
+    for _ in range(50):
+        g = random_graph(rng)
+        canonical = Graph(g.schema, {e: g.elements[e] for e in g.sorted_ids()})
+        h, j = parallel_pair(rng, canonical)
+        if kind == "label-blind":
+            j = random_map(rng, h.source, canonical)
+        mixed = shuffled(rng, canonical)
+        moved = [Morphism(m.source, mixed, m.on_labels, m.on_elements) for m in (h, j)]
+        expected = outcome(library_coequalizer, h, j)
+        assert outcome(library_coequalizer, *moved) == expected
+        if not isinstance(expected, str):
+            assert [e for e, _ in expected[2][0]] == canonical.sorted_ids()
 
 
 def test_the_first_mixed_class_in_union_order_is_named():
