@@ -180,16 +180,15 @@ def _cmd_validate(args) -> int:
 def _cmd_classify(args) -> int:
     from . import taxonomy
 
-    graph = _read_graph(args.graph)
-    kinds = taxonomy.classify_graph(graph.schema, strict=_strict_mode())
-    lines = []
-    for label in graph.schema.sorted_labels():
-        if args.label is not None and label != args.label:
-            continue
-        lines.append(f"{label}\t{taxonomy.describe(kinds[label])}")
-    if args.label is not None and not lines:
+    schema, strict = _read_graph(args.graph).schema, _strict_mode()
+    if args.label is None:
+        kinds = taxonomy.classify_graph(schema, strict)
+    elif args.label in schema.labels:
+        kinds = {args.label: taxonomy.classify_label(schema, args.label, strict)}
+    else:
         _report(f"no label {args.label!r} in the schema")
         return 1
+    lines = (f"{label}\t{taxonomy.describe(kinds[label])}" for label in sorted(kinds))
     _write(args.out, _lines(lines))
     return 0
 

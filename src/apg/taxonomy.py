@@ -54,7 +54,22 @@ class DataTypeAlias(Record):
 
 
 class Tag(Record):
+    """Compared, hashed and printed through its chain (_chain), so a chain of
+    any length needs no recursion."""
+
     __slots__ = {"of": "Classification"}
+
+    def __eq__(self, other):
+        if type(other) is not Tag:
+            return NotImplemented
+        return self is other or _chain(self) == _chain(other)
+
+    def __hash__(self):
+        return hash(_chain(self))
+
+    def __repr__(self) -> str:
+        tags, base = _chain(self)
+        return "Tag(of=" * tags + repr(base) + ")" * tags
 
 
 class Hyperelement(Record):
@@ -74,11 +89,17 @@ Classification: TypeAlias = Union[
 ]
 
 
-def describe(c: Classification) -> str:
+def _chain(c: Classification) -> tuple[int, Classification]:
+    """(number of tags, base kind) of c, read in one loop."""
     tags = 0
-    while isinstance(c, Tag):
+    while type(c) is Tag:
         c, tags = c.of, tags + 1
-    return "Tag(" * tags + type(c).__name__ + ")" * tags
+    return tags, c
+
+
+def describe(c: Classification) -> str:
+    tags, base = _chain(c)
+    return "Tag(" * tags + type(base).__name__ + ")" * tags
 
 
 _PROPERTY_KINDS = (VertexProperty, EdgeProperty, MetaProperty)
@@ -168,22 +189,31 @@ def classify_graph(schema: Schema, strict: bool = True) -> dict[str, Classificat
     """
     known: dict[str, Classification] = {}
     for root in schema.sorted_labels():
-        waiting = {} if root in known else {root: None}  # in order, each waits on the next
-        while waiting:
-            label = next(reversed(waiting))
-            try:
-                known[label] = _attempt(schema, label, known, strict)
-                waiting.popitem()
-            except _Deferred as wait:
-                (name,) = wait.args
-                while name in waiting:  # a cycle: settle it from the top down to name
-                    known[waiting.popitem()[0]] = Hyperelement()
-                if name not in known:
-                    waiting[name] = None
+        _settle(schema, root, known, strict)
     return known
 
 
+def _settle(schema: Schema, root: str, known: dict[str, Classification], strict: bool):
+    """Classify root into known, and first every label it waits on."""
+    waiting = {} if root in known else {root: None}  # in order, each waits on the next
+    while waiting:
+        label = next(reversed(waiting))
+        try:
+            known[label] = _attempt(schema, label, known, strict)
+            waiting.popitem()
+        except _Deferred as wait:
+            (name,) = wait.args
+            while name in waiting:  # a cycle: settle it from the top down to name
+                known[waiting.popitem()[0]] = Hyperelement()
+            if name not in known:
+                waiting[name] = None
+
+
 def classify_label(schema: Schema, label: str, strict: bool = True) -> Classification:
+    """The kind classify_graph gives label, settling only label and the
+    labels its rule waits on, directly or through others."""
     if label not in schema.labels:
         raise PreconditionError(f"unknown label {label!r}")
-    return classify_graph(schema, strict)[label]
+    known: dict[str, Classification] = {}
+    _settle(schema, label, known, strict)
+    return known[label]

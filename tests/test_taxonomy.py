@@ -221,3 +221,31 @@ def test_a_tag_chain_takes_a_linear_number_of_rule_attempts(monkeypatch, strict)
     kinds = classify_graph(schema, strict)
     assert len(attempts) <= 2 * len(schema.labels)
     assert describe(kinds["l00000"]) == "Tag(" * 3000 + "Vertex" + ")" * 3000
+
+
+def test_a_tag_chain_compares_hashes_and_prints_without_recursion():
+    schema = schema_of(tag_chain(3000))
+    first, second = classify_graph(schema), classify_graph(schema)
+    assert first == second
+    assert hash(first["l00000"]) == hash(second["l00000"])
+    assert repr(first["l00000"]) == "Tag(of=" * 3000 + "Vertex()" + ")" * 3000
+    assert first["l00000"] != first["l00001"] and first["l00000"] != Vertex()
+    assert Tag(Vertex()) != Tag(Edge()) and Tag(Vertex()) == Tag(Vertex())
+    assert repr(Tag(Edge())) == "Tag(of=Edge())"
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_classify_label_settles_only_what_the_label_waits_on(monkeypatch, strict):
+    schema = schema_of(tag_chain(3000))
+    attempts = []
+    attempt = taxonomy._attempt
+    monkeypatch.setattr(taxonomy, "_attempt", lambda *args: attempts.append(1) or attempt(*args))
+    assert classify_label(schema, "l03000", strict) == Vertex()
+    assert len(attempts) == 1
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_classify_label_gives_what_classify_graph_gives(strict):
+    for schema in seeded_schemas(2000):
+        kinds = classify_graph(schema, strict)
+        assert {label: classify_label(schema, label, strict) for label in schema.labels} == kinds
